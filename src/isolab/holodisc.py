@@ -19,7 +19,6 @@ __all__ = [
     "RotationOperator",
     "WeightedCompositionOperator",
     "MatrixOperator",
-    "DiscOperator",
     "SupFamily",
     "HpFamily",
     "NotCharacterizable",
@@ -218,19 +217,21 @@ def _require_samples(f: TaylorFunction, samples: int | None) -> int:
         while q < 4 * (f.degree + 1):
             q *= 2
         return max(q, 64)
+    if samples < 1:
+        raise ValueError("need at least one circle sample")
     if samples < 4 * f.degree:
         raise ValueError("need at least 4 * degree circle samples")
     return samples
 
 
 def _circle_values(f: TaylorFunction, radius: float, q: int):
-    """f on q equispaced points of the radius circle, via an inverse DFT."""
+    """f on q equispaced points of the radius circle, via an inverse DFT.
+
+    Needs q > degree, which _require_samples guarantees.
+    """
     scaled = f.array * radius ** np.arange(f.degree + 1)
     padded = np.zeros(q, dtype=complex)
-    padded[: min(q, scaled.size)] = scaled[:q]
-    # handle degree >= q by aliasing explicitly (never hit under the 4D rule)
-    for j in range(q, scaled.size):
-        padded[j % q] += scaled[j]
+    padded[: scaled.size] = scaled
     return np.fft.ifft(padded) * q
 
 
@@ -241,114 +242,59 @@ def _abs2_series(f: TaylorFunction, radius: float):
     return pos  # pos[m] = sum_k a[k+m] conj(a[k]); negative side is conj
 
 
-def _eval_abs2(pos_coeffs, theta):
-    theta = np.atleast_1d(theta)
+def _abs2_terms(pos_coeffs, theta):
+    """|f|^2 and its first two theta-derivatives at each angle in theta."""
     m = np.arange(pos_coeffs.size)
-    e = np.exp(1j * np.outer(theta, m))
-    vals = e @ pos_coeffs
-    return 2.0 * vals.real - pos_coeffs[0].real
+    terms = np.exp(1j * np.outer(theta, m)) * pos_coeffs
+    value = 2.0 * terms.real.sum(axis=1) - pos_coeffs[0].real
+    return value, -2.0 * (terms.imag @ m), -2.0 * (terms.real @ m**2)
 
 
-def _eval_abs2_deriv(pos_coeffs, theta):
-    theta = np.atleast_1d(theta)
-    m = np.arange(pos_coeffs.size)
-    e = np.exp(1j * np.outer(theta, m)) * (1j * m)
-    return 2.0 * (e @ pos_coeffs).real
+def _circle_max(f: TaylorFunction, radius: float, q: int) -> float:
+    """Maximum of |f| on the circle, exact to machine precision.
 
-
-def _eval_abs2_deriv2(pos_coeffs, theta):
-    theta = np.atleast_1d(theta)
-    m = np.arange(pos_coeffs.size)
-    e = np.exp(1j * np.outer(theta, m)) * (-(m**2))
-    return 2.0 * (e @ pos_coeffs).real
-
-
-def _refine_peak(pos_coeffs, th0, h):
-    """Sharpen a bracketed circle maximum of |f|^2 to machine precision.
-
-    Newton on the derivative with a bisection safeguard; falls back to
-    golden-section if the bracket has no derivative sign change.
+    Every grid local maximum of |f|^2 is sharpened at once by Newton on
+    the derivative inside its bracket [theta - h, theta + h], bisecting
+    whenever a step leaves the bracket or the curvature is not negative.
+    The result is the largest value ever evaluated, the grid peak
+    included, so it never falls below the grid maximum.
     """
-    lo, hi = th0 - h, th0 + h
-    dlo = float(_eval_abs2_deriv(pos_coeffs, lo)[0])
-    dhi = float(_eval_abs2_deriv(pos_coeffs, hi)[0])
-    if dlo >= 0 >= dhi:
-        a, b = lo, hi
-        th = th0
-        for _ in range(80):
-            d = float(_eval_abs2_deriv(pos_coeffs, th)[0])
-            dd = float(_eval_abs2_deriv2(pos_coeffs, th)[0])
-            if d >= 0:
-                a = th
-            else:
-                b = th
-            step_ok = dd < 0
-            nxt = th - d / dd if step_ok else 0.5 * (a + b)
-            if not (a <= nxt <= b):
-                nxt = 0.5 * (a + b)
-            if abs(nxt - th) < 1e-15:
-                th = nxt
-                break
-            th = nxt
-        return float(_eval_abs2(pos_coeffs, th)[0])
-    # golden section on the value
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(_eval_abs2(pos_coeffs, c)[0])
-    fd = float(_eval_abs2(pos_coeffs, d)[0])
-    for _ in range(90):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(_eval_abs2(pos_coeffs, c)[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(_eval_abs2(pos_coeffs, d)[0])
-    return float(_eval_abs2(pos_coeffs, 0.5 * (a + b))[0])
-
-
-def _circle_max(f: TaylorFunction, radius: float, q: int, refine: bool) -> float:
     vals2 = np.abs(_circle_values(f, radius, q)) ** 2
     peak = float(np.max(vals2))
-    if not refine or peak == 0.0:
-        return float(np.sqrt(peak))
     if peak - float(np.min(vals2)) <= 1e-15 * max(peak, 1.0):
-        return float(np.sqrt(peak))  # constant modulus (monomials)
+        return float(np.sqrt(peak))  # constant modulus (monomials, zero)
     pos_coeffs = _abs2_series(f, radius)
     h = 2.0 * np.pi / q
-    # refine the top grid peaks; three suffice to bracket the global max
-    order = np.argsort(vals2)[::-1]
-    candidates = []
-    for idx in order:
-        th = idx * h
-        if all(abs((th - t + np.pi) % (2 * np.pi) - np.pi) > 2.5 * h for t in candidates):
-            candidates.append(th)
-        if len(candidates) == 3:
-            break
+    th = h * np.flatnonzero((vals2 >= np.roll(vals2, 1)) & (vals2 >= np.roll(vals2, -1)))
+    lo, hi = th - h, th + h
     best = peak
-    for th in candidates:
-        best = max(best, _refine_peak(pos_coeffs, th, h))
+    for _ in range(80):
+        value, d, dd = _abs2_terms(pos_coeffs, th)
+        best = max(best, float(np.max(value)))
+        lo = np.where(d >= 0, th, lo)
+        hi = np.where(d >= 0, hi, th)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = th - d / dd
+        nxt = np.where((dd < 0) & (lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        moving = np.abs(nxt - th) >= 1e-15
+        if not moving.any():
+            break
+        th, lo, hi = nxt[moving], lo[moving], hi[moving]
     return float(np.sqrt(max(best, 0.0)))
 
 
-def sup_seminorm(
-    f: TaylorFunction, radius: float, samples: int | None = None, refine: bool = True
-) -> float:
+def sup_seminorm(f: TaylorFunction, radius: float, samples: int | None = None) -> float:
     """Supremum of |f| on the circle of the given radius.
 
     A grid stage takes the max over `samples` equispaced points (at least
-    four per degree); with refine=True (default) the top grid brackets
-    are sharpened to the true circle maximum so the result is exact to
-    machine precision and in particular rotation invariant.  refine=False
-    returns the literal grid max.
+    four per degree); the grid's local maxima are then sharpened to the
+    true circle maximum, so the result is exact to machine precision and
+    in particular rotation invariant.
     """
     if not 0 < radius < 1:
         raise ValueError("radius must lie in (0, 1)")
     q = _require_samples(f, samples)
-    return _circle_max(f, radius, q, refine)
+    return _circle_max(f, radius, q)
 
 
 def hp_seminorm(
@@ -434,10 +380,7 @@ class WeightedCompositionOperator:
     warp: TaylorFunction
 
     def __post_init__(self):
-        q = 8
-        while q < 4 * (self.warp.degree + 1):
-            q *= 2
-        m = _circle_max(self.warp, 1.0 - 1e-14, max(q, 64), refine=True)
+        m = _circle_max(self.warp, 1.0 - 1e-14, _require_samples(self.warp, None))
         if m > 1.0 + 1e-9:
             raise ValueError(f"warp must map the disc into itself (max modulus {m:g})")
 
@@ -480,11 +423,6 @@ class MatrixOperator:
         return out
 
 
-# any of the three concrete operator kinds (plus bare callables in the
-# opaque-map entry points)
-DiscOperator = RotationOperator | WeightedCompositionOperator | MatrixOperator
-
-
 def _as_apply(op):
     if hasattr(op, "apply"):
         return op.apply
@@ -518,7 +456,7 @@ def operator_matrix(op, size: int) -> MatrixOperator:
 @dataclass(frozen=True)
 class SupFamily:
     def seminorm(self, f: TaylorFunction, radius: float, samples: int) -> float:
-        return sup_seminorm(f, radius, samples=samples, refine=True)
+        return sup_seminorm(f, radius, samples=samples)
 
     label = "sup"
 
@@ -749,7 +687,7 @@ def three_circle_check(
     """
     if not 0 < r1 < r2 < r3 < 1:
         raise ValueError("radii must satisfy 0 < r1 < r2 < r3 < 1")
-    ms = [sup_seminorm(f, r, samples=samples, refine=True) for r in (r1, r2, r3)]
+    ms = [sup_seminorm(f, r, samples=samples) for r in (r1, r2, r3)]
     if min(ms) == 0.0:
         raise ValueError("function vanishes on a sampled circle (zero function?)")
     l1, l2, l3 = (np.log(m) for m in ms)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -105,8 +106,9 @@ def test_sup_seminorm_constant():
 def test_sup_seminorm_refinement_beats_grid():
     rng = np.random.default_rng(3)
     f = random_taylor(rng, 24)
-    grid_only = sup_seminorm(f, 0.8, refine=False)
-    refined = sup_seminorm(f, 0.8, refine=True)
+    q = 128  # the default sample count for degree 24
+    grid_only = float(np.max(np.abs(f(0.8 * np.exp(2j * np.pi * np.arange(q) / q)))))
+    refined = sup_seminorm(f, 0.8)
     assert refined >= grid_only - 1e-15
     # a dense grid estimate approaches the refined value from below
     theta = np.linspace(0, 2 * np.pi, 200001)
@@ -128,12 +130,75 @@ def test_sup_seminorm_rotation_invariance():
     assert worst < 1e-12
 
 
+def _oracle_circle_max(f, r, dense):
+    """Largest |f| over the 30-digit critical points found from a dense grid.
+
+    Every local maximum of |f|^2 on the dense grid seeds mpmath.findroot
+    on d/dtheta |f|^2 = 2 Re(conj(f) f'(z) i z).
+    """
+    n = dense.size
+    v = np.abs(f(r * dense)) ** 2
+    starts = np.flatnonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpc(c.real, c.imag) for c in reversed(f.coefficients)]
+        rr = mpmath.mpf(r)
+
+        def abs2(t):
+            return abs(mpmath.polyval(coeffs, rr * mpmath.expj(t))) ** 2
+
+        def slope(t):
+            z = rr * mpmath.expj(t)
+            fz, dfz = mpmath.polyval(coeffs, z, derivative=True)
+            return 2 * mpmath.re(mpmath.conj(fz) * dfz * 1j * z)
+
+        h = 2 * mpmath.pi / n
+        best = max(abs2(mpmath.findroot(slope, (j * h - h / 2, j * h + h / 2))) for j in starts)
+        return float(mpmath.sqrt(best))
+
+
+def _slope_candidate(f, r):
+    """Whether the old three-candidate rule picked a grid point that is no local max.
+
+    That rule took the three highest default-grid samples 2.5 cells apart;
+    a candidate without a local maximum fell into a golden-section search.
+    """
+    q = max(64, 1 << int(np.ceil(np.log2(4 * (f.degree + 1)))))
+    v = np.abs(f(r * np.exp(2j * np.pi * np.arange(q) / q))) ** 2
+    picked = []
+    for i in np.argsort(v)[::-1]:
+        if all(min(abs(i - j), q - abs(i - j)) > 2.5 for j in picked):
+            picked.append(int(i))
+        if len(picked) == 3:
+            break
+    return any(v[i] < v[i - 1] or v[i] < v[(i + 1) % q] for i in picked[1:])
+
+
+def test_sup_seminorm_matches_mpmath_oracle():
+    rng = np.random.default_rng(29)
+    dense = np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
+    slope_draws = 0
+    for _ in range(24):
+        f = random_taylor(rng, int(rng.integers(1, 33)))
+        r = float(rng.uniform(0.05, 0.95))
+        beta = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        g = TaylorFunction(tuple(f.array * beta ** np.arange(f.degree + 1)))
+        want = _oracle_circle_max(f, r, dense)
+        for fn in (f, g):
+            got = sup_seminorm(fn, r)
+            assert abs(got - want) <= 1e-13 * want
+            assert got >= float(np.max(np.abs(fn(r * dense))))
+        slope_draws += _slope_candidate(f, r)
+    assert slope_draws > 0
+
+
 def test_sup_seminorm_sample_guard():
     f = TaylorFunction.monomial(40)
     with pytest.raises(ValueError):
         sup_seminorm(f, 0.5, samples=64)
     with pytest.raises(ValueError):
         sup_seminorm(f, 1.0)
+    with pytest.raises(ValueError):
+        sup_seminorm(TaylorFunction.one(), 0.5, samples=0)
 
 
 def test_hp_seminorm_parseval_closed_form():
