@@ -96,7 +96,6 @@ from .contspace import (
     make_composition_operator,
     isometry_test_grid,
     recover_weight_and_map,
-    recover_h_phi,
     build_interval_homeo,
     random_interval_homeo,
     build_zigzag_fold,

@@ -5,6 +5,9 @@ round-trip) and emits a flat key=value report, deterministic for a given
 config and seed.  Exit status 0 means the run's claim held, 1 means the
 computation finished with a finding (an inequality violated, a recovery
 refused), and 2 means the input was invalid.
+
+One parameter table, _PARAMS, with the keys each subcommand takes, drives
+the flags, the checking of config files and the defaults handlers read.
 """
 
 from __future__ import annotations
@@ -86,16 +89,17 @@ def _parse_floats(text: str, flag: str):
         raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
     if not vals:
         raise CliError(f"{flag}: empty list")
+    if not np.all(np.isfinite(vals)):
+        raise CliError(f"{flag}: values must be finite, got {text!r}")
     return np.array(vals)
 
 
 def _gauge_from(params) -> object:
-    name = params.get("gauge", "clip")
-    alpha = float(params.get("alpha", 1.0))
+    name = params["gauge"]
     if name == "clipsq":
         return clipped_square_gauge()
     try:
-        return make_builtin_gauge(name, alpha=alpha)
+        return make_builtin_gauge(name, alpha=params["alpha"])
     except ValueError as exc:
         raise CliError(f"gauge: {exc}") from exc
 
@@ -123,8 +127,8 @@ def _report(cfg: ExperimentConfig, record: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_theta_check(cfg: ExperimentConfig):
-    g = _gauge_from(cfg.params)
+def _run_theta_check(cfg: ExperimentConfig, params):
+    g = _gauge_from(params)
     rep = check_admissibility(g)
     rec = rep.as_record()
     return (PASS if rep.all_pass else FINDING), rec
@@ -144,9 +148,9 @@ def _selftest_theta_check(cfg: ExperimentConfig):
     return (PASS if ok else FINDING), rec
 
 
-def _run_frullani(cfg: ExperimentConfig):
-    g = _gauge_from(cfg.params)
-    rho = float(cfg.params.get("rho", 2.0))
+def _run_frullani(cfg: ExperimentConfig, params):
+    g = _gauge_from(params)
+    rho = params["rho"]
     if rho <= 1.0:
         raise CliError("rho: must exceed 1")
     spec = QuadratureSpec(tol=min(cfg.tol, 1e-7))
@@ -170,9 +174,9 @@ def _selftest_frullani(cfg: ExperimentConfig):
 
 
 def _weights_from(params) -> metric.WeightSequence:
-    spec = params.get("weights", "uniform:2")
-    tail = float(params.get("tail", 0.0))
-    if isinstance(spec, str) and spec.startswith("uniform:"):
+    spec = params["weights"]
+    tail = params["tail"]
+    if spec.startswith("uniform:"):
         try:
             n = int(spec.split(":", 1)[1])
         except ValueError as exc:
@@ -182,11 +186,11 @@ def _weights_from(params) -> metric.WeightSequence:
     return metric.WeightSequence(tuple(vals), declared_tail=tail)
 
 
-def _run_separate(cfg: ExperimentConfig):
-    g = _gauge_from(cfg.params)
-    r = _weights_from(cfg.params)
-    a = metric.SeminormVector(tuple(_parse_floats(cfg.params.get("vec_a", "1,2"), "vec_a")))
-    b = metric.SeminormVector(tuple(_parse_floats(cfg.params.get("vec_b", "1,3"), "vec_b")))
+def _run_separate(cfg: ExperimentConfig, params):
+    g = _gauge_from(params)
+    r = _weights_from(params)
+    a = metric.SeminormVector(tuple(_parse_floats(params["vec_a"], "vec_a")))
+    b = metric.SeminormVector(tuple(_parse_floats(params["vec_b"], "vec_b")))
     if len(a) != len(r) or len(b) != len(r):
         raise CliError("vec_a/vec_b: length must match the weight count")
     res = metric.separate(g, r, a, b)
@@ -219,13 +223,10 @@ def _selftest_separate(cfg: ExperimentConfig):
     return (PASS if ok else FINDING), rec
 
 
-def _run_recover_measure(cfg: ExperimentConfig):
-    params = dict(cfg.params)
-    params.setdefault("gauge", "rational")
-    params.setdefault("alpha", 2.0)
+def _run_recover_measure(cfg: ExperimentConfig, params):
     g = _gauge_from(params)
-    positions = _parse_floats(params.get("positions", "0.0"), "positions")
-    masses = _parse_floats(params.get("masses", "0.5"), "masses")
+    positions = _parse_floats(params["positions"], "positions")
+    masses = _parse_floats(params["masses"], "masses")
     if positions.size != masses.size:
         raise CliError("masses: need one mass per position")
     order = np.argsort(positions)
@@ -233,7 +234,9 @@ def _run_recover_measure(cfg: ExperimentConfig):
         nu = recovery.LogMeasure(tuple(positions[order]), tuple(masses[order]))
     except ValueError as exc:
         raise CliError(f"positions/masses: {exc}") from exc
-    budget = int(params.get("atom_budget", positions.size))
+    budget = params["atom_budget"]
+    if budget is None:
+        budget = positions.size
     rep = recovery.roundtrip_check(g, nu, recovery.RecoverySpec(), budget)
     rec = rep.as_record()
     rec["gauge"] = g.name
@@ -253,45 +256,44 @@ def _selftest_recover_measure(cfg: ExperimentConfig):
 
 
 def _taylor_from(params, rng) -> holodisc.TaylorFunction:
-    path = params.get("taylor_file")
+    path = params["taylor_file"]
     if path is not None:
         try:
             return holodisc.TaylorFunction(io_formats.taylor_from_text(Path(path).read_text()))
         except (OSError, ValueError) as exc:
             raise CliError(f"taylor_file: {exc}") from exc
-    if "monomial" in params:
-        return holodisc.TaylorFunction.monomial(int(params["monomial"]))
-    degree = int(params.get("degree", 8))
+    if params["monomial"] is not None:
+        return holodisc.TaylorFunction.monomial(params["monomial"])
+    degree = params["degree"]
     if degree < 0:
         raise CliError("degree: must be nonnegative")
     return holodisc.random_taylor(rng, degree, min_significant=2)
 
 
 def _family_from(params):
-    fam = params.get("family", "sup")
+    fam = params["family"]
     if fam == "sup":
         return holodisc.SupFamily()
     if fam == "hp":
-        return holodisc.HpFamily(float(params.get("p", 1.0)))
+        return holodisc.HpFamily(params["p"])
     raise CliError(f"family: unknown family {fam!r}")
 
 
-def _disc_operator_from(params, rng):
-    kind = params.get("op", "rotation")
+def _disc_operator_from(params):
+    kind = params["op"]
     if kind == "rotation":
-        alpha = np.exp(1j * float(params.get("alpha_angle", np.pi / 3)))
-        beta = np.exp(1j * float(params.get("beta_angle", np.sqrt(2.0))))
+        alpha = np.exp(1j * params["alpha_angle"])
+        beta = np.exp(1j * params["beta_angle"])
         return holodisc.RotationOperator(alpha, beta)
     if kind == "scale":
-        factor = complex(float(params.get("factor", 2.0)))
-        size = int(params.get("size", 16))
-        return holodisc.MatrixOperator(tuple(tuple(factor * (i == j) for j in range(size)) for i in range(size)))
+        factor = complex(params["factor"])
+        return holodisc.MatrixOperator(tuple(tuple(factor * (i == j) for j in range(16)) for i in range(16)))
     if kind == "squarewarp":
         return holodisc.WeightedCompositionOperator(
             holodisc.TaylorFunction.one(), holodisc.TaylorFunction.monomial(2)
         )
     if kind == "matrix":
-        path = params.get("op_file")
+        path = params["op_file"]
         if path is None:
             raise CliError("op_file: required for op=matrix")
         try:
@@ -313,12 +315,12 @@ def _disc_operator_from(params, rng):
     raise CliError(f"op: unknown operator kind {kind!r}")
 
 
-def _run_hol_iso_test(cfg: ExperimentConfig):
+def _run_hol_iso_test(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    op = _disc_operator_from(cfg.params, rng)
-    family = _family_from(cfg.params)
-    exh = holodisc.DiscExhaustion.default(int(cfg.params.get("levels", 3)))
-    probes = holodisc.standard_probes(rng, count=3, degree=int(cfg.params.get("degree", 8)))
+    op = _disc_operator_from(params)
+    family = _family_from(params)
+    exh = holodisc.DiscExhaustion.default(params["levels"])
+    probes = holodisc.standard_probes(rng, count=3, degree=params["degree"])
     rep = holodisc.isometry_test(op, family, exh, probes, tol=max(cfg.tol, 1e-11))
     return (PASS if rep.passed else FINDING), rep.as_record()
 
@@ -334,11 +336,11 @@ def _selftest_hol_iso_test(cfg: ExperimentConfig):
     return (PASS if r1.passed and not r2.passed else FINDING), rec
 
 
-def _run_hol_characterize(cfg: ExperimentConfig):
+def _run_hol_characterize(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    op = _disc_operator_from(cfg.params, rng)
-    family = _family_from(cfg.params)
-    exh = holodisc.DiscExhaustion.default(int(cfg.params.get("levels", 3)))
+    op = _disc_operator_from(params)
+    family = _family_from(params)
+    exh = holodisc.DiscExhaustion.default(params["levels"])
     try:
         ch = holodisc.characterize_isometry(op, exh, family, rng=rng)
     except holodisc.NotCharacterizable as exc:
@@ -373,10 +375,10 @@ def _selftest_hol_characterize(cfg: ExperimentConfig):
     return (PASS if ok else FINDING), rec
 
 
-def _run_three_circle(cfg: ExperimentConfig):
+def _run_three_circle(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    f = _taylor_from(cfg.params, rng)
-    radii = _parse_floats(cfg.params.get("radii", "0.25,0.5,0.75"), "radii")
+    f = _taylor_from(params, rng)
+    radii = _parse_floats(params["radii"], "radii")
     if radii.size != 3:
         raise CliError("radii: need exactly three radii")
     try:
@@ -408,26 +410,22 @@ def _selftest_three_circle(cfg: ExperimentConfig):
     return (PASS if ok else FINDING), rec
 
 
-def _grid_setup(cfg: ExperimentConfig):
-    domain = cfg.params.get("domain", "interval")
+def _grid_setup(params):
+    domain = params["domain"]
     if domain == "interval":
-        exh = contspace.Exhaustion1D.default(int(cfg.params.get("levels", 3)))
-        grid = contspace.IntervalGrid.build(exh, int(cfg.params.get("grid_count", 4096)))
+        exh = contspace.Exhaustion1D.default(params["levels"])
+        grid = contspace.IntervalGrid.build(exh, params["grid_count"])
     elif domain == "disc":
         exh = contspace.ExhaustionDisc.default()
-        grid = contspace.DiscGrid.build(
-            exh,
-            int(cfg.params.get("radial_count", 256)),
-            int(cfg.params.get("angle_count", 512)),
-        )
+        grid = contspace.DiscGrid.build(exh, params["radial_count"], params["angle_count"])
     else:
         raise CliError(f"domain: unknown domain {domain!r}")
     return domain, exh, grid
 
 
-def _grid_operator(cfg: ExperimentConfig, domain, exh, grid, rng):
-    kind = cfg.params.get("map", "random")
-    weight = cfg.params.get("weight", "random")
+def _grid_operator(params, domain, exh, grid, rng):
+    kind = params["map"]
+    weight = params["weight"]
     if weight == "random":
         h = contspace.unimodular_field(grid, rng)
     elif weight == "constant":
@@ -438,7 +436,7 @@ def _grid_operator(cfg: ExperimentConfig, domain, exh, grid, rng):
         phi = (lambda x: x)
     elif kind == "random":
         if domain == "interval":
-            orientation = cfg.params.get("orientation", "increasing")
+            orientation = params["orientation"]
             if orientation not in ("increasing", "decreasing"):
                 raise CliError(f"orientation: {orientation!r}")
             phi = contspace.random_interval_homeo(exh, rng, orientation)
@@ -468,10 +466,10 @@ def _grid_probes(grid, rng, count=4):
     return probes
 
 
-def _run_cu_iso_test(cfg: ExperimentConfig):
+def _run_cu_iso_test(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    domain, exh, grid = _grid_setup(cfg)
-    T, _, _ = _grid_operator(cfg, domain, exh, grid, rng)
+    domain, exh, grid = _grid_setup(params)
+    T, _, _ = _grid_operator(params, domain, exh, grid, rng)
     rep = contspace.isometry_test_grid(T, exh, _grid_probes(grid, rng), tol=cfg.tol)
     rec = rep.as_record()
     rec["domain"] = domain
@@ -490,10 +488,10 @@ def _selftest_cu_iso_test(cfg: ExperimentConfig):
     return (PASS if ident.passed and not zero.passed else FINDING), rec
 
 
-def _run_cu_recover(cfg: ExperimentConfig):
+def _run_cu_recover(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    domain, exh, grid = _grid_setup(cfg)
-    T, h, phi = _grid_operator(cfg, domain, exh, grid, rng)
+    domain, exh, grid = _grid_setup(params)
+    T, h, phi = _grid_operator(params, domain, exh, grid, rng)
     try:
         rec_sym = contspace.recover_weight_and_map(T, exh, grid, tol=cfg.tol, rng=rng)
     except contspace.NotWeightedComposition as exc:
@@ -520,14 +518,11 @@ def _selftest_cu_recover(cfg: ExperimentConfig):
     return (PASS if h_gap < 1e-12 and phi_gap < 1e-12 else FINDING), rec
 
 
-def _run_cu_decomp_bound(cfg: ExperimentConfig):
+def _run_cu_decomp_bound(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    params = dict(cfg.params)
-    params.setdefault("map", "zigzag")
-    cfg = ExperimentConfig(cfg.subcommand, cfg.seed, cfg.tol, cfg.out, params)
-    domain, exh, grid = _grid_setup(cfg)
-    T, _, _ = _grid_operator(cfg, domain, exh, grid, rng)
-    probes = [contspace.random_probe(grid, rng) for _ in range(int(params.get("probes", 20)))]
+    domain, exh, grid = _grid_setup(params)
+    T, _, _ = _grid_operator(params, domain, exh, grid, rng)
+    probes = [contspace.random_probe(grid, rng) for _ in range(params["probes"])]
     rep = contspace.decomposition_bound_check(T, exh, probes, tol=cfg.tol)
     rec = rep.as_record()
     rec["domain"] = domain
@@ -555,8 +550,8 @@ def _write_grid_function(path: Path, gf: contspace.GridFunction):
         )
 
 
-def _run_emit_figure(cfg: ExperimentConfig):
-    which = cfg.params.get("which", "fig1")
+def _run_emit_figure(cfg: ExperimentConfig, params):
+    which = params["which"]
     out = _out_dir(cfg)
     if out is None:
         raise CliError("out: emit-figure requires an output directory")
@@ -630,60 +625,84 @@ def _selftest_emit_figure(cfg: ExperimentConfig):
     codes = []
     rec = {}
     for which in ("fig1", "fig2", "fig3"):
-        sub = ExperimentConfig(cfg.subcommand, cfg.seed, cfg.tol, cfg.out, {"which": which})
-        code, sub_rec = _run_emit_figure(sub)
+        code, sub_rec = _run_emit_figure(cfg, {"which": which})
         codes.append(code)
         rec.update({f"{which}.{k}": v for k, v in sub_rec.items() if k != "which"})
     return (PASS if all(c == PASS for c in codes) else FINDING), rec
 
 
+# key -> (type, default, help); flags and config files pass the same check
+_PARAMS = {
+    "gauge": (str, "clip", "builtin gauge: clip, rational, exp, or clipsq"),
+    "alpha": (float, 1.0, "exponent for the rational gauge"),
+    "rho": (float, 2.0, "Frullani ratio (must exceed 1)"),
+    "weights": (str, "uniform:2", "comma-separated weights or uniform:N"),
+    "tail": (float, 0.0, "declared tail mass of the weight sequence"),
+    "vec_a": (str, "1,2", "first seminorm vector, comma-separated"),
+    "vec_b": (str, "1,3", "second seminorm vector, comma-separated"),
+    "positions": (str, "0.0", "true atom positions (log scale)"),
+    "masses": (str, "0.5", "true atom masses"),
+    "atom_budget": (int, None, "maximum atoms for recovery (default: one per position)"),
+    "op": (str, "rotation", "operator kind: rotation, scale, squarewarp, matrix"),
+    "op_file": (str, None, "columnar matrix file for op=matrix"),
+    "alpha_angle": (float, np.pi / 3, "rotation alpha = exp(i angle)"),
+    "beta_angle": (float, float(np.sqrt(2.0)), "rotation beta = exp(i angle)"),
+    "factor": (float, 2.0, "scaling factor for op=scale"),
+    "family": (str, "sup", "seminorm family: sup or hp"),
+    "p": (float, 1.0, "exponent for the hp family"),
+    "levels": (int, 3, "number of exhaustion levels"),
+    "degree": (int, 8, "degree of random polynomials"),
+    "taylor_file": (str, None, "coefficient file (re im per line)"),
+    "monomial": (int, None, "use the monomial z^k as the input"),
+    "radii": (str, "0.25,0.5,0.75", "three circle radii, comma-separated"),
+    "domain": (str, "interval", "grid domain: interval or disc"),
+    "orientation": (str, "increasing", "interval homeomorphism orientation"),
+    "map": (str, "random", "point map: identity, random, zigzag, or twist"),
+    "weight": (str, "random", "weight field: random or constant"),
+    "grid_count": (int, 4096, "interval grid node count"),
+    "radial_count": (int, 256, "disc grid radius count"),
+    "angle_count": (int, 512, "disc grid angle count"),
+    "probes": (int, 20, "number of random probes"),
+    "which": (str, "fig1", "figure to emit: fig1, fig2, or fig3"),
+}
+_GAUGE = ("gauge", "alpha")
+_DISC = ("op", "op_file", "alpha_angle", "beta_angle", "factor", "family", "p", "levels")
+_GRID = (
+    "domain", "levels", "grid_count", "radial_count", "angle_count",
+    "map", "weight", "orientation",
+)
+
+# subcommand -> (run, selftest, parameter keys)
 _HANDLERS = {
-    "theta-check": (_run_theta_check, _selftest_theta_check),
-    "frullani": (_run_frullani, _selftest_frullani),
-    "separate": (_run_separate, _selftest_separate),
-    "recover-measure": (_run_recover_measure, _selftest_recover_measure),
-    "hol-iso-test": (_run_hol_iso_test, _selftest_hol_iso_test),
-    "hol-characterize": (_run_hol_characterize, _selftest_hol_characterize),
-    "three-circle": (_run_three_circle, _selftest_three_circle),
-    "cu-iso-test": (_run_cu_iso_test, _selftest_cu_iso_test),
-    "cu-recover": (_run_cu_recover, _selftest_cu_recover),
-    "cu-decomp-bound": (_run_cu_decomp_bound, _selftest_cu_decomp_bound),
-    "emit-figure": (_run_emit_figure, _selftest_emit_figure),
+    "theta-check": (_run_theta_check, _selftest_theta_check, _GAUGE),
+    "frullani": (_run_frullani, _selftest_frullani, _GAUGE + ("rho",)),
+    "separate": (
+        _run_separate, _selftest_separate, _GAUGE + ("weights", "tail", "vec_a", "vec_b")
+    ),
+    "recover-measure": (
+        _run_recover_measure, _selftest_recover_measure,
+        _GAUGE + ("positions", "masses", "atom_budget"),
+    ),
+    "hol-iso-test": (_run_hol_iso_test, _selftest_hol_iso_test, _DISC + ("degree",)),
+    "hol-characterize": (_run_hol_characterize, _selftest_hol_characterize, _DISC),
+    "three-circle": (
+        _run_three_circle, _selftest_three_circle, ("taylor_file", "monomial", "degree", "radii")
+    ),
+    "cu-iso-test": (_run_cu_iso_test, _selftest_cu_iso_test, _GRID),
+    "cu-recover": (_run_cu_recover, _selftest_cu_recover, _GRID),
+    "cu-decomp-bound": (_run_cu_decomp_bound, _selftest_cu_decomp_bound, _GRID + ("probes",)),
+    "emit-figure": (_run_emit_figure, _selftest_emit_figure, ("which",)),
+}
+_DEFAULT_OVERRIDES = {
+    "recover-measure": {"gauge": "rational", "alpha": 2.0},
+    "cu-decomp-bound": {"map": "zigzag"},
 }
 
-_PARAM_FLAGS = [
-    ("--gauge", str, "gauge", "builtin gauge: clip, rational, exp, or clipsq"),
-    ("--alpha", float, "alpha", "exponent for the rational gauge"),
-    ("--rho", float, "rho", "Frullani ratio (must exceed 1)"),
-    ("--weights", str, "weights", "comma-separated weights or uniform:N"),
-    ("--tail", float, "tail", "declared tail mass of the weight sequence"),
-    ("--vec-a", str, "vec_a", "first seminorm vector, comma-separated"),
-    ("--vec-b", str, "vec_b", "second seminorm vector, comma-separated"),
-    ("--positions", str, "positions", "true atom positions (log scale)"),
-    ("--masses", str, "masses", "true atom masses"),
-    ("--atom-budget", int, "atom_budget", "maximum atoms for recovery"),
-    ("--op", str, "op", "operator kind: rotation, scale, squarewarp, matrix"),
-    ("--op-file", str, "op_file", "columnar matrix file for op=matrix"),
-    ("--alpha-angle", float, "alpha_angle", "rotation alpha = exp(i angle)"),
-    ("--beta-angle", float, "beta_angle", "rotation beta = exp(i angle)"),
-    ("--factor", float, "factor", "scaling factor for op=scale"),
-    ("--family", str, "family", "seminorm family: sup or hp"),
-    ("--p", float, "p", "exponent for the hp family"),
-    ("--levels", int, "levels", "number of exhaustion levels"),
-    ("--degree", int, "degree", "degree of random polynomials"),
-    ("--taylor-file", str, "taylor_file", "coefficient file (re im per line)"),
-    ("--monomial", int, "monomial", "use the monomial z^k as the input"),
-    ("--radii", str, "radii", "three circle radii, comma-separated"),
-    ("--domain", str, "domain", "grid domain: interval or disc"),
-    ("--orientation", str, "orientation", "interval homeomorphism orientation"),
-    ("--map", str, "map", "point map: identity, random, zigzag, or twist"),
-    ("--weight", str, "weight", "weight field: random or constant"),
-    ("--grid-count", int, "grid_count", "interval grid node count"),
-    ("--radial-count", int, "radial_count", "disc grid radius count"),
-    ("--angle-count", int, "angle_count", "disc grid angle count"),
-    ("--probes", int, "probes", "number of random probes"),
-    ("--which", str, "which", "figure to emit: fig1, fig2, or fig3"),
-]
+
+def _defaults(subcommand: str) -> dict:
+    values = {key: _PARAMS[key][1] for key in _HANDLERS[subcommand][2]}
+    values.update(_DEFAULT_OVERRIDES.get(subcommand, {}))
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -699,13 +718,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="tolerance")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--selftest", action="store_true", help="run built-in examples")
-        for flag, typ, _, helptext in _PARAM_FLAGS:
-            p.add_argument(flag, type=typ, default=None, help=helptext)
+        for key, default in _defaults(name).items():
+            typ, _, helptext = _PARAMS[key]
+            if default is not None:
+                helptext = f"{helptext} (default: {default})"
+            p.add_argument("--" + key.replace("_", "-"), type=typ, default=None, help=helptext)
     return parser
 
 
+def _checked(name: str, typ, value):
+    """value as typ; a bool, another type or a non-finite float is invalid."""
+    if typ is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, typ) or isinstance(value, bool):
+        raise CliError(f"{name}: expected {typ.__name__}, got {value!r}")
+    if typ is float and not np.isfinite(value):
+        raise CliError(f"{name}: must be finite, got {value!r}")
+    return value
+
+
 def _resolve_config(args) -> ExperimentConfig:
-    base = {"seed": 0, "tol": 1e-9, "out": None, "params": {}}
+    loaded = {}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -713,27 +746,27 @@ def _resolve_config(args) -> ExperimentConfig:
             raise CliError(f"config: {exc}") from exc
         if not isinstance(loaded, dict):
             raise CliError("config: top level must be a JSON object")
-        file_cfg = {k: v for k, v in loaded.items() if k in ("seed", "tol", "out")}
-        base.update(file_cfg)
-        params = loaded.get("params", {})
-        if not isinstance(params, dict):
-            raise CliError("config: params must be an object")
-        base["params"].update(params)
-    for name in ("seed", "tol", "out"):
-        val = getattr(args, name)
-        if val is not None:
-            base[name] = val
-    for _, _, key, _ in _PARAM_FLAGS:
-        val = getattr(args, key, None)
-        if val is not None:
-            base["params"][key] = val
-    return ExperimentConfig(
-        subcommand=args.subcommand,
-        seed=int(base["seed"]),
-        tol=float(base["tol"]),
-        out=base["out"],
-        params=base["params"],
-    )
+    for key in loaded:
+        if key not in ("subcommand", "seed", "tol", "out", "params"):
+            raise CliError(f"{key}: unknown config field")
+    if loaded.get("subcommand", args.subcommand) != args.subcommand:
+        raise CliError(f"subcommand: config is for {loaded['subcommand']!r}")
+    top = {"seed": 0, "tol": 1e-9, "out": None}
+    top.update({k: loaded[k] for k in top if k in loaded})
+    top.update({k: getattr(args, k) for k in top if getattr(args, k) is not None})
+    seed = _checked("seed", int, top["seed"])
+    if seed < 0:
+        raise CliError(f"seed: must be nonnegative, got {seed}")
+    out = top["out"] if top["out"] is None else _checked("out", str, top["out"])
+    takes = _HANDLERS[args.subcommand][2]
+    given = dict(_checked("params", dict, loaded.get("params", {})))
+    given.update({k: getattr(args, k) for k in takes if getattr(args, k) is not None})
+    params = {}
+    for key, value in given.items():
+        if key not in takes:
+            raise CliError(f"{key}: not a parameter of {args.subcommand}")
+        params[key] = _checked(key, _PARAMS[key][0], value)
+    return ExperimentConfig(args.subcommand, seed, _checked("tol", float, top["tol"]), out, params)
 
 
 def main(argv=None) -> int:
@@ -741,11 +774,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        run, selftest = _HANDLERS[cfg.subcommand]
-        code, record = (selftest if args.selftest else run)(cfg)
-    except CliError as exc:
-        sys.stderr.write(f"error={exc}\n")
-        return INVALID
+        run, selftest, _ = _HANDLERS[cfg.subcommand]
+        if args.selftest:
+            if cfg.params:
+                raise CliError(f"selftest: takes no parameters, got {', '.join(sorted(cfg.params))}")
+            code, record = selftest(cfg)
+        else:
+            code, record = run(cfg, {**_defaults(cfg.subcommand), **cfg.params})
     except (QuadratureError, ValueError) as exc:
         sys.stderr.write(f"error={exc}\n")
         return INVALID

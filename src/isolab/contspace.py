@@ -38,7 +38,6 @@ __all__ = [
     "isometry_test_grid",
     "GridIsometryReport",
     "recover_weight_and_map",
-    "recover_h_phi",
     "RecoveredSymbol",
     "decomposition_bound_check",
     "DecompositionReport",
@@ -873,9 +872,6 @@ def recover_weight_and_map(T, exh, grid=None, tol: float = 1e-9, rng=None) -> Re
     return RecoveredSymbol(h, phi_gf, cert)
 
 
-recover_h_phi = recover_weight_and_map
-
-
 # ---------------------------------------------------------------------------
 # nonsurjective decomposition bound
 # ---------------------------------------------------------------------------
@@ -887,7 +883,6 @@ class DecompositionReport:
     budget: float
     linearity_gap: float
     dual_norm_max: float
-    equicontinuity_gap: float
 
     @property
     def passed(self) -> bool:
@@ -910,10 +905,8 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     smallest seminorm among levels containing the node, plus the
     interpolation budget; worst_slack is the minimum remaining margin
     (nonnegative means the bound holds everywhere).  Linearity of T is
-    spot-checked on probe combinations, the dual-norm estimate records
-    the largest ratio |value| / (level seminorm), and a soft
-    equicontinuity figure tracks the functional's variation between
-    adjacent nodes relative to the probe size.
+    spot-checked on probe combinations, and the dual-norm estimate records
+    the largest ratio |value| / (level seminorm).
     """
     if not probes:
         raise ValueError("probe set must be nonempty")
@@ -937,7 +930,6 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
 
     worst_slack = np.inf
     dual_max = 0.0
-    equi = 0.0
     hconj = np.conj(h.array)
     for f in probes:
         phi_vals = _flat_values(grid, hconj * T(f).array)
@@ -948,16 +940,6 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.abs(phi_vals) / sems[level_of]
         dual_max = max(dual_max, float(np.nanmax(ratios)))
-        scale = max(float(np.max(np.abs(phi_vals))), 1e-300)
-        if isinstance(grid, IntervalGrid):
-            equi = max(equi, float(np.max(np.abs(np.diff(phi_vals)))) / scale)
-        else:
-            rows = np.asarray(hconj * T(f).array)
-            gap = max(
-                float(np.max(np.abs(np.diff(rows, axis=0)))),
-                float(np.max(np.abs(rows - np.roll(rows, 1, axis=1)))),
-            )
-            equi = max(equi, gap / scale)
 
     rng = np.random.default_rng(1)
     lin_gap = 0.0
@@ -972,6 +954,4 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     if lin_gap > max(tol, 1e-9):
         raise ValueError(f"operator is not linear on probes (gap {lin_gap:g})")
 
-    return DecompositionReport(
-        float(worst_slack), float(budget), float(lin_gap), float(dual_max), float(equi)
-    )
+    return DecompositionReport(float(worst_slack), float(budget), float(lin_gap), float(dual_max))

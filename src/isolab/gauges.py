@@ -130,8 +130,8 @@ def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
             kinks=(1.0,),
         )
     if name == "rational":
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (alpha > 0 and np.isfinite(alpha)):
+            raise ValueError("alpha must be positive and finite")
 
         def fn(t, a=alpha):
             ta = np.power(t, a)

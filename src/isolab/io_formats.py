@@ -16,9 +16,6 @@ __all__ = [
     "format_value",
     "render_record",
     "parse_record",
-    "write_record",
-    "write_column",
-    "read_column",
     "write_columns",
     "read_columns",
     "taylor_to_text",
@@ -69,24 +66,6 @@ def parse_record(text: str) -> dict:
         else:
             out[key.strip()] = raw
     return out
-
-
-def write_record(path, record: dict):
-    with open(path, "w") as fh:
-        fh.write(render_record(record))
-
-
-def write_column(path, values):
-    values = np.asarray(values).ravel()
-    with open(path, "w") as fh:
-        for v in values:
-            fh.write(format_value(v) + "\n")
-
-
-def read_column(path):
-    with open(path) as fh:
-        vals = [float(line) for line in fh if line.strip() and not line.startswith("#")]
-    return np.array(vals)
 
 
 def write_columns(path, *columns):

@@ -52,6 +52,8 @@ class WeightSequence:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-D sequence")
+        if not (np.all(np.isfinite(w)) and np.isfinite(self.declared_tail)):
+            raise ValueError("weights and declared_tail must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         if self.declared_tail < 0:
@@ -117,6 +119,8 @@ class AtomicMeasure:
         m = np.asarray(self.masses, dtype=float)
         if a.shape != m.shape or a.ndim != 1:
             raise ValueError("atoms and masses must be matching 1-D sequences")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(m))):
+            raise ValueError("atoms and masses must be finite")
         if a.size and (np.any(a <= 0) or np.any(m <= 0)):
             raise ValueError("atoms and masses must be strictly positive")
         if np.any(np.diff(a) <= 0):

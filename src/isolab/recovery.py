@@ -10,7 +10,7 @@ carried out in the undivided domain, where the noise floor is flat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -58,6 +58,8 @@ class LogMeasure:
         m = np.asarray(self.masses, dtype=float)
         if p.shape != m.shape or p.ndim != 1 or p.size == 0:
             raise ValueError("positions and masses must be matching nonempty 1-D")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(m))):
+            raise ValueError("positions and masses must be finite")
         if np.any(np.diff(p) <= 0):
             raise ValueError("positions must be strictly increasing")
         if np.any(m <= 0):
@@ -96,8 +98,6 @@ class RecoverySpec:
     regularization_floor  frequencies where |kernel transform| falls below
                        floor * max|kernel transform| are skipped
     sample_count       forward samples drawn by roundtrip_check
-    extra_shifts       additional shifts blended into the fit
-                       (experimental conditioning knob, no claims)
     """
 
     shift: float = 1.0
@@ -105,7 +105,6 @@ class RecoverySpec:
     frequency_grid: tuple = field(default_factory=lambda: tuple(_default_freq_grid()))
     regularization_floor: float = 1e-8
     sample_count: int = 4097
-    extra_shifts: tuple = ()
     quadrature: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(tol=1e-10))
 
     def __post_init__(self):
@@ -213,17 +212,13 @@ def _pencil_estimate(quotient, dz, z0, budget):
     return np.sort(positions)
 
 
-def _fit_residual(params, k, datasets):
-    """Stacked re/im residuals of the undivided model over all datasets."""
+def _fit_residual(params, k, zs, g_hat, h_hat, scale):
+    """Stacked re/im residuals of the undivided model."""
     pos = params[:k]
     mass = params[k:]
-    res = []
-    for zs, g_hat, h_hat, scale in datasets:
-        model = g_hat * (np.exp(1j * zs[:, None] * pos[None, :]) @ mass)
-        diff = (model - h_hat) / scale
-        res.append(diff.real)
-        res.append(diff.imag)
-    return np.concatenate(res)
+    model = g_hat * (np.exp(1j * zs[:, None] * pos[None, :]) @ mass)
+    diff = (model - h_hat) / scale
+    return np.concatenate([diff.real, diff.imag])
 
 
 def recover_measure(
@@ -233,7 +228,6 @@ def recover_measure(
     spec: RecoverySpec,
     atom_budget: int,
     residual_tol: float = 1e-5,
-    extra_data=(),
 ) -> LogMeasure:
     """Reconstruct a log measure from smoothed observation samples.
 
@@ -244,8 +238,6 @@ def recover_measure(
     spec : window/frequency configuration; spec.shift must match the data.
     atom_budget : maximum number of atoms to fit.
     residual_tol : relative residual above which the fit is rejected.
-    extra_data : optional list of (s, h) pairs matching spec.extra_shifts,
-        blended into the fit.
 
     Raises RecoveryFailed with the best candidate attached when the fit
     misses the tolerance, when mass sanity fails, or when the frequency
@@ -253,14 +245,12 @@ def recover_measure(
     grid cannot tell apart).
     """
     measure, _ = _recover_with_residual(
-        g, s_samples, h_samples, spec, atom_budget, residual_tol, extra_data
+        g, s_samples, h_samples, spec, atom_budget, residual_tol
     )
     return measure
 
 
-def _recover_with_residual(
-    g, s_samples, h_samples, spec, atom_budget, residual_tol, extra_data=()
-):
+def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, residual_tol):
     if atom_budget < 1:
         raise ValueError("atom_budget must be at least 1")
     zs = spec.freq_array
@@ -277,14 +267,7 @@ def _recover_with_residual(
     if not np.any(usable):
         raise RecoveryFailed("kernel transform below the floor everywhere")
 
-    datasets = [(zs[usable], g_hat[usable], h_hat[usable], scale)]
-    for shift_extra, (s_e, h_e) in zip(spec.extra_shifts, extra_data):
-        g_e = shift_kernel_fourier_grid(g, shift_extra, zs, spec.quadrature)
-        h_e = fourier_from_samples(s_e, h_e, zs)
-        mask_e = np.abs(g_e) >= spec.regularization_floor * float(np.max(np.abs(g_e)))
-        datasets.append(
-            (zs[mask_e], g_e[mask_e], h_e[mask_e], max(scale, float(np.max(np.abs(h_e)))))
-        )
+    data = (zs[usable], g_hat[usable], h_hat[usable], scale)
 
     # initialization: pencil on the longest contiguous well-conditioned run
     strong = np.abs(g_hat) >= max(floor, 1e-4 * float(np.max(np.abs(g_hat))))
@@ -317,7 +300,7 @@ def _recover_with_residual(
     fit = least_squares(
         _fit_residual,
         np.clip(x0, bound_lo + 1e-12, bound_hi - 1e-12),
-        args=(k, datasets),
+        args=(k, *data),
         bounds=(bound_lo, bound_hi),
         xtol=1e-15,
         ftol=1e-15,
@@ -344,9 +327,9 @@ def _recover_with_residual(
             merged_m.append(m)
     pos, mass = np.array(merged_p), np.array(merged_m)
 
-    data_norm = np.sqrt(sum(float(np.sum(np.abs(hh / sc) ** 2)) for _, _, hh, sc in datasets))
+    data_norm = np.sqrt(float(np.sum(np.abs(h_hat[usable] / scale) ** 2)))
     residual = float(
-        np.linalg.norm(_fit_residual(np.concatenate([pos, mass]), pos.size, datasets))
+        np.linalg.norm(_fit_residual(np.concatenate([pos, mass]), pos.size, *data))
         / max(1e-300, data_norm)
     )
     candidate = _as_log_measure(pos, mass)
@@ -423,11 +406,8 @@ def roundtrip_check(
     stay inspectable.  RecoveryFailed propagates its candidate the same way.
     """
     s, h = smoothed_curve_samples(g, measure, spec)
-    extra = [(s, smoothed_curve(g, measure, shift_extra, s)) for shift_extra in spec.extra_shifts]
     try:
-        rec, residual = _recover_with_residual(
-            g, s, h, spec, atom_budget, residual_tol, extra_data=extra
-        )
+        rec, residual = _recover_with_residual(g, s, h, spec, atom_budget, residual_tol)
     except RecoveryFailed as err:
         rec = err.candidate
         residual = err.residual

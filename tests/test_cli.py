@@ -4,12 +4,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from isolab.cli import PASS, FINDING, INVALID, ExperimentConfig, build_parser, main
+from isolab.cli import (
+    _HANDLERS, _PARAMS, PASS, FINDING, INVALID, ExperimentConfig, build_parser, main,
+)
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse: unknown flag or unparsable value
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -120,6 +127,101 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     # explicit flag beats the file
     code, out, _ = run_cli(capsys, "frullani", "--config", str(cfg), "--rho", "2.0")
     assert "rho=2.0" in out
+
+
+def test_config_echo_reruns_byte_identical(tmp_path, capsys):
+    argv = ["separate", "--gauge", "exp", "--vec-a", "1,2.5", "--tail", "0.25",
+            "--weights", "uniform:2", "--seed", "4", "--tol", "1e-8"]
+    code, out, _ = run_cli(capsys, *argv)
+    echo = dict(line.split("=", 1) for line in out.splitlines())["config"]
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(echo)
+    rerun_code, rerun_out, _ = run_cli(capsys, "separate", "--config", str(cfg))
+    assert (rerun_code, rerun_out) == (code, out)
+
+
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["theta-check", "--positions", "1,2"], None, "positions"),
+        (["frullani"], {"params": {"rhoo": 3.0}}, "rhoo"),
+        (["frullani"], {"params": {"rho": "3"}}, "rho"),
+        (["frullani"], {"params": {"rho": True}}, "rho"),
+        (["separate", "--tail", "nan"], None, "tail"),
+        (["theta-check", "--selftest", "--gauge", "exp"], None, "selftest"),
+        (["recover-measure", "--masses", "nan", "--positions", "0"], None, "masses"),
+        (["recover-measure", "--positions", "inf"], None, "positions"),
+        (["theta-check", "--gauge", "rational", "--alpha", "inf"], None, "alpha"),
+        (["frullani"], {"seeed": 1}, "seeed"),
+        (["frullani"], {"seed": "x"}, "seed"),
+        (["frullani"], {"tol": "x"}, "tol"),
+        (["frullani"], {"subcommand": "separate"}, "subcommand"),
+    ],
+)
+def test_parameter_table_contract(argv, config, field, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == INVALID
+    assert out == ""
+    assert field in err
+
+
+_COUNTS = ("grid_count", "radial_count", "angle_count")
+_LIST = ["", "nan", "0", "-1", "0.5,0.25", "0.25,0.5,0.75", "0,inf", "-inf,1", "1,2"]
+_POOLS = {
+    int: ["-1", "0", "1", "2", "3", "nan", ""],
+    float: ["nan", "inf", "-inf", "0", "-1", "1", "2.5"],
+    "gauge": ["clip", "rational", "exp", "clipsq", "nan"],
+    "op": ["rotation", "scale", "squarewarp", "matrix"],
+    "family": ["sup", "hp", ""],
+    "domain": ["interval", "disc"],
+    "orientation": ["increasing", "decreasing", "sideways"],
+    "map": ["identity", "random", "zigzag", "twist"],
+    "weight": ["random", "constant"],
+    "which": ["fig1", "fig2", "fig3", "fig4"],
+    "op_file": ["missing.txt"],
+    "taylor_file": ["missing.txt"],
+    "weights": ["", "uniform:2", "uniform:0", "0.5,0.5", "0.5,nan", "uniform:nan"],
+    **dict.fromkeys(("vec_a", "vec_b", "positions", "masses", "radii"), _LIST),
+    **dict.fromkeys(_COUNTS, ["-1", "0", "1", "2", "16", "256"]),
+}
+
+
+def _nonfinite(value):
+    tokens = value.replace(":", ",").split(",")
+    return any(t in ("nan", "inf", "-inf") for t in tokens)
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from(sorted(_HANDLERS)))
+    takes = _HANDLERS[name][2]
+    keys = draw(st.lists(st.sampled_from(takes), unique=True, max_size=4))
+    # keep disc grids small even when the counts are not drawn
+    keys += [k for k in takes if k in _COUNTS and k not in keys]
+    pairs = [(k, draw(st.sampled_from(_POOLS.get(k) or _POOLS[_PARAMS[k][0]]))) for k in keys]
+    return name, pairs
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs())
+def test_exit_code_contract_fuzz(tmp_path_factory, case):
+    name, pairs = case
+    argv = [name, "--seed", "3"]
+    if name == "emit-figure":
+        argv += ["--out", str(tmp_path_factory.mktemp("fig"))]
+    for key, value in pairs:
+        argv += ["--" + key.replace("_", "-"), value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (PASS, FINDING, INVALID), argv
+    if any(_nonfinite(v) for _, v in pairs):
+        assert code == INVALID, argv
 
 
 def test_broken_config_invalid(tmp_path, capsys):

@@ -19,7 +19,6 @@ from isolab.contspace import (
     random_annulus_homeo,
     random_interval_homeo,
     random_probe,
-    recover_h_phi,
     recover_weight_and_map,
     sup_seminorm_grid,
     unimodular_field,
@@ -193,10 +192,6 @@ def test_interval_roundtrip(orientation):
     assert np.max(np.abs(sym.point_map.array - phi(GRID.array))) <= GRID.cell
 
 
-def test_recover_h_phi_is_the_same_function():
-    assert recover_h_phi is recover_weight_and_map
-
-
 def test_decreasing_recovery_swap_rule():
     rng = np.random.default_rng(23)
     phi = random_interval_homeo(EXH, rng, "decreasing")
@@ -249,7 +244,7 @@ def test_zigzag_passes_isometry_fails_injectivity_satisfies_bound():
     assert iso.passed
 
     with pytest.raises(NotWeightedComposition) as exc_info:
-        recover_h_phi(T, EXH, GRID, rng=rng)
+        recover_weight_and_map(T, EXH, GRID, rng=rng)
     assert exc_info.value.check == "injectivity"
     assert exc_info.value.certificate["collapsed_pairs"] > 0
 

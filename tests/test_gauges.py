@@ -44,6 +44,8 @@ def test_exp_values():
 def test_unknown_gauge_rejected():
     with pytest.raises(ValueError):
         make_builtin_gauge("parabola")
+    with pytest.raises(ValueError):
+        make_builtin_gauge("rational", alpha=np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ def test_weight_sequence_must_sum_to_one():
         WeightSequence((0.5, 0.25), declared_tail=0.1)
     with pytest.raises(ValueError):
         WeightSequence((0.5, -0.5, 1.0))
+    with pytest.raises(ValueError):
+        WeightSequence((0.5, np.nan))
+    with pytest.raises(ValueError):
+        WeightSequence((0.5, 0.5), declared_tail=np.nan)
 
 
 def test_seminorm_vector_must_be_nondecreasing():
@@ -240,6 +244,12 @@ def test_atomic_measure_validation():
         AtomicMeasure((2.0, 1.0), (0.5, 0.5))
     with pytest.raises(ValueError):
         AtomicMeasure((1.0, 2.0), (0.5, 0.0))
+    with pytest.raises(ValueError):
+        AtomicMeasure((np.nan,), (0.5,))
+    with pytest.raises(ValueError):
+        AtomicMeasure((1.0,), (np.nan,))
+    with pytest.raises(ValueError):
+        AtomicMeasure((1.0, np.inf), (0.25, 0.25))
 
 
 def test_atomic_measure_approx_equal():

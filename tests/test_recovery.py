@@ -26,6 +26,10 @@ def test_log_measure_validation():
         LogMeasure((0.0,), (0.0,))  # zero mass
     with pytest.raises(ValueError):
         LogMeasure((0.0, 1.0), (0.8, 0.5))  # mass above 1
+    with pytest.raises(ValueError):
+        LogMeasure((0.0, np.inf), (0.3, 0.3))  # inf position
+    with pytest.raises(ValueError):
+        LogMeasure((0.0,), (np.nan,))  # nan mass
 
 
 def test_log_measure_atomic_roundtrip():
@@ -165,13 +169,3 @@ def test_recovery_spec_validation():
         RecoverySpec(shift=0.0)
     with pytest.raises(ValueError):
         RecoverySpec(frequency_grid=(0.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.5))
-
-
-def test_extra_shifts_smoke():
-    spec = RecoverySpec(extra_shifts=(0.5,))
-    nu = LogMeasure((0.2,), (0.4,))
-    s, h = smoothed_curve_samples(EXP, nu, spec)
-    extra = [(s, smoothed_curve(EXP, nu, 0.5, s))]
-    got = recover_measure(EXP, s, h, spec, 1, extra_data=extra)
-    assert abs(got.positions[0] - 0.2) < 1e-3
-    assert abs(got.masses[0] - 0.4) < 1e-3
