@@ -771,7 +771,10 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --help
+        return exc.code
     try:
         cfg = _resolve_config(args)
         run, selftest, _ = _HANDLERS[cfg.subcommand]

@@ -5,7 +5,8 @@ theta(0) = 0 and theta(t) -> 1, carrying a two-sided power growth
 certificate: theta(t) <= c_small * t^alpha below a small threshold and
 1 - theta(t) <= c_large * t^(-alpha) above a large one.  The certificate
 drives every truncation bound in this module, so the numbers reported by
-frullani_integral and shift_kernel_fourier come with an explicit budget.
+frullani_integral and the quadrature path of shift_kernel_fourier come with
+an explicit budget; the builtin gauges' kernel transforms are closed forms.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import gamma
 
 from .quadrature import (
+    QuadratureError,
     QuadratureSpec,
     StripViolationError,
     graded_breaks,
@@ -55,6 +58,9 @@ class Gauge:
         fn(t)      <= small_constant * t**growth_exponent   for t < small_threshold,
         1 - fn(t)  <= large_constant * t**(-growth_exponent) for t > large_threshold;
     they are promises of the constructor, verified by check_admissibility.
+    mellin, when set, is z -> integral over (0, inf) of derivative(t) t^(-iz) dt,
+    vectorized over complex z; it gives the shift kernel's transform in
+    closed form (see shift_kernel_fourier_grid).
     """
 
     name: str
@@ -67,6 +73,7 @@ class Gauge:
     large_constant: float = 1.0
     kinks: tuple = ()
     parameter: float | None = None
+    mellin: Callable | None = None
 
     def __post_init__(self):
         if not self.growth_exponent > 0:
@@ -128,6 +135,7 @@ def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
             derivative=lambda t: np.where(t < 1.0, 1.0, 0.0),
             growth_exponent=1.0,
             kinks=(1.0,),
+            mellin=lambda z: 1.0 / (1.0 - 1j * z),
         )
     if name == "rational":
         if not (alpha > 0 and np.isfinite(alpha)):
@@ -148,6 +156,7 @@ def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
             derivative=deriv,
             growth_exponent=float(alpha),
             parameter=float(alpha),
+            mellin=lambda z, a=alpha: _x_over_sinh(np.pi * z / a),
         )
     if name == "exp":
         fn = lambda t: -np.expm1(-t)
@@ -161,8 +170,16 @@ def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
             growth_exponent=0.5,
             small_threshold=m,
             large_threshold=1.0,
+            mellin=lambda z: gamma(1.0 - 1j * z),
         )
     raise ValueError(f"unknown builtin gauge {name!r}")
+
+
+def _x_over_sinh(x):
+    """x / sinh(x) for complex x: 1 at 0, and no overflow at large |Re x|."""
+    x = np.where(x.real < 0, -x, x)  # the function is even
+    nz = np.where(x == 0, 1.0, x)
+    return np.where(x == 0, 1.0, -2.0 * nz * np.exp(-nz) / np.expm1(-2.0 * nz))
 
 
 def clipped_square_gauge() -> Gauge:
@@ -177,6 +194,7 @@ def clipped_square_gauge() -> Gauge:
         derivative=lambda t: np.where(t < 1.0, 2.0 * t, 0.0),
         growth_exponent=2.0,
         kinks=(1.0,),
+        mellin=lambda z: 2.0 / (2.0 - 1j * z),
     )
 
 
@@ -421,12 +439,17 @@ def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = 
 
     Returns integral of G(w) e^(-i w z) dw for every z in zs.  Arguments
     may be complex as long as |Im z| stays inside the certified strip
-    (growth exponent minus the spec's margin); panels are shared across
-    the batch for speed and the mesh is refined until the worst entry is
-    stable.
+    (growth exponent minus the spec's margin).  Since G = F(. + shift) - F,
+    the transform is (e^(i shift z) - 1)/(iz) times the Mellin transform of
+    the gauge's derivative, with the limit shift * mellin(0) at z = 0; that
+    closed form is used whenever the gauge carries one.  Other gauges are
+    integrated on panels shared across the batch, refined until the worst
+    entry is stable.
     """
     spec = quadrature or QuadratureSpec()
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("frequencies must be finite")
     a = g.growth_exponent
     sigma = float(np.max(np.abs(zs.imag))) if zs.size else 0.0
     if sigma > a * (1.0 - spec.strip_margin) + 1e-15:
@@ -434,6 +457,11 @@ def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = 
             f"|Im z| = {sigma:g} leaves the certified strip of half-width "
             f"{a:g} (margin {spec.strip_margin:g})"
         )
+    if g.mellin is not None:
+        zero = zs == 0
+        iz = 1j * np.where(zero, 1.0, zs)
+        return np.where(zero, shift, np.expm1(shift * iz) / iz) * g.mellin(zs)
+
     decay = a - sigma
     w_lo, w_hi = _kernel_cutoffs(g, shift, decay, spec.tol / 4.0)
     zmax = float(np.max(np.abs(zs.real))) if zs.size else 0.0
@@ -454,8 +482,6 @@ def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = 
             return vals
         prev = vals
         breaks = refine_breaks(breaks)
-    from .quadrature import QuadratureError
-
     raise QuadratureError("kernel transform did not stabilize within the budget")
 
 

@@ -13,10 +13,7 @@ from isolab.cli import (
 
 
 def run_cli(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse: unknown flag or unparsable value
-        code = exc.code
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -169,6 +166,15 @@ def test_parameter_table_contract(argv, config, field, tmp_path, capsys):
     assert field in err
 
 
+def test_main_returns_argparse_exit_codes(capsys):
+    # no SystemExit handling here: main must return the code, not raise it
+    assert main(["theta-check", "--positions", "1"]) == INVALID
+    assert "positions" in capsys.readouterr().err
+    assert main(["hol-iso-test", "--levels", "nan"]) == INVALID
+    assert main(["frullani", "--help"]) == PASS
+    assert "--rho" in capsys.readouterr().out
+
+
 _COUNTS = ("grid_count", "radial_count", "angle_count")
 _LIST = ["", "nan", "0", "-1", "0.5,0.25", "0.25,0.5,0.75", "0,inf", "-inf,1", "1,2"]
 _POOLS = {
@@ -215,10 +221,7 @@ def test_exit_code_contract_fuzz(tmp_path_factory, case):
         argv += ["--out", str(tmp_path_factory.mktemp("fig"))]
     for key, value in pairs:
         argv += ["--" + key.replace("_", "-"), value]
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     assert code in (PASS, FINDING, INVALID), argv
     if any(_nonfinite(v) for _, v in pairs):
         assert code == INVALID, argv

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -145,15 +147,16 @@ def test_frullani_rejects_rho_at_most_one():
 # ---------------------------------------------------------------------------
 
 
-def _mpmath_kernel_transform(name, shift, z):
+def _mpmath_kernel_transform(name, shift, z, alpha=1.0):
     """Finite-window transform of the shift kernel via mpmath, dps=15.
 
     The kernel decays exponentially, so [-46, 46] is negligibly truncated;
-    the integrand kinks of the clip gauge are used as split points.
+    the integrand kinks of the clip gauges are used as split points.
     """
     gauges = {
         "clip": lambda w: min(mpmath.mpf(1), mpmath.e**w),
-        "rational": lambda w: mpmath.e**w / (1 + mpmath.e**w),
+        "clipsq": lambda w: min(mpmath.mpf(1), mpmath.e ** (2 * w)),
+        "rational": lambda w: 1 / (1 + mpmath.e ** (-alpha * w)),
         "exp": lambda w: 1 - mpmath.e ** (-(mpmath.e**w)),
     }
     th = gauges[name]
@@ -161,25 +164,75 @@ def _mpmath_kernel_transform(name, shift, z):
     def f(y):
         return (th(y + shift) - th(y)) * mpmath.e ** (-1j * z * y)
 
-    pts = [-46, -shift, 0, 46] if name == "clip" else [-46, 0, 46]
+    pts = [-46, -shift, 0, 46] if name.startswith("clip") else [-46, 0, 46]
     return complex(mpmath.quad(f, pts))
 
 
-@pytest.mark.parametrize("name", ["clip", "rational", "exp"])
-def test_kernel_transform_against_mpmath(name):
-    g = make_builtin_gauge(name)
+KERNEL_GAUGES = [
+    ("clip", None), ("rational", 0.5), ("rational", 1.0), ("rational", 2.0),
+    ("rational", 3.0), ("exp", None), ("clipsq", None),
+]
+
+
+def _kernel_gauge(name, alpha, path):
+    """The gauge with its closed-form transform, or stripped to quadrature."""
+    if name == "clipsq":
+        g = clipped_square_gauge()
+    elif name == "rational":
+        g = make_builtin_gauge(name, alpha=alpha)
+    else:
+        g = make_builtin_gauge(name)
+    assert g.mellin is not None
+    return g if path == "closed" else dataclasses.replace(g, mellin=None)
+
+
+def _kernel_case_id(name, alpha, path):
+    label = name if alpha in (None, 1.0) else f"{name}{alpha:g}"
+    return label if path == "closed" else f"{label}-quadrature"
+
+
+@pytest.mark.parametrize(
+    "name, alpha, path",
+    [
+        pytest.param(name, alpha, path, id=_kernel_case_id(name, alpha, path))
+        for path in ("closed", "quadrature")
+        for name, alpha in KERNEL_GAUGES
+    ],
+)
+def test_kernel_transform_against_mpmath(name, alpha, path):
+    g = _kernel_gauge(name, alpha, path)
     shift = 1.0
     zs = np.array([-3.0, -1.0, -0.25, 0.0, 0.5, 2.0])
     got = shift_kernel_fourier_grid(g, shift, zs, QuadratureSpec(tol=1e-11))
     for z, gv in zip(zs, got):
-        want = _mpmath_kernel_transform(name, shift, float(z))
+        want = _mpmath_kernel_transform(name, shift, float(z), alpha)
         assert abs(gv - want) < 1e-8, (name, z)
+
+
+@pytest.mark.parametrize("name, alpha", KERNEL_GAUGES)
+def test_kernel_transform_closed_form_matches_quadrature(name, alpha):
+    closed = _kernel_gauge(name, alpha, "closed")
+    quad = _kernel_gauge(name, alpha, "quadrature")
+    spec = QuadratureSpec(tol=1e-11)
+    grid = np.linspace(-8.0, 8.0, 257)
+    diff = shift_kernel_fourier_grid(closed, 0.75, grid, spec) - shift_kernel_fourier_grid(
+        quad, 0.75, grid, spec
+    )
+    assert np.max(np.abs(diff)) < 1e-9
+    a = closed.growth_exponent
+    inside = np.array([0.3 + 0.2j * a, -1.5 - 0.4j * a])
+    diff = shift_kernel_fourier_grid(closed, 0.75, inside, spec) - shift_kernel_fourier_grid(
+        quad, 0.75, inside, spec
+    )
+    assert np.max(np.abs(diff)) < 1e-9
 
 
 def test_kernel_transform_at_zero_equals_shift():
     # integral of the shift kernel over the line is exactly the shift
+    for name, alpha in KERNEL_GAUGES:
+        assert shift_kernel_fourier(_kernel_gauge(name, alpha, "closed"), 0.75, 0.0) == 0.75
     for name in ("clip", "exp"):
-        g = make_builtin_gauge(name)
+        g = _kernel_gauge(name, None, "quadrature")
         v = shift_kernel_fourier(g, 0.75, 0.0, QuadratureSpec(tol=1e-11))
         assert abs(v - 0.75) < 1e-9, name
 
@@ -194,16 +247,26 @@ def test_kernel_transform_conjugate_symmetry():
 def test_kernel_transform_strip_violation():
     # rational(1) decays like e^{-|y|}: the transform is only certified
     # for |Im z| strictly inside the decay exponent
-    g = make_builtin_gauge("rational")
-    with pytest.raises(StripViolationError):
-        shift_kernel_fourier(g, 1.0, 1.0j)
+    for path in ("closed", "quadrature"):
+        g = _kernel_gauge("rational", 1.0, path)
+        with pytest.raises(StripViolationError):
+            shift_kernel_fourier(g, 1.0, 1.0j)
+
+
+@pytest.mark.parametrize("path", ["closed", "quadrature"])
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_kernel_transform_rejects_nonfinite_frequency(path, z):
+    g = _kernel_gauge("exp", None, path)
+    with pytest.raises(ValueError, match="finite"):
+        shift_kernel_fourier_grid(g, 1.0, [0.5, z])
 
 
 def test_kernel_transform_complex_inside_strip():
-    g = make_builtin_gauge("rational")
-    v = shift_kernel_fourier(g, 1.0, 0.3 + 0.2j, QuadratureSpec(tol=1e-10))
     want = _mpmath_kernel_transform("rational", 1.0, 0.3 + 0.2j)
-    assert abs(v - want) < 1e-8
+    for path in ("closed", "quadrature"):
+        g = _kernel_gauge("rational", 1.0, path)
+        v = shift_kernel_fourier(g, 1.0, 0.3 + 0.2j, QuadratureSpec(tol=1e-10))
+        assert abs(v - want) < 1e-8, path
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,44 @@ def test_fourier_from_samples_rejects_nonuniform():
     s = np.array([0.0, 1.0, 2.5])
     with pytest.raises(ValueError):
         fourier_from_samples(s, np.ones_like(s), np.array([0.0]))
+    s = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="uniform"):
+        fourier_from_samples(s, np.ones_like(s), np.array([0.0, 1.0, 2.5]))
+    for few in ([], [0.5]):
+        with pytest.raises(ValueError, match="2 samples"):
+            fourier_from_samples(np.array(few), np.ones(len(few)), np.array([0.0]))
+    for zs in ([0.0, np.nan], [np.inf], []):
+        with pytest.raises(ValueError, match="finite nonempty"):
+            fourier_from_samples(s, np.ones_like(s), np.array(zs))
+
+
+def _direct_trapezoid(s, values, zs):
+    h = (s[-1] - s[0]) / (s.size - 1)
+    w = np.full(s.size, h)
+    w[[0, -1]] = 0.5 * h
+    return np.exp(-1j * zs[:, None] * s[None, :]) @ (w * values)
+
+
+_RNG = np.random.default_rng(20)
+_S_DEFAULT, _H_DEFAULT = smoothed_curve_samples(
+    EXP, LogMeasure((-1.0, 0.5), (0.35, 0.45)), RecoverySpec()
+)
+
+
+@pytest.mark.parametrize(
+    "s, values, zs",
+    [
+        (_S_DEFAULT, _H_DEFAULT, RecoverySpec().freq_array),
+        (np.linspace(-6.0, 9.0, 1001), _RNG.standard_normal(1001), np.linspace(-3.3, 5.1, 77)),
+        (_S_DEFAULT, _H_DEFAULT, np.array([0.7])),
+        (np.linspace(-30.0, -12.5, 4992), _RNG.standard_normal(4992), np.linspace(-20.0, -2.0, 18)),
+    ],
+    ids=["default", "odd", "single", "negative"],
+)
+def test_fourier_from_samples_matches_direct_sum(s, values, zs):
+    got = fourier_from_samples(s, values, zs)
+    want = _direct_trapezoid(s, values, zs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_measure_transform_closed_form():
@@ -169,3 +207,19 @@ def test_recovery_spec_validation():
         RecoverySpec(shift=0.0)
     with pytest.raises(ValueError):
         RecoverySpec(frequency_grid=(0.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.5))
+    grid = np.linspace(-8.0, 8.0, 17)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="shift"):
+            RecoverySpec(shift=bad)
+        with pytest.raises(ValueError, match="window"):
+            RecoverySpec(window=bad)
+        for i in (0, 5, 16):
+            with pytest.raises(ValueError, match="finite"):
+                RecoverySpec(frequency_grid=tuple(np.where(np.arange(17) == i, bad, grid)))
+        with pytest.raises(ValueError, match="regularization_floor"):
+            RecoverySpec(regularization_floor=bad)
+    with pytest.raises(ValueError, match="regularization_floor"):
+        RecoverySpec(regularization_floor=-1e-8)
+    for count in (1, 0, -3):
+        with pytest.raises(ValueError, match="sample_count"):
+            RecoverySpec(sample_count=count)
