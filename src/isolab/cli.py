@@ -411,16 +411,29 @@ def _selftest_three_circle(cfg: ExperimentConfig):
 
 
 def _grid_setup(params):
+    """Exhaustion and grid; a grid too coarse to certify is invalid input."""
     domain = params["domain"]
     if domain == "interval":
         exh = contspace.Exhaustion1D.default(params["levels"])
         grid = contspace.IntervalGrid.build(exh, params["grid_count"])
+        coarse = "grid_count"
     elif domain == "disc":
         exh = contspace.ExhaustionDisc.default()
         grid = contspace.DiscGrid.build(exh, params["radial_count"], params["angle_count"])
+        radial_step = float(np.max(np.diff(grid.radii_array)))
+        coarse = "radial_count" if radial_step >= grid.cell else "angle_count"
     else:
         raise CliError(f"domain: unknown domain {domain!r}")
+    try:
+        contspace.check_resolution(grid, exh)
+    except ValueError as exc:
+        raise CliError(f"{coarse}: {exc}") from exc
     return domain, exh, grid
+
+
+def _grid_keys(grid) -> dict:
+    """The resolution a grid report is relative to."""
+    return {"cell": grid.cell, "nodes": int(grid.point_list().size)}
 
 
 def _grid_operator(params, domain, exh, grid, rng):
@@ -471,8 +484,7 @@ def _run_cu_iso_test(cfg: ExperimentConfig, params):
     domain, exh, grid = _grid_setup(params)
     T, _, _ = _grid_operator(params, domain, exh, grid, rng)
     rep = contspace.isometry_test_grid(T, exh, _grid_probes(grid, rng), tol=cfg.tol)
-    rec = rep.as_record()
-    rec["domain"] = domain
+    rec = {**rep.as_record(), "domain": domain, **_grid_keys(grid)}
     return (PASS if rep.passed else FINDING), rec
 
 
@@ -484,7 +496,7 @@ def _selftest_cu_iso_test(cfg: ExperimentConfig):
     zero = contspace.isometry_test_grid(
         lambda f: contspace.GridFunction.constant(grid, 0.0), exh, probes
     )
-    rec = {"identity.passed": ident.passed, "zero.passed": zero.passed}
+    rec = {"identity.passed": ident.passed, "zero.passed": zero.passed, **_grid_keys(grid)}
     return (PASS if ident.passed and not zero.passed else FINDING), rec
 
 
@@ -495,10 +507,10 @@ def _run_cu_recover(cfg: ExperimentConfig, params):
     try:
         rec_sym = contspace.recover_weight_and_map(T, exh, grid, tol=cfg.tol, rng=rng)
     except contspace.NotWeightedComposition as exc:
-        rec = {"recovered": False, "failed_check": exc.check}
+        rec = {"recovered": False, "failed_check": exc.check, **_grid_keys(grid)}
         rec.update({f"certificate.{k}": v for k, v in sorted(exc.certificate.items())})
         return FINDING, rec
-    rec = {"recovered": True, "domain": domain}
+    rec = {"recovered": True, "domain": domain, **_grid_keys(grid)}
     rec["weight_error"] = float(np.max(np.abs(rec_sym.weight.array - h.array)))
     rec.update(rec_sym.as_record())
     out = _out_dir(cfg)
@@ -514,7 +526,7 @@ def _selftest_cu_recover(cfg: ExperimentConfig):
     rec_sym = contspace.recover_weight_and_map(lambda f: f, exh, grid)
     h_gap = float(np.max(np.abs(rec_sym.weight.array - 1.0)))
     phi_gap = float(np.max(np.abs(rec_sym.point_map.array - grid.array)))
-    rec = {"identity.h_gap": h_gap, "identity.phi_gap": phi_gap}
+    rec = {"identity.h_gap": h_gap, "identity.phi_gap": phi_gap, **_grid_keys(grid)}
     return (PASS if h_gap < 1e-12 and phi_gap < 1e-12 else FINDING), rec
 
 
@@ -524,8 +536,7 @@ def _run_cu_decomp_bound(cfg: ExperimentConfig, params):
     T, _, _ = _grid_operator(params, domain, exh, grid, rng)
     probes = [contspace.random_probe(grid, rng) for _ in range(params["probes"])]
     rep = contspace.decomposition_bound_check(T, exh, probes, tol=cfg.tol)
-    rec = rep.as_record()
-    rec["domain"] = domain
+    rec = {**rep.as_record(), "domain": domain, **_grid_keys(grid)}
     return (PASS if rep.passed else FINDING), rec
 
 
@@ -535,6 +546,7 @@ def _selftest_cu_decomp_bound(cfg: ExperimentConfig):
     probes = [contspace.random_probe(grid, np.random.default_rng(0)) for _ in range(3)]
     rep = contspace.decomposition_bound_check(lambda f: f, exh, probes)
     rec = {"identity.worst_slack": rep.worst_slack, "identity.dual_norm_max": rep.dual_norm_max}
+    rec.update(_grid_keys(grid))
     return (PASS if rep.passed else FINDING), rec
 
 

@@ -7,11 +7,18 @@ operators for isometry, recover the weight and point map of a surjective
 isometry, and check the decomposition bound that survives in the
 nonsurjective case.
 
+Each exhaustion says how far points lie outside a level (excess); each
+grid lists its unique points (point_list, flatten_values) and samples
+functions on its nodes (sample; on the disc the one place that gives the
+center row a single value), so the analysis has no per-domain branches.
+
 Grid surrogates replace the continuum notions: surjectivity means every
 target node lies within one grid cell of the image, injectivity means no
 two nodes more than two cells apart land within half a cell of each
 other, and every comparison carries an interpolation budget derived from
-finite-difference Lipschitz estimates of the probes.
+finite-difference Lipschitz estimates of the probes.  Those say nothing
+on a grid coarser than the levels, so check_resolution first requires a
+cell of at most a quarter of the narrowest band between level boundaries.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "PiecewiseLinearHomeo",
     "AnnulusHomeo",
     "NotWeightedComposition",
+    "check_resolution",
     "sup_seminorm_grid",
     "weighted_composition_grid",
     "make_composition_operator",
@@ -108,6 +116,12 @@ class Exhaustion1D:
         pts = sorted({x for ab in self.intervals for x in ab})
         return np.array(pts)
 
+    def excess(self, points, level: int):
+        """How far each complex point lies outside [a_level, b_level]."""
+        z = np.asarray(points)
+        a, b = self.intervals[level]
+        return np.maximum(np.maximum(a - z.real, z.real - b), np.abs(z.imag))
+
 
 @dataclass(frozen=True)
 class ExhaustionDisc:
@@ -134,6 +148,14 @@ class ExhaustionDisc:
     @property
     def outer(self) -> float:
         return self.radii[-1]
+
+    def breakpoints(self):
+        """Level boundary radii, ascending, with the center 0 first."""
+        return np.unique(np.concatenate([[0.0], self.radii]))
+
+    def excess(self, points, level: int):
+        """How far each complex point lies outside the disc of radius rho_level."""
+        return np.abs(points) - self.radii[level]
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +194,25 @@ class IntervalGrid:
     def cell(self) -> float:
         return float(np.max(np.diff(self.array)))
 
-    def points_planar(self):
-        x = self.array
-        return np.column_stack([x, np.zeros_like(x)])
+    def point_list(self):
+        """Node positions as complex values."""
+        return self.array.astype(complex)
+
+    def flatten_values(self, values):
+        return np.asarray(values)
+
+    def sample(self, fn):
+        """fn evaluated at the nodes."""
+        return fn(self.array)
 
 
 @dataclass(frozen=True)
 class DiscGrid:
     """Polar grid: sorted radii (starting at 0) times equispaced angles.
 
-    The center row is geometrically a single point; point_list collapses
-    it so node-set arguments see each location once.
+    The center row is geometrically a single point: sample gives it one
+    value and point_list collapses it, so node-set arguments see each
+    location once.
     """
 
     radii: tuple
@@ -229,6 +259,12 @@ class DiscGrid:
     def flatten_values(self, values):
         return np.concatenate([[values[0, 0]], values[1:].ravel()])
 
+    def sample(self, fn):
+        """fn at the nodes, its first center value repeated along the center row."""
+        vals = np.array(fn(self.nodes), dtype=complex)
+        vals[0] = vals[0, 0]
+        return vals
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -242,7 +278,7 @@ class GridFunction:
     values: tuple = field(compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         if isinstance(self.grid, IntervalGrid):
             if v.shape != (len(self.grid.nodes),):
                 raise ValueError("value count must match the grid nodes")
@@ -254,7 +290,8 @@ class GridFunction:
                 raise ValueError("center row must hold a single repeated value")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
-        object.__setattr__(self, "values", _freeze(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def domain(self) -> str:
@@ -266,11 +303,7 @@ class GridFunction:
 
     @classmethod
     def sample(cls, grid, fn):
-        if isinstance(grid, IntervalGrid):
-            return cls(grid, fn(grid.array))
-        vals = np.asarray(fn(grid.nodes), dtype=complex)
-        vals[0, :] = vals[0, 0]
-        return cls(grid, vals)
+        return cls(grid, grid.sample(fn))
 
     @classmethod
     def constant(cls, grid, c=1.0):
@@ -282,10 +315,13 @@ class GridFunction:
         return cls.sample(grid, lambda z: np.asarray(z, dtype=complex))
 
     def interpolate(self, where):
-        """Evaluate at off-grid points; raises if a point leaves the grid."""
+        """Evaluate at off-grid points (their real parts on the interval).
+
+        Raises if a point leaves the grid.
+        """
         v = self.array
         if isinstance(self.grid, IntervalGrid):
-            x = np.asarray(where, dtype=float)
+            x = np.real(where)
             nodes = self.grid.array
             if np.any(x < nodes[0] - _EDGE) or np.any(x > nodes[-1] + _EDGE):
                 raise ValueError("interpolation point leaves the grid domain")
@@ -320,40 +356,33 @@ class GridFunction:
             return float(np.max(np.abs(np.diff(v)) / np.diff(self.grid.array)))
         radii = self.grid.radii_array
         dr = np.diff(radii)[:, None]
-        radial = np.max(np.abs(np.diff(v, axis=0)) / dr) if v.shape[0] > 1 else 0.0
+        radial = np.max(np.abs(np.diff(v, axis=0)) / dr)
         arc = radii[1:, None] * (2.0 * np.pi / self.grid.angle_count)
         dv = np.abs(v[1:] - np.roll(v[1:], 1, axis=1))
-        angular = np.max(dv / arc) if v.shape[0] > 1 else 0.0
+        angular = np.max(dv / arc)
         return float(max(radial, angular))
 
 
-def _freeze(arr):
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
+def check_resolution(grid, exh):
+    """Refuse a grid too coarse for its certificates to say anything.
 
-
-def _level_mask_flat(grid, exh, level: int):
-    """Boolean mask over the unique point list for membership in K_level."""
-    if isinstance(grid, IntervalGrid):
-        a, b = exh.intervals[level]
-        x = grid.array
-        return (x >= a - _EDGE) & (x <= b + _EDGE)
-    rho = exh.radii[level]
-    pts = grid.point_list()
-    return np.abs(pts) <= rho + _EDGE
+    A grid resolves an exhaustion when its cell is at most a quarter of
+    the narrowest band between consecutive level boundaries.
+    """
+    band = float(np.min(np.diff(exh.breakpoints()), initial=np.inf))
+    if grid.cell > 0.25 * band:
+        raise ValueError(
+            f"grid cell {grid.cell:g} exceeds a quarter of the narrowest "
+            f"level band {band:g}; refine the grid"
+        )
 
 
 def sup_seminorm_grid(f: GridFunction, level: int, exh) -> float:
     """Max of |f| over the grid nodes inside exhaustion level K_level."""
-    if isinstance(f.grid, IntervalGrid):
-        flat = np.abs(f.array)
-    else:
-        flat = np.abs(f.grid.flatten_values(f.array))
-    mask = _level_mask_flat(f.grid, exh, level)
+    mask = exh.excess(f.grid.point_list(), level) <= _EDGE
     if not np.any(mask):
         raise ValueError(f"grid does not resolve exhaustion level {level}")
-    return float(np.max(flat[mask]))
+    return float(np.max(np.abs(f.grid.flatten_values(f.array))[mask]))
 
 
 # ---------------------------------------------------------------------------
@@ -640,16 +669,7 @@ def weighted_composition_grid(h: GridFunction, phi, f: GridFunction) -> GridFunc
     """
     if h.grid is not f.grid and h.grid != f.grid:
         raise ValueError("weight and argument must share one grid")
-    if isinstance(f.grid, IntervalGrid):
-        targets = phi(f.grid.array)
-    else:
-        targets = np.asarray(phi(f.grid.nodes), dtype=complex)
-        targets[0, :] = targets[0, 0]
-    vals = h.array * f.interpolate(targets)
-    if isinstance(f.grid, DiscGrid):
-        vals = np.array(vals)
-        vals[0, :] = vals[0, 0]
-    return GridFunction(f.grid, vals)
+    return GridFunction(f.grid, h.array * f.interpolate(f.grid.sample(phi)))
 
 
 def make_composition_operator(h: GridFunction, phi):
@@ -666,17 +686,8 @@ def random_probe(grid, rng, degree: int = 6):
     k = np.arange(degree + 1)
     c = (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)) / (1.0 + k)
     if isinstance(grid, IntervalGrid):
-        x = grid.array
-        vals = np.exp(2j * np.pi * np.outer(x, k)) @ c
-        return GridFunction(grid, vals)
-
-    def poly(z):
-        out = np.zeros_like(np.asarray(z, dtype=complex))
-        for ck in c[::-1]:
-            out = out * z + ck
-        return out
-
-    return GridFunction.sample(grid, poly)
+        return GridFunction.sample(grid, lambda x: np.exp(2j * np.pi * np.outer(x, k)) @ c)
+    return GridFunction.sample(grid, lambda z: np.polyval(c[::-1], z))
 
 
 def unimodular_field(grid, rng, degree: int = 4, amplitude: float = 1.5):
@@ -685,9 +696,9 @@ def unimodular_field(grid, rng, degree: int = 4, amplitude: float = 1.5):
     a = rng.normal(size=degree) * amplitude / (1.0 + k)
     b = rng.uniform(0, 2 * np.pi, size=degree)
     if isinstance(grid, IntervalGrid):
-        x = grid.array
-        psi = np.cos(2 * np.pi * np.outer(x, k) + b) @ a
-        return GridFunction(grid, np.exp(1j * psi))
+        return GridFunction.sample(
+            grid, lambda x: np.exp(1j * (np.cos(2 * np.pi * np.outer(x, k) + b) @ a))
+        )
 
     def phase(z):
         z = np.asarray(z, dtype=complex)
@@ -710,7 +721,6 @@ class GridIsometryReport:
     max_gap: float
     budget: float
     tol: float
-    level_gaps: tuple
 
     @property
     def passed(self) -> bool:
@@ -729,16 +739,15 @@ def isometry_test_grid(T, exh, probes, tol: float = 1e-9) -> GridIsometryReport:
     """Compare level sups of probes and their images, minus the budget."""
     if not probes:
         raise ValueError("probe set must be nonempty")
+    check_resolution(probes[0].grid, exh)
     budget = interpolation_budget(probes, probes[0].grid.cell)
-    gaps = []
+    max_gap = 0.0
     for f in probes:
         g = T(f)
         for n in range(exh.levels):
-            a = sup_seminorm_grid(f, n, exh)
-            b = sup_seminorm_grid(g, n, exh)
-            gaps.append((n, abs(a - b)))
-    max_gap = max(g for _, g in gaps)
-    return GridIsometryReport(float(max_gap), budget, tol, tuple(gaps))
+            gap = abs(sup_seminorm_grid(f, n, exh) - sup_seminorm_grid(g, n, exh))
+            max_gap = max(max_gap, gap)
+    return GridIsometryReport(float(max_gap), budget, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -756,19 +765,6 @@ class RecoveredSymbol:
         return {f"certificate.{k}": v for k, v in sorted(self.certificate.items())}
 
 
-def _flat_points(grid):
-    if isinstance(grid, IntervalGrid):
-        x = grid.array
-        return x.astype(complex)
-    return grid.point_list()
-
-
-def _flat_values(grid, values):
-    if isinstance(grid, IntervalGrid):
-        return np.asarray(values)
-    return grid.flatten_values(np.asarray(values))
-
-
 def _planar(pts):
     pts = np.asarray(pts)
     return np.column_stack([pts.real, pts.imag])
@@ -784,14 +780,12 @@ def recover_weight_and_map(T, exh, grid=None, tol: float = 1e-9, rng=None) -> Re
     of the image), grid-injectivity (no two nodes farther apart than two
     cells land within half a cell), and reconstruction of T on random
     probes within the interpolation budget.  The first failing check
-    raises NotWeightedComposition carrying the partial certificate.
+    raises NotWeightedComposition carrying the partial certificate; a
+    grid that fails check_resolution raises ValueError before any check.
     """
     if grid is None:
-        grid = (
-            IntervalGrid.build(exh)
-            if isinstance(exh, Exhaustion1D)
-            else DiscGrid.build(exh)
-        )
+        grid = (IntervalGrid if isinstance(exh, Exhaustion1D) else DiscGrid).build(exh)
+    check_resolution(grid, exh)
     cert: dict = {}
     cell = grid.cell
     one = GridFunction.constant(grid, 1.0)
@@ -804,28 +798,18 @@ def recover_weight_and_map(T, exh, grid=None, tol: float = 1e-9, rng=None) -> Re
         )
 
     e1 = GridFunction.coordinate(grid)
-    phi_vals = np.conj(h.array) * T(e1).array
-    if isinstance(grid, DiscGrid):
-        phi_vals = np.array(phi_vals)
-        phi_vals[0, :] = phi_vals[0, 0]
-    phi_gf = GridFunction(grid, phi_vals)
+    phi_gf = GridFunction(grid, np.conj(h.array) * T(e1).array)
 
-    pts = _flat_points(grid)
-    images = _flat_values(grid, phi_vals)
+    pts = grid.point_list()
+    images = grid.flatten_values(phi_gf.array)
 
     # (a) containment and grid-surjectivity, level by level
     worst_contain = 0.0
     worst_surj = 0.0
     for n in range(exh.levels):
-        mask = _level_mask_flat(grid, exh, n)
+        mask = exh.excess(pts, n) <= _EDGE
         img = images[mask]
-        if isinstance(exh, Exhaustion1D):
-            a, b = exh.intervals[n]
-            stick_out = np.maximum(a - img.real, img.real - b)
-            breach = float(np.max(np.maximum(stick_out, np.abs(img.imag))))
-        else:
-            breach = float(np.max(np.abs(img) - exh.radii[n]))
-        worst_contain = max(worst_contain, breach)
+        worst_contain = max(worst_contain, float(np.max(exh.excess(img, n))))
         tree = cKDTree(_planar(img))
         dists, _ = tree.query(_planar(pts[mask]), k=1)
         worst_surj = max(worst_surj, float(np.max(dists)))
@@ -857,11 +841,10 @@ def recover_weight_and_map(T, exh, grid=None, tol: float = 1e-9, rng=None) -> Re
     rng = np.random.default_rng(0) if rng is None else rng
     probes = [random_probe(grid, rng) for _ in range(3)]
     budget = interpolation_budget(probes, cell)
-    where = phi_vals.real if isinstance(grid, IntervalGrid) else phi_vals
     recon = 0.0
     for f in probes:
         direct = T(f).array
-        rebuilt = h.array * f.interpolate(where)
+        rebuilt = h.array * f.interpolate(phi_gf.array)
         recon = max(recon, float(np.max(np.abs(direct - rebuilt))))
     cert["reconstruction_gap"] = recon
     cert["reconstruction_budget"] = budget
@@ -911,6 +894,7 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     if not probes:
         raise ValueError("probe set must be nonempty")
     grid = probes[0].grid
+    check_resolution(grid, exh)
     cell = grid.cell
     one = GridFunction.constant(grid, 1.0)
     h = T(one)
@@ -920,11 +904,11 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     budget = interpolation_budget(probes, cell)
 
     # smallest containing level per flat node
-    pts = _flat_points(grid)
+    pts = grid.point_list()
     n_levels = exh.levels
     level_of = np.full(pts.size, n_levels, dtype=int)
     for n in range(n_levels - 1, -1, -1):
-        level_of[_level_mask_flat(grid, exh, n)] = n
+        level_of[exh.excess(pts, n) <= _EDGE] = n
     if np.any(level_of == n_levels):
         raise ValueError("grid extends beyond the outermost level")
 
@@ -932,7 +916,7 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     dual_max = 0.0
     hconj = np.conj(h.array)
     for f in probes:
-        phi_vals = _flat_values(grid, hconj * T(f).array)
+        phi_vals = grid.flatten_values(hconj * T(f).array)
         sems = np.array([sup_seminorm_grid(f, n, exh) for n in range(n_levels)])
         bound = sems[level_of] + budget
         slack = bound - np.abs(phi_vals)

@@ -67,14 +67,6 @@ class WeightSequence:
     def uniform(cls, n: int, declared_tail: float = 0.0):
         return cls(tuple((1.0 - declared_tail) / n for _ in range(n)), declared_tail)
 
-    @classmethod
-    def geometric(cls, n: int, ratio: float = 0.5):
-        """First n terms of a geometric law, remainder declared as tail."""
-        if not 0 < ratio < 1:
-            raise ValueError("ratio must lie in (0, 1)")
-        raw = (1 - ratio) * ratio ** np.arange(n)
-        return cls(tuple(raw), declared_tail=float(ratio**n))
-
     @property
     def array(self):
         return np.asarray(self.weights)

@@ -25,7 +25,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Panel refinement did not converge within the allowed doublings."""
+    """Panel refinement did not converge within the allowed doublings or mesh size."""
 
 
 class StripViolationError(ValueError):
@@ -57,6 +57,11 @@ class QuadratureSpec:
             raise ValueError("strip_margin must lie in [0, 1)")
 
 
+# largest mesh panel_nodes builds; refinement past it would exhaust memory
+# long before max_doublings ends the loop
+_MAX_NODES = 2**18
+
+
 @lru_cache(maxsize=16)
 def _gauss_legendre(points: int):
     x, w = np.polynomial.legendre.leggauss(points)
@@ -67,9 +72,13 @@ def panel_nodes(breaks, points):
     """Nodes and weights for composite Gauss-Legendre over a panel mesh.
 
     breaks is a sorted 1-D array of panel edges; returns flat arrays of
-    nodes and weights covering [breaks[0], breaks[-1]].
+    nodes and weights covering [breaks[0], breaks[-1]].  Raises
+    QuadratureError rather than build more than _MAX_NODES nodes.
     """
     breaks = np.asarray(breaks, dtype=float)
+    count = (breaks.size - 1) * points
+    if count > _MAX_NODES:
+        raise QuadratureError(f"panel mesh of {count} nodes exceeds the limit of {_MAX_NODES}")
     a = breaks[:-1]
     b = breaks[1:]
     x, w = _gauss_legendre(points)

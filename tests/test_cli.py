@@ -115,6 +115,35 @@ def test_cu_subcommands_interval(capsys):
     assert code == PASS
 
 
+def test_cu_reports_carry_cell_and_nodes(capsys):
+    for argv in (
+        ["cu-iso-test", "--grid-count", "1024"],
+        ["cu-recover", "--grid-count", "1024"],
+        ["cu-recover", "--map", "zigzag", "--grid-count", "1024"],
+        ["cu-decomp-bound", "--grid-count", "1024"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (PASS, FINDING)
+        rec = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert float(rec["cell"]) > 0, argv
+        assert int(rec["nodes"]) == 1028, argv  # 1024 plus the inner endpoints
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--grid-count", "2", "--levels", "2"], "grid_count"),
+        (["--domain", "disc", "--radial-count", "2"], "radial_count"),
+        (["--domain", "disc", "--angle-count", "16"], "angle_count"),
+    ],
+)
+def test_cu_recover_refuses_vacuous_grid(capsys, argv, field):
+    code, out, err = run_cli(capsys, "cu-recover", *argv)
+    assert code == INVALID
+    assert out == ""
+    assert err.startswith(f"error={field}: ")
+
+
 def test_config_file_with_cli_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 3, "params": {"gauge": "clip", "rho": 4.0}}))

@@ -12,6 +12,7 @@ from isolab.contspace import (
     build_annulus_homeo,
     build_interval_homeo,
     build_zigzag_fold,
+    check_resolution,
     decomposition_bound_check,
     interpolation_budget,
     isometry_test_grid,
@@ -42,6 +43,36 @@ def test_exhaustion_1d_validation():
 def test_exhaustion_1d_breakpoints_dedup():
     exh = Exhaustion1D(((0.5, 0.5), (0.2, 0.8)))
     assert np.array_equal(exh.breakpoints(), [0.2, 0.5, 0.8])
+
+
+def test_exhaustion_excess_marks_levels():
+    a, b = EXH.intervals[1]
+    assert np.all(EXH.excess(np.array([a, b, 0.5 * (a + b)]), 1) <= 0.0)
+    assert np.all(EXH.excess(np.array([a - 1e-9, b + 1e-9]), 1) > 1e-12)
+    # off the real axis a point lies outside the level by |Im z|
+    assert EXH.excess(np.array([0.5 + 0.3j]), 1)[0] == 0.3
+    rho = DEXH.radii[0]
+    circle = np.exp(1j * np.linspace(0.0, 6.0, 7))
+    assert np.all(DEXH.excess(rho * circle, 0) <= 1e-15)
+    assert np.all(DEXH.excess((rho + 1e-9) * circle, 0) > 1e-12)
+
+
+def test_check_resolution_refuses_coarse_grids():
+    check_resolution(GRID, EXH)
+    check_resolution(DGRID, DEXH)
+    exh = Exhaustion1D.default(2)
+    coarse = IntervalGrid.build(exh, 2)
+    with pytest.raises(ValueError, match="narrowest level band"):
+        check_resolution(coarse, exh)
+    with pytest.raises(ValueError, match="narrowest level band"):
+        recover_weight_and_map(lambda f: f, exh, coarse)
+    probes = [GridFunction.constant(coarse, 1.0)]
+    with pytest.raises(ValueError, match="narrowest level band"):
+        isometry_test_grid(lambda f: f, exh, probes)
+    with pytest.raises(ValueError, match="narrowest level band"):
+        decomposition_bound_check(lambda f: f, exh, probes)
+    with pytest.raises(ValueError, match="narrowest level band"):
+        check_resolution(DiscGrid.build(DEXH, 2, 512), DEXH)
 
 
 def test_exhaustion_disc_validation():
@@ -326,3 +357,17 @@ def test_weighted_composition_grid_direct():
     h = GridFunction.constant(GRID, 1.0j)
     out = weighted_composition_grid(h, lambda x: x, GridFunction.coordinate(GRID))
     assert np.max(np.abs(out.array - 1.0j * GRID.array)) < 1e-15
+
+
+def test_disc_center_row_collapsed_once():
+    # the nodes of the center row are +-0 with arg 0 or pi, so this map
+    # takes two values there unless sampling collapses the row
+    def phi(z):
+        return 0.5 * z + 0.1 * np.exp(1j * np.angle(z))
+
+    assert np.ptp(phi(DGRID.nodes[0]).real) > 0
+    mapped = GridFunction.sample(DGRID, phi)
+    assert np.all(mapped.array[0] == mapped.array[0, 0])
+    rng = np.random.default_rng(4)
+    out = weighted_composition_grid(unimodular_field(DGRID, rng), phi, random_probe(DGRID, rng))
+    assert np.all(out.array[0] == out.array[0, 0])

@@ -1,6 +1,10 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
+from isolab.gauges import make_builtin_gauge, shift_kernel_fourier_grid
 from isolab.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -71,3 +75,20 @@ def test_spec_validation():
         QuadratureSpec(points=1)
     with pytest.raises(ValueError):
         QuadratureSpec(strip_margin=1.0)
+
+
+def test_kernel_mesh_bounded_near_strip_edge():
+    # a frequency near the strip edge once refined to 35.7M nodes and ran
+    # out of memory; the mesh bound refuses it at the first oversize pass
+    g = dataclasses.replace(make_builtin_gauge("rational", alpha=2.0), mellin=None)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="exceeds the limit"):
+        shift_kernel_fourier_grid(g, 1.0, [2.0 + 1.8j], QuadratureSpec(tol=1e-10))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_kernel_mesh_bound_leaves_room_for_tight_tolerances():
+    g = make_builtin_gauge("rational", alpha=0.5)
+    quad = dataclasses.replace(g, mellin=None)
+    got = shift_kernel_fourier_grid(quad, 1.0, [0.2j], QuadratureSpec(tol=1e-11))
+    assert abs(got[0] - shift_kernel_fourier_grid(g, 1.0, [0.2j])[0]) < 1e-9
