@@ -69,7 +69,6 @@ from .holodisc import (
     SupFamily,
     HpFamily,
     NotCharacterizable,
-    TruncationOverflow,
     sup_seminorm,
     hp_seminorm,
     strict_monotonicity_check,

@@ -1,10 +1,11 @@
 """Batch experiment runner: one subcommand per laboratory capability.
 
-Every run resolves to an ExperimentConfig (JSON-serializable, bit-exact
-round-trip) and emits a flat key=value report, deterministic for a given
-config and seed.  Exit status 0 means the run's claim held, 1 means the
-computation finished with a finding (an inequality violated, a recovery
-refused), and 2 means the input was invalid.
+Every run resolves to an ExperimentConfig and emits a flat key=value
+report, deterministic for a given config and seed; the report's config=
+line, passed back through --config, reruns it byte for byte.  Exit status
+0 means the run's claim held, 1 means the computation finished with a
+finding (an inequality violated, a recovery refused), and 2 means the
+input was invalid.
 
 One parameter table, _PARAMS, with the keys each subcommand takes, drives
 the flags, the checking of config files and the defaults handlers read.
@@ -40,24 +41,13 @@ class CliError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved inputs of one run; serializes bit-exactly to JSON."""
+    """Resolved inputs of one run."""
 
     subcommand: str
     seed: int = 0
     tol: float = 1e-9
     out: str | None = None
     params: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return io_formats.canonical_json(
-            {
-                "subcommand": self.subcommand,
-                "seed": self.seed,
-                "tol": self.tol,
-                "out": self.out,
-                "params": self.params,
-            }
-        )
 
     def echo_json(self) -> str:
         """Config form embedded in reports: paths stripped, inputs kept."""
@@ -68,17 +58,6 @@ class ExperimentConfig:
                 "tol": self.tol,
                 "params": self.params,
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        return cls(
-            subcommand=raw["subcommand"],
-            seed=raw["seed"],
-            tol=raw["tol"],
-            out=raw.get("out"),
-            params=raw.get("params", {}),
         )
 
 
@@ -181,19 +160,33 @@ def _weights_from(params) -> metric.WeightSequence:
             n = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise CliError(f"weights: bad uniform count in {spec!r}") from exc
-        return metric.WeightSequence.uniform(n, declared_tail=tail)
-    vals = _parse_floats(spec, "weights")
-    return metric.WeightSequence(tuple(vals), declared_tail=tail)
+        build, arg = metric.WeightSequence.uniform, n
+    else:
+        build, arg = metric.WeightSequence, tuple(_parse_floats(spec, "weights"))
+    try:
+        return build(arg, declared_tail=tail)
+    except ValueError as exc:
+        raise CliError(f"weights/tail: {exc}") from exc
+
+
+def _vector_from(params, key) -> metric.SeminormVector:
+    values = tuple(_parse_floats(params[key], key))
+    try:
+        return metric.SeminormVector(values)
+    except ValueError as exc:
+        raise CliError(f"{key}: {exc}") from exc
 
 
 def _run_separate(cfg: ExperimentConfig, params):
     g = _gauge_from(params)
     r = _weights_from(params)
-    a = metric.SeminormVector(tuple(_parse_floats(params["vec_a"], "vec_a")))
-    b = metric.SeminormVector(tuple(_parse_floats(params["vec_b"], "vec_b")))
+    a, b = (_vector_from(params, key) for key in ("vec_a", "vec_b"))
     if len(a) != len(r) or len(b) != len(r):
         raise CliError("vec_a/vec_b: length must match the weight count")
-    res = metric.separate(g, r, a, b)
+    try:
+        res = metric.separate(g, r, a, b)
+    except ValueError as exc:
+        raise CliError(f"vec_a/vec_b: {exc}") from exc
     rec = res.as_record()
     rec["gauge"] = g.name
     return (PASS if res.verdict == "separated" else FINDING), rec
@@ -264,10 +257,12 @@ def _taylor_from(params, rng) -> holodisc.TaylorFunction:
             raise CliError(f"taylor_file: {exc}") from exc
     if params["monomial"] is not None:
         return holodisc.TaylorFunction.monomial(params["monomial"])
-    degree = params["degree"]
-    if degree < 0:
-        raise CliError("degree: must be nonnegative")
-    return holodisc.random_taylor(rng, degree, min_significant=2)
+    try:
+        return holodisc.random_taylor(rng, params["degree"], min_significant=2)
+    except ValueError as exc:
+        raise CliError(
+            f"degree: must be at least 1 for two significant coefficients ({exc})"
+        ) from exc
 
 
 def _family_from(params):
@@ -297,14 +292,7 @@ def _disc_operator_from(params):
         if path is None:
             raise CliError("op_file: required for op=matrix")
         try:
-            lines = [
-                ln for ln in Path(path).read_text().splitlines()
-                if ln.strip() and not ln.startswith("#")
-            ]
-            if not lines:
-                raise ValueError("file holds no data rows")
-            count = len(lines[0].split())
-            cols = io_formats.read_columns(path, count)
+            cols = io_formats.read_columns(path)
         except (OSError, ValueError) as exc:
             raise CliError(f"op_file: {exc}") from exc
         arr = np.column_stack(cols)
@@ -458,7 +446,10 @@ def _grid_operator(params, domain, exh, grid, rng):
     elif kind == "zigzag":
         if domain != "interval":
             raise CliError("map: zigzag is interval-only")
-        phi = contspace.build_zigzag_fold(exh, grid)
+        try:
+            phi = contspace.build_zigzag_fold(exh, grid)
+        except ValueError as exc:
+            raise CliError(f"levels: {exc}") from exc
     elif kind == "twist":
         if domain != "disc":
             raise CliError("map: twist is disc-only")
@@ -677,6 +668,11 @@ _PARAMS = {
     "probes": (int, 20, "number of random probes"),
     "which": (str, "fig1", "figure to emit: fig1, fig2, or fig3"),
 }
+# count -> smallest valid value, checked with the type
+_MINIMUM = {
+    "seed": 0, "atom_budget": 1, "levels": 1, "degree": 0, "monomial": 0,
+    "grid_count": 2, "radial_count": 2, "angle_count": 8, "probes": 1,
+}
 _GAUGE = ("gauge", "alpha")
 _DISC = ("op", "op_file", "alpha_angle", "beta_angle", "factor", "family", "p", "levels")
 _GRID = (
@@ -739,13 +735,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _checked(name: str, typ, value):
-    """value as typ; a bool, another type or a non-finite float is invalid."""
+    """value as typ; a bool, another type, a non-finite float or a count below
+    its _MINIMUM is invalid."""
     if typ is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, typ) or isinstance(value, bool):
         raise CliError(f"{name}: expected {typ.__name__}, got {value!r}")
     if typ is float and not np.isfinite(value):
         raise CliError(f"{name}: must be finite, got {value!r}")
+    if name in _MINIMUM and value < _MINIMUM[name]:
+        raise CliError(f"{name}: must be at least {_MINIMUM[name]}, got {value!r}")
     return value
 
 
@@ -767,8 +766,6 @@ def _resolve_config(args) -> ExperimentConfig:
     top.update({k: loaded[k] for k in top if k in loaded})
     top.update({k: getattr(args, k) for k in top if getattr(args, k) is not None})
     seed = _checked("seed", int, top["seed"])
-    if seed < 0:
-        raise CliError(f"seed: must be nonnegative, got {seed}")
     out = top["out"] if top["out"] is None else _checked("out", str, top["out"])
     takes = _HANDLERS[args.subcommand][2]
     given = dict(_checked("params", dict, loaded.get("params", {})))

@@ -480,26 +480,20 @@ def build_interval_homeo(
     return homeo.validate_against(exh)
 
 
-def random_interval_homeo(
-    exh: Exhaustion1D,
-    rng,
-    orientation: str = "increasing",
-    max_controls_per_band: int = 2,
-    slope_range=(0.45, 1.9),
-):
+def random_interval_homeo(exh: Exhaustion1D, rng, orientation: str = "increasing"):
     """Random exhaustion-preserving homeomorphism with bounded slopes.
 
-    Slopes are kept inside slope_range so grid-scale surjectivity (one
-    cell) and injectivity (half a cell at distance two cells) hold with
-    margin; draws are rejected until every band satisfies the bounds.
+    Each band gets up to two random controls.  Slopes are kept inside
+    [0.45, 1.9] so grid-scale surjectivity (one cell) and injectivity
+    (half a cell at distance two cells) hold with margin; draws are
+    rejected until every band satisfies the bounds.
     """
     base = build_interval_homeo(exh, orientation)
     xs = np.asarray(base.xs)
     ys = np.asarray(base.ys)
-    lo, hi = slope_range
     controls = []
     for (x0, x1), (y0, y1) in zip(zip(xs, xs[1:]), zip(ys, ys[1:])):
-        m = int(rng.integers(0, max_controls_per_band + 1))
+        m = int(rng.integers(0, 3))
         if m == 0 or x1 - x0 < 1e-9:
             continue
         for _ in range(200):
@@ -508,7 +502,7 @@ def random_interval_homeo(
             gx = np.diff(np.concatenate([[x0], cx, [x1]]))
             gy = np.diff(np.concatenate([[y0], cy, [y1]]))
             slopes = np.abs(gy) / gx
-            if np.all((slopes >= lo) & (slopes <= hi)) and np.all(np.abs(gx) > 1e-7):
+            if np.all((slopes >= 0.45) & (slopes <= 1.9)) and np.all(np.abs(gx) > 1e-7):
                 controls.extend(zip(cx, cy))
                 break
     return build_interval_homeo(exh, orientation, controls)
@@ -622,16 +616,14 @@ def build_annulus_homeo(exh: ExhaustionDisc, twist_profiles) -> AnnulusHomeo:
     return AnnulusHomeo(tuple(br), tuple(vl))
 
 
-def random_annulus_homeo(
-    exh: ExhaustionDisc, rng, max_step: float = 0.3, slope_cap: float = 4.0
-):
+def random_annulus_homeo(exh: ExhaustionDisc, rng):
     """Random continuous radial twist, gentle enough for the grid checks.
 
     Boundary twists are drawn first (shared by adjacent annuli, so the
     assembled profile is automatically continuous); each annulus then
-    gets up to two interior wobbles bounded by max_step.  Draws are
-    rejected until the twist slope stays below slope_cap everywhere,
-    which keeps the map clear of the grid injectivity threshold.
+    gets up to two interior wobbles of at most 0.3 rad.  Draws are
+    rejected until the twist slope stays below 4 everywhere, which keeps
+    the map clear of the grid injectivity threshold.
     """
     bounds = np.concatenate([[0.0], np.asarray(exh.radii)])
     for _ in range(500):
@@ -645,11 +637,11 @@ def random_annulus_homeo(
                 rs = np.sort(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), m))
                 for r in rs:
                     base = np.interp(r, [lo, hi], [edge_twist[i], edge_twist[i + 1]])
-                    pts.append((float(r), float(base + rng.uniform(-max_step, max_step))))
+                    pts.append((float(r), float(base + rng.uniform(-0.3, 0.3))))
             profiles[i] = pts
         homeo = build_annulus_homeo(exh, profiles)
         slopes = np.abs(np.diff(homeo.twist_values)) / np.diff(homeo.twist_breaks)
-        if float(np.max(slopes)) <= slope_cap:
+        if float(np.max(slopes)) <= 4.0:
             return homeo
     raise RuntimeError("could not draw a twist profile under the slope cap")
 
@@ -681,20 +673,20 @@ def make_composition_operator(h: GridFunction, phi):
     return op
 
 
-def random_probe(grid, rng, degree: int = 6):
-    """Smooth random probe: low-degree trigonometric (1D) or polynomial (disc)."""
-    k = np.arange(degree + 1)
-    c = (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)) / (1.0 + k)
+def random_probe(grid, rng):
+    """Smooth random probe: degree-6 trigonometric (1D) or polynomial (disc)."""
+    k = np.arange(7)
+    c = (rng.normal(size=7) + 1j * rng.normal(size=7)) / (1.0 + k)
     if isinstance(grid, IntervalGrid):
         return GridFunction.sample(grid, lambda x: np.exp(2j * np.pi * np.outer(x, k)) @ c)
     return GridFunction.sample(grid, lambda z: np.polyval(c[::-1], z))
 
 
-def unimodular_field(grid, rng, degree: int = 4, amplitude: float = 1.5):
-    """Random unimodular weight exp(i psi) with smooth real phase psi."""
-    k = np.arange(1, degree + 1)
-    a = rng.normal(size=degree) * amplitude / (1.0 + k)
-    b = rng.uniform(0, 2 * np.pi, size=degree)
+def unimodular_field(grid, rng):
+    """Random unimodular weight exp(i psi), psi a smooth degree-4 real phase."""
+    k = np.arange(1, 5)
+    a = rng.normal(size=4) * 1.5 / (1.0 + k)
+    b = rng.uniform(0, 2 * np.pi, size=4)
     if isinstance(grid, IntervalGrid):
         return GridFunction.sample(
             grid, lambda x: np.exp(1j * (np.cos(2 * np.pi * np.outer(x, k) + b) @ a))

@@ -86,30 +86,6 @@ class Gauge:
         return self.fn(t)
 
 
-def _certified_small_threshold(fn, exponent, constant, cap=16.0):
-    """Largest threshold in (0, cap] where fn(t) <= constant*t**exponent.
-
-    Bisection on a dense-grid predicate, as promised for the exp gauge.
-    """
-
-    def holds(m):
-        t = np.linspace(m / 2048.0, m, 2048)
-        return bool(np.all(fn(t) <= constant * t**exponent + 1e-15))
-
-    if not holds(cap / 1024.0):
-        raise ValueError("certificate fails even near zero")
-    if holds(cap):
-        return cap
-    lo, hi = cap / 1024.0, cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
     """Construct one of the built-in gauges.
 
@@ -159,16 +135,16 @@ def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
             mellin=lambda z, a=alpha: _x_over_sinh(np.pi * z / a),
         )
     if name == "exp":
-        fn = lambda t: -np.expm1(-t)
-        m = _certified_small_threshold(fn, 0.5, 1.0)
+        # 1 - e^(-t) <= min(t, 1) <= sqrt(t) for every t >= 0, so the small
+        # growth certificate holds at any threshold; it is stated at 16.
         # max of sqrt(t)*exp(-t) is ~0.429 at t=1/2, so large_constant 1 works
         # from threshold 1 on.
         return Gauge(
             name="exp",
-            fn=fn,
+            fn=lambda t: -np.expm1(-t),
             derivative=lambda t: np.exp(-t),
             growth_exponent=0.5,
-            small_threshold=m,
+            small_threshold=16.0,
             large_threshold=1.0,
             mellin=lambda z: gamma(1.0 - 1j * z),
         )
@@ -260,34 +236,22 @@ class AdmissibilityReport:
         return rec
 
 
-def _default_grid():
-    return np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 1201)])
-
-
-def _default_pair_grid():
-    base = np.concatenate([np.geomspace(1e-4, 50.0, 96), np.linspace(0.05, 50.0, 64)])
-    base = np.unique(base)
-    s, t = np.meshgrid(base, base)
-    return s.ravel(), t.ravel()
-
-
-def check_admissibility(
-    g: Gauge, grid=None, pair_grid=None, tol: float = 1e-9
-) -> AdmissibilityReport:
+def check_admissibility(g: Gauge) -> AdmissibilityReport:
     """Run every gauge hypothesis on sampled grids and report each one.
 
     Violations are report entries, never exceptions: the checker is also
-    used to demonstrate counterexamples.  Checks: value at zero, bounded
-    range, monotonicity, subadditivity (with +1e-12 slack), both growth
-    certificate bounds, and consistency of the a.e. derivative (its
-    integral over the sampled bulk range, corrected by gauge-evaluated
-    endpoint terms, must reconstruct 1).
+    used to demonstrate counterexamples.  The value grid is 0 and 1201
+    log-spaced points on [1e-4, 1e4]; pairs for subadditivity come from
+    159 points on [1e-4, 50].  Checks, each within 1e-9 unless noted:
+    value at zero, bounded range, monotonicity, subadditivity (with 1e-12
+    slack), both growth certificate bounds, and consistency of the a.e.
+    derivative (its integral over the sampled bulk range, corrected by
+    gauge-evaluated endpoint terms, must reconstruct 1 within 1e-6).
     """
-    grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if pair_grid is None:
-        ps, pt = _default_pair_grid()
-    else:
-        ps, pt = (np.asarray(a, dtype=float) for a in pair_grid)
+    tol = 1e-9
+    grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 1201)])
+    base = np.unique(np.concatenate([np.geomspace(1e-4, 50.0, 96), np.linspace(0.05, 50.0, 64)]))
+    ps, pt = (a.ravel() for a in np.meshgrid(base, base))
 
     vals = g(grid)
     checks = []
@@ -298,9 +262,7 @@ def check_admissibility(
     range_gap = float(max(np.max(vals) - 1.0, np.max(-vals), 0.0))
     checks.append(HypothesisCheck("bounded_range", range_gap <= tol, range_gap))
 
-    order = np.argsort(grid)
-    diffs = np.diff(vals[order])
-    mono_gap = float(max(0.0, -np.min(diffs))) if len(diffs) else 0.0
+    mono_gap = float(max(0.0, -np.min(np.diff(vals))))
     checks.append(HypothesisCheck("monotone", mono_gap <= tol, mono_gap))
 
     sub = g(ps + pt) - g(ps) - g(pt)

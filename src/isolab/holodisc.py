@@ -9,7 +9,7 @@ inequality with its equality rigidity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "SupFamily",
     "HpFamily",
     "NotCharacterizable",
-    "TruncationOverflow",
     "sup_seminorm",
     "hp_seminorm",
     "strict_monotonicity_check",
@@ -39,8 +38,6 @@ __all__ = [
     "standard_probes",
 ]
 
-DEFAULT_DEGREE_BOUND = 64
-
 
 class NotCharacterizable(RuntimeError):
     """The operator fails one of the characterization steps.
@@ -55,21 +52,16 @@ class NotCharacterizable(RuntimeError):
         self.details = details
 
 
-class TruncationOverflow(RuntimeError):
-    """Coefficient mass beyond the output budget exceeded the tolerance."""
-
-
 @dataclass(frozen=True)
 class TaylorFunction:
     """Finite Taylor polynomial with complex coefficients, ascending degree.
 
     Equality compares canonical forms (exact trailing zeros trimmed).
-    truncation_residual records the l2 mass dropped by the operation
-    that produced this function (0 for exact constructions).
+    Every operation is exact: products and compositions keep their full
+    degree, nothing is truncated.
     """
 
     coefficients: tuple
-    truncation_residual: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
@@ -136,18 +128,6 @@ class TaylorFunction:
             out[0] += c
         return TaylorFunction(tuple(out))
 
-    def truncated(self, budget: int, tol: float | None = None) -> "TaylorFunction":
-        """Drop coefficients beyond the budget, recording their l2 mass."""
-        c = self.array
-        if c.size <= budget + 1:
-            return self
-        dropped = float(np.linalg.norm(c[budget + 1 :]))
-        if tol is not None and dropped > tol:
-            raise TruncationOverflow(
-                f"truncation mass {dropped:g} exceeds tolerance {tol:g}"
-            )
-        return TaylorFunction(tuple(c[: budget + 1]), truncation_residual=dropped)
-
 
 def random_taylor(rng, degree: int, min_significant: int = 1) -> TaylorFunction:
     """Random polynomial with unit-scale complex Gaussian coefficients.
@@ -171,8 +151,10 @@ class DiscExhaustion:
     """Increasing radii in (0, 1) with a shared circle sample count.
 
     Default radii follow 1 - 1/n for n = 2, 3, ...; the n-indices are
-    kept so a family can be restricted to named levels.  samples must be
-    a power of two at least 4 * (degree bound).
+    kept so a family can be restricted to named levels.  circle_samples
+    must be a power of two, at least 8; isometry_test and
+    characterize_isometry raise it to four per degree where a function
+    needs more.
     """
 
     radii: tuple
@@ -363,7 +345,7 @@ class RotationOperator:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
 
-    def apply(self, f: TaylorFunction, budget=None, tol=None) -> TaylorFunction:
+    def apply(self, f: TaylorFunction) -> TaylorFunction:
         k = np.arange(f.degree + 1)
         return TaylorFunction(tuple(self.alpha * self.beta**k * f.array))
 
@@ -384,11 +366,8 @@ class WeightedCompositionOperator:
         if m > 1.0 + 1e-9:
             raise ValueError(f"warp must map the disc into itself (max modulus {m:g})")
 
-    def apply(self, f: TaylorFunction, budget=None, tol=None) -> TaylorFunction:
-        out = self.weight * f.compose(self.warp)
-        if budget is not None:
-            out = out.truncated(budget, tol)
-        return out
+    def apply(self, f: TaylorFunction) -> TaylorFunction:
+        return self.weight * f.compose(self.warp)
 
 
 @dataclass(frozen=True)
@@ -409,7 +388,7 @@ class MatrixOperator:
     def array(self):
         return np.asarray(self.matrix)
 
-    def apply(self, f: TaylorFunction, budget=None, tol=None) -> TaylorFunction:
+    def apply(self, f: TaylorFunction) -> TaylorFunction:
         m = self.array
         n = m.shape[0]
         c = np.zeros(n, dtype=complex)
@@ -417,23 +396,20 @@ class MatrixOperator:
         if src.size > n:
             raise ValueError("function degree exceeds the operator matrix size")
         c[: src.size] = src
-        out = TaylorFunction(tuple(m @ c))
-        if budget is not None:
-            out = out.truncated(budget, tol)
-        return out
+        return TaylorFunction(tuple(m @ c))
 
 
 def _as_apply(op):
     if hasattr(op, "apply"):
         return op.apply
     if callable(op):
-        return lambda f, budget=None, tol=None: op(f)
+        return op
     raise TypeError("operator must expose .apply or be callable")
 
 
-def apply_operator(op, f: TaylorFunction, budget=None, tol=None) -> TaylorFunction:
+def apply_operator(op, f: TaylorFunction) -> TaylorFunction:
     """Apply any operator form (builtin, matrix, or callable) to f."""
-    return _as_apply(op)(f, budget=budget, tol=tol)
+    return _as_apply(op)(f)
 
 
 def operator_matrix(op, size: int) -> MatrixOperator:
@@ -665,26 +641,20 @@ class ThreeCircleReport:
         }
 
 
-def three_circle_check(
-    f: TaylorFunction,
-    r1: float,
-    r2: float,
-    r3: float,
-    samples: int | None = None,
-    rigidity_tol: float = 1e-10,
-) -> ThreeCircleReport:
+def three_circle_check(f: TaylorFunction, r1: float, r2: float, r3: float) -> ThreeCircleReport:
     """Log-convexity of the circle maxima across three nested radii.
 
     slack = rhs - lhs of
         log(r3/r1) log M(r2) <= log(r3/r2) log M(r1) + log(r2/r1) log M(r3)
-    and is nonnegative up to machine error; the rigidity flag marks
-    equality within rigidity_tol, which happens exactly for monomials.
+    and is nonnegative up to machine error; the maxima are exact to
+    machine precision (see sup_seminorm), and the rigidity flag marks
+    equality within 1e-10, which happens exactly for monomials.
     The report also carries the coefficient-level monomial test so
     callers can compare the two.
     """
     if not 0 < r1 < r2 < r3 < 1:
         raise ValueError("radii must satisfy 0 < r1 < r2 < r3 < 1")
-    ms = [sup_seminorm(f, r, samples=samples) for r in (r1, r2, r3)]
+    ms = [sup_seminorm(f, r) for r in (r1, r2, r3)]
     if min(ms) == 0.0:
         raise ValueError("function vanishes on a sampled circle (zero function?)")
     l1, l2, l3 = (np.log(m) for m in ms)
@@ -693,4 +663,4 @@ def three_circle_check(
     slack = rhs - lhs
     mags = np.abs(f.array)
     monomial = int(np.sum(mags > 1e-10 * float(np.max(mags)))) == 1
-    return ThreeCircleReport(lhs, rhs, float(slack), bool(abs(slack) <= rigidity_tol), monomial)
+    return ThreeCircleReport(lhs, rhs, float(slack), bool(abs(slack) <= 1e-10), monomial)

@@ -78,7 +78,12 @@ def write_columns(path, *columns):
             fh.write(" ".join(format_value(c[i]) for c in cols) + "\n")
 
 
-def read_columns(path, count):
+def read_columns(path):
+    """Columns of a whitespace-separated file; the first data row sets the width.
+
+    Blank lines and lines starting with # are skipped.  A file without data
+    rows, or a row of another width, raises ValueError.
+    """
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -86,11 +91,12 @@ def read_columns(path, count):
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != count:
-                raise ValueError(f"expected {count} columns, got {len(parts)}")
+            if rows and len(parts) != len(rows[0]):
+                raise ValueError(f"expected {len(rows[0])} columns, got {len(parts)}")
             rows.append([float(p) for p in parts])
-    arr = np.array(rows)
-    return tuple(arr[:, j] for j in range(count))
+    if not rows:
+        raise ValueError("file holds no data rows")
+    return tuple(np.array(rows).T)
 
 
 def taylor_to_text(coeffs) -> str:

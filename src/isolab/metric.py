@@ -187,8 +187,9 @@ def moment_curve(g: Gauge, weights: WeightSequence, a: SeminormVector, t):
     return float(vals[0]) if scal else vals
 
 
-def default_t_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 200):
-    return np.geomspace(lo, hi, count)
+def default_t_grid():
+    """200 log-spaced dilations on [1e-3, 1e3]."""
+    return np.geomspace(1e-3, 1e3, 200)
 
 
 def separate(
@@ -197,14 +198,13 @@ def separate(
     a: SeminormVector,
     b: SeminormVector,
     t_grid=None,
-    tol: float = 1e-12,
 ) -> SeparationResult:
     """Search a dilation grid for a moment-curve gap between two vectors.
 
     Vectors must have strictly positive entries.  Equality is decided at
     measure level (coincident atoms merged): equal measures give
     not_separated with a zero gap; otherwise the best grid point wins if
-    its gap clears tol, else the verdict is inconclusive.  The gauge is
+    its gap exceeds 1e-12, else the verdict is inconclusive.  The gauge is
     not required to be admissible; separation is only guaranteed for
     admissible gauges, but the search itself runs for any gauge.
     """
@@ -216,7 +216,7 @@ def separate(
     gaps = np.abs(moment_curve(g, weights, a, t_grid) - moment_curve(g, weights, b, t_grid))
     k = int(np.argmax(gaps))
     gap = float(gaps[k])
-    if gap > tol:
+    if gap > 1e-12:
         return SeparationResult("separated", float(t_grid[k]), gap)
     return SeparationResult("inconclusive", None, gap)
 

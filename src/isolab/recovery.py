@@ -268,7 +268,6 @@ def recover_measure(
     h_samples,
     spec: RecoverySpec,
     atom_budget: int,
-    residual_tol: float = 1e-5,
 ) -> LogMeasure:
     """Reconstruct a log measure from smoothed observation samples.
 
@@ -278,24 +277,21 @@ def recover_measure(
     s_samples, h_samples : uniform observation samples.
     spec : window/frequency configuration; spec.shift must match the data.
     atom_budget : maximum number of atoms to fit.
-    residual_tol : relative residual above which the fit is rejected.
 
-    Raises RecoveryFailed with the best candidate attached when the fit
-    misses the tolerance, when mass sanity fails, or when the frequency
+    Raises RecoveryFailed with the best candidate attached when the fit's
+    relative residual exceeds 1e-5, when mass sanity fails, or when the frequency
     grid admits an in-window alias of a recovered atom (two measures the
     grid cannot tell apart).
     """
-    measure, _ = _recover_with_residual(
-        g, s_samples, h_samples, spec, atom_budget, residual_tol
-    )
+    measure, _ = _recover_with_residual(g, s_samples, h_samples, spec, atom_budget)
     return measure
 
 
-def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, residual_tol):
+def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget):
     if atom_budget < 1:
         raise ValueError("atom_budget must be at least 1")
     zs = spec.freq_array
-    dz = float(zs[1] - zs[0])
+    dz = _uniform_step(zs, "frequency_grid")
 
     g_hat = shift_kernel_fourier_grid(g, spec.shift, zs, spec.quadrature)
     h_hat = fourier_from_samples(s_samples, h_samples, zs)
@@ -375,9 +371,9 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, residual_
     )
     candidate = _as_log_measure(pos, mass)
 
-    if residual > residual_tol:
+    if residual > 1e-5:
         raise RecoveryFailed(
-            f"relative residual {residual:g} exceeds tolerance {residual_tol:g}",
+            f"relative residual {residual:g} exceeds tolerance 1e-05",
             candidate=candidate,
             residual=residual,
         )
@@ -438,7 +434,6 @@ def roundtrip_check(
     measure: LogMeasure,
     spec: RecoverySpec,
     atom_budget: int,
-    residual_tol: float = 1e-5,
 ) -> RoundtripReport:
     """Sample the forward model and recover; report matched-atom errors.
 
@@ -448,7 +443,7 @@ def roundtrip_check(
     """
     s, h = smoothed_curve_samples(g, measure, spec)
     try:
-        rec, residual = _recover_with_residual(g, s, h, spec, atom_budget, residual_tol)
+        rec, residual = _recover_with_residual(g, s, h, spec, atom_budget)
     except RecoveryFailed as err:
         rec = err.candidate
         residual = err.residual

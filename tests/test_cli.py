@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isolab.cli import (
-    _HANDLERS, _PARAMS, PASS, FINDING, INVALID, ExperimentConfig, build_parser, main,
+    _HANDLERS, _PARAMS, PASS, FINDING, INVALID, build_parser, main,
 )
 
 
@@ -16,16 +16,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_config_json_roundtrip_bit_exact():
-    cfg = ExperimentConfig(
-        "separate", seed=7, tol=1e-7, out=None,
-        params={"gauge": "exp", "vec_a": "1,2", "weights": "uniform:2"},
-    )
-    clone = ExperimentConfig.from_json(cfg.to_json())
-    assert clone == cfg
-    assert clone.to_json() == cfg.to_json()
 
 
 def test_parser_knows_every_subcommand():
@@ -182,6 +172,21 @@ def test_config_echo_reruns_byte_identical(tmp_path, capsys):
         (["frullani"], {"seed": "x"}, "seed"),
         (["frullani"], {"tol": "x"}, "tol"),
         (["frullani"], {"subcommand": "separate"}, "subcommand"),
+        (["cu-iso-test", "--grid-count", "-1"], None, "grid_count"),
+        (["cu-iso-test", "--levels", "0"], None, "levels"),
+        (["cu-recover", "--domain", "disc", "--angle-count", "4"], None, "angle_count"),
+        (["cu-recover", "--domain", "disc", "--radial-count", "-1"], None, "radial_count"),
+        (["cu-decomp-bound", "--probes", "0"], None, "probes"),
+        (["cu-decomp-bound", "--levels", "1"], None, "levels"),
+        (["hol-iso-test", "--levels", "0"], None, "levels"),
+        (["hol-iso-test", "--degree", "-1"], None, "degree"),
+        (["three-circle", "--degree", "0"], None, "degree"),
+        (["three-circle", "--monomial", "-1"], None, "monomial"),
+        (["separate", "--vec-a", "2,1"], None, "vec_a"),
+        (["separate", "--vec-a", "0,1"], None, "vec_a"),
+        (["separate", "--tail", "-1"], None, "tail"),
+        (["separate", "--weights", "0.5,0.6"], None, "weights"),
+        (["frullani", "--seed", "-1"], None, "seed"),
     ],
 )
 def test_parameter_table_contract(argv, config, field, tmp_path, capsys):
@@ -193,6 +198,22 @@ def test_parameter_table_contract(argv, config, field, tmp_path, capsys):
     assert code == INVALID
     assert out == ""
     assert field in err
+
+
+def test_matrix_op_file(tmp_path, capsys):
+    ident = tmp_path / "ident.txt"
+    np.savetxt(ident, np.kron(np.eye(9), [1.0, 0.0]), header="9x9 identity, re im pairs")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no rows\n\n")
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("1 0 0 0\n0 0 1\n")
+    code, out, _ = run_cli(capsys, "hol-iso-test", "--op", "matrix", "--op-file", str(ident))
+    assert code == PASS
+    assert "passed=true" in out
+    for path in (empty, ragged):
+        code, out, err = run_cli(capsys, "hol-iso-test", "--op", "matrix", "--op-file", str(path))
+        assert (code, out) == (INVALID, "")
+        assert "op_file" in err
 
 
 def test_main_returns_argparse_exit_codes(capsys):

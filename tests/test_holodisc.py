@@ -10,7 +10,6 @@ from isolab.holodisc import (
     RotationOperator,
     SupFamily,
     TaylorFunction,
-    TruncationOverflow,
     WeightedCompositionOperator,
     apply_operator,
     characterize_isometry,
@@ -46,15 +45,6 @@ def test_taylor_algebra():
     assert (f * g).coefficients == (0.0, 0.0, 1.0, 1.0)
     # (1+z) o z^2 = 1 + z^2
     assert f.compose(g).coefficients == (1.0, 0.0, 1.0)
-
-
-def test_taylor_truncation_tracks_residual():
-    f = TaylorFunction((1.0, 0.0, 3.0, 4.0))
-    t = f.truncated(1)
-    assert t.degree <= 1
-    assert abs(t.truncation_residual - 5.0) < 1e-15
-    with pytest.raises(TruncationOverflow):
-        f.truncated(1, tol=1.0)
 
 
 def test_random_taylor_degree_and_significance():

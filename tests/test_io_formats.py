@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from isolab import io_formats as iof
 
@@ -31,9 +32,20 @@ def test_columns_roundtrip(tmp_path):
     x = np.linspace(0, 1, 17)
     y = np.sin(x)
     iof.write_columns(p, x, y)
-    rx, ry = iof.read_columns(p, 2)
+    rx, ry = iof.read_columns(p)
     assert np.array_equal(rx, x)
     assert np.array_equal(ry, y)
+
+
+def test_read_columns_refuses_empty_and_ragged(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# header only\n\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        iof.read_columns(empty)
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("1 2 3\n4 5\n")
+    with pytest.raises(ValueError, match="expected 3 columns, got 2"):
+        iof.read_columns(ragged)
 
 
 def test_taylor_text_roundtrip():

@@ -194,7 +194,7 @@ def test_recover_measure_residual_rejection_keeps_candidate():
     spec = RecoverySpec()
     nu = LogMeasure((0.0,), (0.5,))
     s, h = smoothed_curve_samples(EXP, nu, spec)
-    h = h + 1e-3 * np.sin(5.0 * s)  # corrupt beyond residual_tol
+    h = h + 1e-3 * np.sin(5.0 * s)  # corrupt beyond the 1e-5 residual tolerance
     with pytest.raises(RecoveryFailed) as exc_info:
         recover_measure(EXP, s, h, spec, 1)
     err = exc_info.value
