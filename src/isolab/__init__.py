@@ -29,10 +29,7 @@ from .gauges import (
     frullani_integral,
     log_gauge,
     shift_kernel,
-    shift_kernel_fourier,
     shift_kernel_fourier_grid,
-    gauge_record,
-    gauge_from_record,
 )
 from .metric import (
     WeightSequence,
@@ -72,7 +69,6 @@ from .holodisc import (
     sup_seminorm,
     hp_seminorm,
     strict_monotonicity_check,
-    apply_operator,
     operator_matrix,
     isometry_test,
     characterize_isometry,
@@ -98,7 +94,6 @@ from .contspace import (
     build_interval_homeo,
     random_interval_homeo,
     build_zigzag_fold,
-    build_annulus_homeo,
     random_annulus_homeo,
     decomposition_bound_check,
     interpolation_budget,

@@ -252,7 +252,10 @@ def _taylor_from(params, rng) -> holodisc.TaylorFunction:
     path = params["taylor_file"]
     if path is not None:
         try:
-            return holodisc.TaylorFunction(io_formats.taylor_from_text(Path(path).read_text()))
+            cols = io_formats.read_columns(path)
+            if len(cols) != 2:
+                raise ValueError(f"expected 2 columns (re im), got {len(cols)}")
+            return holodisc.TaylorFunction(tuple(cols[0] + 1j * cols[1]))
         except (OSError, ValueError) as exc:
             raise CliError(f"taylor_file: {exc}") from exc
     if params["monomial"] is not None:
@@ -274,20 +277,25 @@ def _family_from(params):
     raise CliError(f"family: unknown family {fam!r}")
 
 
-def _disc_operator_from(params):
+# degree of the probes characterize_isometry replays the recovered rotation on
+_CHARACTERIZE_DEGREE = 8
+
+
+def _disc_operator_from(params, degree):
+    """The operator named by params; a matrix must act on probes of the degree."""
     kind = params["op"]
     if kind == "rotation":
         alpha = np.exp(1j * params["alpha_angle"])
         beta = np.exp(1j * params["beta_angle"])
         return holodisc.RotationOperator(alpha, beta)
-    if kind == "scale":
-        factor = complex(params["factor"])
-        return holodisc.MatrixOperator(tuple(tuple(factor * (i == j) for j in range(16)) for i in range(16)))
     if kind == "squarewarp":
         return holodisc.WeightedCompositionOperator(
             holodisc.TaylorFunction.one(), holodisc.TaylorFunction.monomial(2)
         )
-    if kind == "matrix":
+    if kind == "scale":
+        factor = complex(params["factor"])
+        m, short = factor * np.eye(16), "degree"
+    elif kind == "matrix":
         path = params["op_file"]
         if path is None:
             raise CliError("op_file: required for op=matrix")
@@ -298,14 +306,22 @@ def _disc_operator_from(params):
         arr = np.column_stack(cols)
         if arr.shape[1] % 2 != 0 or arr.shape[0] * 2 != arr.shape[1]:
             raise CliError("op_file: expected n rows of 2n floats (re/im pairs)")
-        m = arr[:, 0::2] + 1j * arr[:, 1::2]
-        return holodisc.MatrixOperator(tuple(tuple(row) for row in m))
-    raise CliError(f"op: unknown operator kind {kind!r}")
+        m, short = arr[:, 0::2] + 1j * arr[:, 1::2], "op_file"
+    else:
+        raise CliError(f"op: unknown operator kind {kind!r}")
+    # the probes include z^2, so they reach degree max(degree, 2)
+    need = max(degree, 2) + 1
+    if m.shape[0] < need:
+        raise CliError(
+            f"{short}: a {m.shape[0]}x{m.shape[0]} matrix cannot act on probes of "
+            f"degree {need - 1}; it needs at least {need}x{need}"
+        )
+    return holodisc.MatrixOperator(tuple(tuple(row) for row in m))
 
 
 def _run_hol_iso_test(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    op = _disc_operator_from(params)
+    op = _disc_operator_from(params, params["degree"])
     family = _family_from(params)
     exh = holodisc.DiscExhaustion.default(params["levels"])
     probes = holodisc.standard_probes(rng, count=3, degree=params["degree"])
@@ -326,7 +342,7 @@ def _selftest_hol_iso_test(cfg: ExperimentConfig):
 
 def _run_hol_characterize(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    op = _disc_operator_from(params)
+    op = _disc_operator_from(params, _CHARACTERIZE_DEGREE)
     family = _family_from(params)
     exh = holodisc.DiscExhaustion.default(params["levels"])
     try:
@@ -453,9 +469,7 @@ def _grid_operator(params, domain, exh, grid, rng):
     elif kind == "twist":
         if domain != "disc":
             raise CliError("map: twist is disc-only")
-        phi = contspace.build_annulus_homeo(
-            exh, {1: [(exh.radii[0], 0.0), (exh.radii[1], np.pi)]}
-        )
+        phi = contspace.AnnulusHomeo((0.0, *exh.radii), (0.0, 0.0, np.pi))
     else:
         raise CliError(f"map: unknown map {kind!r}")
     return contspace.make_composition_operator(h, phi), h, phi
@@ -592,9 +606,7 @@ def _run_emit_figure(cfg: ExperimentConfig, params):
         return (PASS if rec["fixed_points_gap"] < 1e-12 else FINDING), rec
     if which == "fig3":
         exh = contspace.ExhaustionDisc.default()
-        tw = contspace.build_annulus_homeo(
-            exh, {1: [(exh.radii[0], 0.0), (exh.radii[1], np.pi)]}
-        )
+        tw = contspace.AnnulusHomeo((0.0, *exh.radii), (0.0, 0.0, np.pi))
         circle_r = [0.25, 0.4, 0.55, 0.7, 0.8]
         theta = 2.0 * np.pi * np.arange(64) / 64.0
         rows = []

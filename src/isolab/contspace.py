@@ -52,7 +52,6 @@ __all__ = [
     "build_interval_homeo",
     "random_interval_homeo",
     "build_zigzag_fold",
-    "build_annulus_homeo",
     "random_annulus_homeo",
     "random_probe",
     "unimodular_field",
@@ -535,8 +534,9 @@ def build_zigzag_fold(exh: Exhaustion1D, grid: IntervalGrid) -> PiecewiseLinearM
 class AnnulusHomeo:
     """Radial twist of the disc: z maps to |z| e^{i(arg z + twist(|z|))}.
 
-    The twist angle is piecewise linear in the radius, so every circle
-    (in particular every exhaustion circle) maps rigidly onto itself and
+    The twist angle is the piecewise-linear profile through the points
+    (twist_breaks[k], twist_values[k]), so it is continuous, every circle
+    (in particular every exhaustion circle) maps rigidly onto itself, and
     each annulus between consecutive exhaustion radii is preserved.
     """
 
@@ -560,86 +560,31 @@ class AnnulusHomeo:
         return z * np.exp(1j * self.twist(r))
 
 
-def build_annulus_homeo(exh: ExhaustionDisc, twist_profiles) -> AnnulusHomeo:
-    """Assemble a radial twist from per-annulus angle profiles.
-
-    Annulus i lies between boundary radii R_i and R_{i+1}, where R runs
-    over 0 followed by the exhaustion radii.  twist_profiles maps an
-    annulus index to (radius, angle) pairs inside that annulus; an absent
-    annulus is untwisted.  The assembled profile must be continuous at
-    every shared boundary (untwisted neighbors force the twist to vanish
-    there), otherwise the construction is rejected.
-    """
-    bounds = np.concatenate([[0.0], np.asarray(exh.radii)])
-    edge_vals: dict[int, dict[float, float]] = {}
-    interior: list[tuple[float, float]] = []
-    for idx, prof in dict(twist_profiles).items():
-        idx = int(idx)
-        if not 0 <= idx < bounds.size - 1:
-            raise ValueError(f"annulus index {idx} out of range")
-        lo, hi = bounds[idx], bounds[idx + 1]
-        edge_vals.setdefault(idx, {})
-        for r, ang in prof:
-            r, ang = float(r), float(ang)
-            if r < lo - _EDGE or r > hi + _EDGE:
-                raise ValueError(f"profile point r={r:g} outside annulus {idx}")
-            if abs(r - lo) <= _EDGE or abs(r - hi) <= _EDGE:
-                edge_vals[idx][round(r, 15)] = ang
-            else:
-                interior.append((r, ang))
-    # continuity at every internal boundary: both sides must agree, with
-    # an untwisted side contributing zero
-    breaks = [0.0]
-    values = [edge_vals.get(0, {}).get(0.0, 0.0)]
-    for k in range(1, bounds.size - 1):
-        r = float(bounds[k])
-        left = edge_vals.get(k - 1, {}).get(round(r, 15), 0.0)
-        right = edge_vals.get(k, {}).get(round(r, 15), 0.0)
-        if abs(left - right) > 1e-12:
-            raise ValueError(
-                f"twist profile discontinuous at r={r:g}: {left:g} vs {right:g}"
-            )
-        breaks.append(r)
-        values.append(left)
-    r_top = float(bounds[-1])
-    top = edge_vals.get(bounds.size - 2, {}).get(round(r_top, 15), 0.0)
-    breaks.append(r_top)
-    values.append(top)
-    for r, ang in interior:
-        breaks.append(r)
-        values.append(ang)
-    order = np.argsort(breaks)
-    br = np.asarray(breaks)[order]
-    vl = np.asarray(values)[order]
-    if np.any(np.diff(br) <= 0):
-        raise ValueError("duplicate radii in twist profile")
-    return AnnulusHomeo(tuple(br), tuple(vl))
-
-
 def random_annulus_homeo(exh: ExhaustionDisc, rng):
     """Random continuous radial twist, gentle enough for the grid checks.
 
-    Boundary twists are drawn first (shared by adjacent annuli, so the
-    assembled profile is automatically continuous); each annulus then
-    gets up to two interior wobbles of at most 0.3 rad.  Draws are
+    A twist angle is drawn at 0 and at every exhaustion radius; each
+    annulus wider than 0.05 then gets up to two interior wobbles of at
+    most 0.3 rad about the line between its edge angles.  Draws are
     rejected until the twist slope stays below 4 everywhere, which keeps
     the map clear of the grid injectivity threshold.
     """
     bounds = np.concatenate([[0.0], np.asarray(exh.radii)])
     for _ in range(500):
         edge_twist = rng.uniform(-0.5, 0.5, size=bounds.size)
-        profiles = {}
+        breaks, values = [bounds[0]], [edge_twist[0]]
         for i in range(bounds.size - 1):
             lo, hi = bounds[i], bounds[i + 1]
-            pts = [(lo, edge_twist[i]), (hi, edge_twist[i + 1])]
             if hi - lo > 0.05:
                 m = int(rng.integers(0, 3))
                 rs = np.sort(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), m))
                 for r in rs:
                     base = np.interp(r, [lo, hi], [edge_twist[i], edge_twist[i + 1]])
-                    pts.append((float(r), float(base + rng.uniform(-0.3, 0.3))))
-            profiles[i] = pts
-        homeo = build_annulus_homeo(exh, profiles)
+                    breaks.append(r)
+                    values.append(base + rng.uniform(-0.3, 0.3))
+            breaks.append(hi)
+            values.append(edge_twist[i + 1])
+        homeo = AnnulusHomeo(tuple(breaks), tuple(values))
         slopes = np.abs(np.diff(homeo.twist_values)) / np.diff(homeo.twist_breaks)
         if float(np.max(slopes)) <= 4.0:
             return homeo

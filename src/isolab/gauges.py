@@ -5,8 +5,11 @@ theta(0) = 0 and theta(t) -> 1, carrying a two-sided power growth
 certificate: theta(t) <= c_small * t^alpha below a small threshold and
 1 - theta(t) <= c_large * t^(-alpha) above a large one.  The certificate
 drives every truncation bound in this module, so the numbers reported by
-frullani_integral and the quadrature path of shift_kernel_fourier come with
-an explicit budget; the builtin gauges' kernel transforms are closed forms.
+frullani_integral and the quadrature path of shift_kernel_fourier_grid come
+with an explicit budget; the builtin gauges' kernel transforms are closed
+forms.  Every panel integral here (the dilation integral, the kernel
+transform of a user-built gauge, the derivative-mass check) runs the one
+refinement loop, _integrate_refined, on a mesh from the quadrature module.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .quadrature import (
     QuadratureSpec,
     StripViolationError,
     graded_breaks,
-    integrate_refined,
     panel_nodes,
     refine_breaks,
 )
@@ -38,10 +40,7 @@ __all__ = [
     "frullani_integral",
     "log_gauge",
     "shift_kernel",
-    "shift_kernel_fourier",
     "shift_kernel_fourier_grid",
-    "gauge_record",
-    "gauge_from_record",
 ]
 
 BUILTIN_GAUGE_NAMES = ("clip", "rational", "exp")
@@ -174,32 +173,6 @@ def clipped_square_gauge() -> Gauge:
     )
 
 
-def gauge_record(g: Gauge) -> dict:
-    """Small serializable record for a gauge definition."""
-    rec = {
-        "name": g.name,
-        "growth_exponent": g.growth_exponent,
-        "small_threshold": g.small_threshold,
-        "large_threshold": g.large_threshold,
-        "small_constant": g.small_constant,
-        "large_constant": g.large_constant,
-    }
-    if g.parameter is not None:
-        rec["parameter"] = g.parameter
-    return rec
-
-
-def gauge_from_record(rec: dict) -> Gauge:
-    name = rec["name"]
-    if name == "rational":
-        return make_builtin_gauge("rational", alpha=rec.get("parameter", 1.0))
-    if name in ("clip", "exp"):
-        return make_builtin_gauge(name)
-    if name == "clipsq":
-        return clipped_square_gauge()
-    raise ValueError(f"cannot rebuild gauge {name!r} from a record")
-
-
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
@@ -309,16 +282,45 @@ def _derivative_mass_gap(g: Gauge) -> float:
     breaks = graded_breaks(
         np.log(eps), np.log(top), interior=[np.log(k) for k in g.kinks], max_step=0.5
     )
-    spec = QuadratureSpec(tol=1e-9, max_doublings=16)
-    # integrate theta'(e^y) e^y dy over the bulk, in log coordinates
+    # integrate theta'(e^y) e^y dy over the bulk, in log coordinates; an
+    # integral that never stabilizes is an infinite gap, any other error is
+    # the derivative's own and propagates
     try:
-        bulk = integrate_refined(
-            lambda y: g.derivative(np.exp(y)) * np.exp(y), breaks, spec, budget=1e-9
+        bulk = _integrate_refined(
+            lambda y, w: np.dot(w, g.derivative(np.exp(y)) * np.exp(y)), breaks, 1e-9
         )
-    except Exception:
+    except QuadratureError:
         return np.inf
     total = bulk + float(g(np.array([eps]))[0]) + (1.0 - float(g(np.array([top]))[0]))
     return abs(float(total) - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# panel refinement
+# ---------------------------------------------------------------------------
+
+# Gauss-Legendre nodes per panel, and the fraction of the decay exponent a
+# complex frequency keeps clear of the certified strip's edge
+_POINTS = 24
+_STRIP_MARGIN = 0.05
+
+
+def _integrate_refined(rule, breaks, budget):
+    """Halve every panel of the mesh until two successive passes agree.
+
+    rule(nodes, weights) returns one pass's sum, a scalar or an array; the
+    loop stops once max|pass - previous pass| <= budget.  panel_nodes raises
+    QuadratureError before the mesh outgrows its node bound, which is how a
+    pass sequence that never stabilizes ends.
+    """
+    prev = None
+    while True:
+        nodes, weights = panel_nodes(breaks, _POINTS)
+        val = rule(nodes, weights)
+        if prev is not None and np.max(np.abs(val - prev)) <= budget:
+            return val
+        prev = val
+        breaks = refine_breaks(breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +392,8 @@ def frullani_integral(g: Gauge, rho: float, quadrature: QuadratureSpec | None = 
     a = g.growth_exponent
     w_lo, w_hi = _kernel_cutoffs(g, u, a, spec.tol / 4.0)
     breaks = _kernel_breaks(g, u, w_lo, w_hi, max_step=1.0)
-    val = integrate_refined(
-        lambda y: shift_kernel(g, u, y), breaks, spec, budget=spec.tol / 2.0
+    val = _integrate_refined(
+        lambda y, w: np.dot(w, shift_kernel(g, u, y)), breaks, spec.tol / 2.0
     )
     return float(val)
 
@@ -401,7 +403,7 @@ def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = 
 
     Returns integral of G(w) e^(-i w z) dw for every z in zs.  Arguments
     may be complex as long as |Im z| stays inside the certified strip
-    (growth exponent minus the spec's margin).  Since G = F(. + shift) - F,
+    (growth exponent less a 5% margin).  Since G = F(. + shift) - F,
     the transform is (e^(i shift z) - 1)/(iz) times the Mellin transform of
     the gauge's derivative, with the limit shift * mellin(0) at z = 0; that
     closed form is used whenever the gauge carries one.  Other gauges are
@@ -414,10 +416,10 @@ def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = 
         raise ValueError("frequencies must be finite")
     a = g.growth_exponent
     sigma = float(np.max(np.abs(zs.imag))) if zs.size else 0.0
-    if sigma > a * (1.0 - spec.strip_margin) + 1e-15:
+    if sigma > a * (1.0 - _STRIP_MARGIN) + 1e-15:
         raise StripViolationError(
             f"|Im z| = {sigma:g} leaves the certified strip of half-width "
-            f"{a:g} (margin {spec.strip_margin:g})"
+            f"{a:g} (margin {_STRIP_MARGIN:g})"
         )
     if g.mellin is not None:
         zero = zs == 0
@@ -430,23 +432,12 @@ def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = 
     step = min(0.75, 8.0 / max(1.0, zmax))
     breaks = _kernel_breaks(g, shift, w_lo, w_hi, max_step=step)
 
-    prev = None
-    for _ in range(spec.max_doublings + 1):
-        nodes, weights = panel_nodes(breaks, spec.points)
+    def rule(nodes, weights):
         kern = shift_kernel(g, shift, nodes) * weights
         vals = np.empty(zs.shape, dtype=complex)
         for start in range(0, zs.size, 64):
             block = zs[start : start + 64]
-            vals[start : start + 64] = np.exp(
-                -1j * block[:, None] * nodes[None, :]
-            ) @ kern
-        if prev is not None and float(np.max(np.abs(vals - prev))) <= spec.tol / 2.0:
-            return vals
-        prev = vals
-        breaks = refine_breaks(breaks)
-    raise QuadratureError("kernel transform did not stabilize within the budget")
+            vals[start : start + 64] = np.exp(-1j * block[:, None] * nodes[None, :]) @ kern
+        return vals
 
-
-def shift_kernel_fourier(g, shift, z, quadrature: QuadratureSpec | None = None) -> complex:
-    """Single-frequency convenience wrapper around the batched transform."""
-    return complex(shift_kernel_fourier_grid(g, shift, [z], quadrature)[0])
+    return _integrate_refined(rule, breaks, spec.tol / 2.0)

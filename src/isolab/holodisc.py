@@ -26,7 +26,6 @@ __all__ = [
     "hp_seminorm",
     "strict_monotonicity_check",
     "MonotonicityReport",
-    "apply_operator",
     "operator_matrix",
     "isometry_test",
     "IsometryReport",
@@ -146,20 +145,21 @@ def random_taylor(rng, degree: int, min_significant: int = 1) -> TaylorFunction:
             return TaylorFunction(tuple(c))
 
 
+# circle samples isometry_test and characterize_isometry start from; they
+# raise it to four per degree where a function needs more
+_CIRCLE_SAMPLES = 512
+
+
 @dataclass(frozen=True)
 class DiscExhaustion:
-    """Increasing radii in (0, 1) with a shared circle sample count.
+    """Increasing radii in (0, 1).
 
     Default radii follow 1 - 1/n for n = 2, 3, ...; the n-indices are
-    kept so a family can be restricted to named levels.  circle_samples
-    must be a power of two, at least 8; isometry_test and
-    characterize_isometry raise it to four per degree where a function
-    needs more.
+    kept so a family can be restricted to named levels.
     """
 
     radii: tuple
     indices: tuple = ()
-    circle_samples: int = 512
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -169,8 +169,6 @@ class DiscExhaustion:
             raise ValueError("radii must lie in (0, 1)")
         if np.any(np.diff(r) <= 0):
             raise ValueError("radii must be strictly increasing")
-        if self.circle_samples < 8 or (self.circle_samples & (self.circle_samples - 1)) != 0:
-            raise ValueError("circle_samples must be a power of two, at least 8")
         object.__setattr__(self, "radii", tuple(float(x) for x in r))
         if not self.indices:
             object.__setattr__(self, "indices", tuple(range(2, 2 + len(self.radii))))
@@ -178,9 +176,9 @@ class DiscExhaustion:
             raise ValueError("indices must match radii")
 
     @classmethod
-    def default(cls, count: int = 3, circle_samples: int = 512):
+    def default(cls, count: int = 3):
         ns = tuple(range(2, 2 + count))
-        return cls(tuple(1.0 - 1.0 / n for n in ns), ns, circle_samples)
+        return cls(tuple(1.0 - 1.0 / n for n in ns), ns)
 
     def restrict(self, keep_indices) -> "DiscExhaustion":
         keep = [i for i, n in enumerate(self.indices) if n in set(keep_indices)]
@@ -189,7 +187,6 @@ class DiscExhaustion:
         return DiscExhaustion(
             tuple(self.radii[i] for i in keep),
             tuple(self.indices[i] for i in keep),
-            self.circle_samples,
         )
 
 
@@ -407,11 +404,6 @@ def _as_apply(op):
     raise TypeError("operator must expose .apply or be callable")
 
 
-def apply_operator(op, f: TaylorFunction) -> TaylorFunction:
-    """Apply any operator form (builtin, matrix, or callable) to f."""
-    return _as_apply(op)(f)
-
-
 def operator_matrix(op, size: int) -> MatrixOperator:
     """Materialize an operator as its matrix on monomials up to the size."""
     apply = _as_apply(op)
@@ -488,10 +480,9 @@ def isometry_test(
         raise ValueError("probe set must be nonempty")
     apply = _as_apply(op)
     max_gap = 0.0
-    samples = circles.circle_samples
     for f in probes:
         g = apply(f)
-        q = max(samples, _require_samples(g, None), _require_samples(f, None))
+        q = max(_CIRCLE_SAMPLES, _require_samples(g, None), _require_samples(f, None))
         for r in circles.radii:
             gap = abs(family.seminorm(f, r, q) - family.seminorm(g, r, q))
             max_gap = max(max_gap, gap)
@@ -546,7 +537,7 @@ def characterize_isometry(
         cert["no_theorem_guarantee"] = True
 
     g0 = apply(TaylorFunction.one())
-    q = max(circles.circle_samples, _require_samples(g0, None))
+    q = max(_CIRCLE_SAMPLES, _require_samples(g0, None))
 
     if len(circles.radii) >= 2:
         v1 = family.seminorm(g0, circles.radii[0], q)
@@ -573,7 +564,7 @@ def characterize_isometry(
         )
 
     phi = apply(TaylorFunction.identity()).scaled(np.conj(alpha))
-    qphi = max(circles.circle_samples, _require_samples(phi, None))
+    qphi = max(_CIRCLE_SAMPLES, _require_samples(phi, None))
     circle_gap = 0.0
     for r in circles.radii[:3]:
         vals = np.abs(_circle_values(phi, r, qphi))

@@ -7,7 +7,6 @@ repr (shortest round-trip form), and no timestamps or paths enter a record.
 from __future__ import annotations
 
 import csv
-import io
 import json
 
 import numpy as np
@@ -15,11 +14,8 @@ import numpy as np
 __all__ = [
     "format_value",
     "render_record",
-    "parse_record",
     "write_columns",
     "read_columns",
-    "taylor_to_text",
-    "taylor_from_text",
     "write_csv",
     "canonical_json",
 ]
@@ -43,29 +39,6 @@ def render_record(record: dict) -> str:
     """Flat key=value text, one entry per line, keys sorted."""
     lines = [f"{k}={format_value(record[k])}" for k in sorted(record)]
     return "\n".join(lines) + "\n"
-
-
-def parse_record(text: str) -> dict:
-    """Inverse of render_record; values stay strings except obvious numbers."""
-    out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.partition("=")
-        raw = raw.strip()
-        if raw in ("true", "false"):
-            out[key.strip()] = raw == "true"
-            continue
-        for cast in (int, float, complex):
-            try:
-                out[key.strip()] = cast(raw)
-                break
-            except ValueError:
-                continue
-        else:
-            out[key.strip()] = raw
-    return out
 
 
 def write_columns(path, *columns):
@@ -97,26 +70,6 @@ def read_columns(path):
     if not rows:
         raise ValueError("file holds no data rows")
     return tuple(np.array(rows).T)
-
-
-def taylor_to_text(coeffs) -> str:
-    """Columnar (re, im) pairs, one coefficient per line, ascending degree."""
-    coeffs = np.asarray(coeffs, dtype=complex).ravel()
-    buf = io.StringIO()
-    for c in coeffs:
-        buf.write(f"{format_value(c.real)} {format_value(c.imag)}\n")
-    return buf.getvalue()
-
-
-def taylor_from_text(text: str):
-    coeffs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        re_s, im_s = line.split()
-        coeffs.append(complex(float(re_s), float(im_s)))
-    return np.array(coeffs, dtype=complex)
 
 
 def write_csv(path, header, columns):

@@ -1,9 +1,11 @@
-"""Panel-based Gauss-Legendre integration with dyadic refinement.
+"""The panel mesh behind every integral: composite Gauss-Legendre nodes.
 
 All half-line integrals in this package are reduced to a finite panel mesh
-plus analytically bounded head/tail remainders.  The mesh is refined by
-splitting every panel in half until two successive passes agree within the
-assigned budget, so results are deterministic for a given spec.
+plus analytically bounded head/tail remainders.  This module builds the
+mesh (kink-split graded breaks, panel halving, a bound on the node count)
+and holds the error types; the one refinement loop, which halves every
+panel until two successive passes agree within the budget, is
+gauges._integrate_refined, so results are deterministic for a given spec.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ __all__ = [
     "StripViolationError",
     "panel_nodes",
     "refine_breaks",
-    "integrate_refined",
     "graded_breaks",
 ]
 
 
 class QuadratureError(RuntimeError):
-    """Panel refinement did not converge within the allowed doublings or mesh size."""
+    """Panel refinement reached the mesh bound before it converged."""
 
 
 class StripViolationError(ValueError):
@@ -34,31 +35,18 @@ class StripViolationError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error budget and mesh parameters shared by the integral routines.
-
-    tol            total absolute error budget for one integral
-    points         Gauss-Legendre nodes per panel
-    max_doublings  cap on dyadic refinement passes
-    strip_margin   fraction of the decay exponent kept clear of the strip
-                   boundary when evaluating transforms at complex arguments
-    """
+    """Error budget of one integral: tol is the total absolute error, shared
+    between the truncated tails and the panel refinement."""
 
     tol: float = 1e-9
-    points: int = 24
-    max_doublings: int = 14
-    strip_margin: float = 0.05
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if self.points < 2:
-            raise ValueError("points must be at least 2")
-        if not (0 <= self.strip_margin < 1):
-            raise ValueError("strip_margin must lie in [0, 1)")
 
 
-# largest mesh panel_nodes builds; refinement past it would exhaust memory
-# long before max_doublings ends the loop
+# largest mesh panel_nodes builds; refinement past it would exhaust memory,
+# so this bound is what ends a refinement that never converges
 _MAX_NODES = 2**18
 
 
@@ -114,29 +102,3 @@ def graded_breaks(lo, hi, interior=(), max_step=1.0):
         n = max(1, int(np.ceil((b - a) / max_step)))
         out.extend(np.linspace(a, b, n + 1)[1:])
     return np.array(out)
-
-
-def integrate_refined(fn, breaks, spec: QuadratureSpec, budget=None):
-    """Integrate fn over the mesh, doubling panels until stable.
-
-    fn must accept a 1-D array of nodes and return values of the same
-    shape (real or complex).  Raises QuadratureError if two successive
-    refinements never agree within the budget.
-    """
-    if budget is None:
-        budget = spec.tol
-    prev = None
-    change = np.inf
-    for _ in range(spec.max_doublings + 1):
-        nodes, weights = panel_nodes(breaks, spec.points)
-        val = np.dot(weights, fn(nodes))
-        if prev is not None:
-            change = abs(val - prev)
-            if change <= budget:
-                return val
-        prev = val
-        breaks = refine_breaks(breaks)
-    raise QuadratureError(
-        f"panel refinement did not reach budget {budget:g} "
-        f"after {spec.max_doublings} doublings (last change {change:g})"
-    )

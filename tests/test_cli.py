@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from isolab.cli import (
     _HANDLERS, _PARAMS, PASS, FINDING, INVALID, build_parser, main,
 )
+from isolab.io_formats import write_columns
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,23 @@ def test_three_circle_monomial(capsys):
     code, out, _ = run_cli(capsys, "three-circle", "--monomial", "3")
     assert code == PASS
     assert "rigidity_flag=true" in out
+
+
+def test_three_circle_taylor_file(tmp_path, capsys):
+    good = tmp_path / "coeffs.txt"
+    write_columns(good, [1.0, -0.5, 0.0, 0.25], [0.0, 0.25, 2.0, -1.0])
+    good.write_text("# re im\n\n" + good.read_text())
+    code, out, _ = run_cli(capsys, "three-circle", "--taylor-file", str(good))
+    assert code == PASS
+    assert "degree=3" in out
+    three = tmp_path / "three.txt"
+    write_columns(three, [1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no rows\n\n")
+    for path in (three, empty):
+        code, out, err = run_cli(capsys, "three-circle", "--taylor-file", str(path))
+        assert (code, out) == (INVALID, "")
+        assert "taylor_file" in err
 
 
 def test_cu_subcommands_interval(capsys):
@@ -187,9 +205,16 @@ def test_config_echo_reruns_byte_identical(tmp_path, capsys):
         (["separate", "--tail", "-1"], None, "tail"),
         (["separate", "--weights", "0.5,0.6"], None, "weights"),
         (["frullani", "--seed", "-1"], None, "seed"),
+        (["hol-iso-test", "--op", "scale", "--degree", "20"], None, "degree"),
+        (["hol-iso-test", "--op", "matrix", "--op-file", "IDENT4"], None, "op_file"),
+        (["hol-characterize", "--op", "matrix", "--op-file", "IDENT4"], None, "op_file"),
     ],
 )
 def test_parameter_table_contract(argv, config, field, tmp_path, capsys):
+    # IDENT4 stands for a 4x4 identity, smaller than the degree-8 probes need
+    ident = tmp_path / "ident4.txt"
+    np.savetxt(ident, np.kron(np.eye(4), [1.0, 0.0]))
+    argv = [str(ident) if a == "IDENT4" else a for a in argv]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

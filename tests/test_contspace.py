@@ -9,7 +9,6 @@ from isolab.contspace import (
     GridFunction,
     IntervalGrid,
     NotWeightedComposition,
-    build_annulus_homeo,
     build_interval_homeo,
     build_zigzag_fold,
     check_resolution,
@@ -307,7 +306,7 @@ def test_interpolation_budget_formula():
 
 
 def test_annulus_homeo_preserves_circles_exactly():
-    tw = build_annulus_homeo(DEXH, {1: [(0.25, 0.0), (0.8, np.pi)]})
+    tw = AnnulusHomeo((0.0, 0.25, 0.8), (0.0, 0.0, np.pi))
     theta = np.linspace(0, 2 * np.pi, 97)
     for r in DEXH.radii:
         z = r * np.exp(1j * theta)
@@ -315,14 +314,9 @@ def test_annulus_homeo_preserves_circles_exactly():
 
 
 def test_annulus_homeo_untwisted_annulus_is_identity():
-    tw = build_annulus_homeo(DEXH, {1: [(0.25, 0.0), (0.8, np.pi)]})
+    tw = AnnulusHomeo((0.0, 0.25, 0.8), (0.0, 0.0, np.pi))
     z = 0.1 * np.exp(1j * np.linspace(0, 6, 11))
     assert np.max(np.abs(tw(z) - z)) < 1e-15
-
-
-def test_annulus_homeo_discontinuous_profile_rejected():
-    with pytest.raises(ValueError, match="discontinuous"):
-        build_annulus_homeo(DEXH, {0: [(0.25, 0.5)], 1: [(0.25, 0.0), (0.8, 0.0)]})
 
 
 def test_random_annulus_homeo_slope_cap():

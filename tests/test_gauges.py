@@ -11,12 +11,9 @@ from isolab.gauges import (
     check_admissibility,
     clipped_square_gauge,
     frullani_integral,
-    gauge_from_record,
-    gauge_record,
     log_gauge,
     make_builtin_gauge,
     shift_kernel,
-    shift_kernel_fourier,
     shift_kernel_fourier_grid,
 )
 from isolab.quadrature import QuadratureSpec
@@ -85,6 +82,27 @@ def test_admissibility_report_shape():
     assert rec["gauge"] == "clip"
     assert rec["all_pass"] is True
     assert "subadditive.worst_gap" in rec
+
+
+def test_derivative_error_propagates():
+    # a bug in a user-built derivative is not a failed hypothesis
+    def broken(t):
+        raise TypeError("broken derivative")
+
+    g = dataclasses.replace(make_builtin_gauge("exp"), derivative=broken)
+    with pytest.raises(TypeError, match="broken derivative"):
+        check_admissibility(g)
+
+
+def test_derivative_mass_that_never_stabilizes_fails():
+    # every refinement pass sees a derivative 0.1% larger than the last, so
+    # the passes never agree and the mesh bound ends the refinement
+    g = dataclasses.replace(
+        make_builtin_gauge("exp"), derivative=lambda t: np.exp(-t) * (1.0 + 1e-3 * np.log2(t.size))
+    )
+    check = check_admissibility(g).check("derivative_mass")
+    assert check.worst_gap == np.inf
+    assert not check.passed
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +248,17 @@ def test_kernel_transform_closed_form_matches_quadrature(name, alpha):
 def test_kernel_transform_at_zero_equals_shift():
     # integral of the shift kernel over the line is exactly the shift
     for name, alpha in KERNEL_GAUGES:
-        assert shift_kernel_fourier(_kernel_gauge(name, alpha, "closed"), 0.75, 0.0) == 0.75
+        assert shift_kernel_fourier_grid(_kernel_gauge(name, alpha, "closed"), 0.75, [0.0])[0] == 0.75
     for name in ("clip", "exp"):
         g = _kernel_gauge(name, None, "quadrature")
-        v = shift_kernel_fourier(g, 0.75, 0.0, QuadratureSpec(tol=1e-11))
+        v = shift_kernel_fourier_grid(g, 0.75, [0.0], QuadratureSpec(tol=1e-11))[0]
         assert abs(v - 0.75) < 1e-9, name
 
 
 def test_kernel_transform_conjugate_symmetry():
     g = make_builtin_gauge("rational")
-    a = shift_kernel_fourier(g, 1.0, 2.0)
-    b = shift_kernel_fourier(g, 1.0, -2.0)
+    a = shift_kernel_fourier_grid(g, 1.0, [2.0])[0]
+    b = shift_kernel_fourier_grid(g, 1.0, [-2.0])[0]
     assert abs(a - np.conj(b)) < 1e-10
 
 
@@ -250,7 +268,7 @@ def test_kernel_transform_strip_violation():
     for path in ("closed", "quadrature"):
         g = _kernel_gauge("rational", 1.0, path)
         with pytest.raises(StripViolationError):
-            shift_kernel_fourier(g, 1.0, 1.0j)
+            shift_kernel_fourier_grid(g, 1.0, [1.0j])
 
 
 @pytest.mark.parametrize("path", ["closed", "quadrature"])
@@ -265,19 +283,5 @@ def test_kernel_transform_complex_inside_strip():
     want = _mpmath_kernel_transform("rational", 1.0, 0.3 + 0.2j)
     for path in ("closed", "quadrature"):
         g = _kernel_gauge("rational", 1.0, path)
-        v = shift_kernel_fourier(g, 1.0, 0.3 + 0.2j, QuadratureSpec(tol=1e-10))
+        v = shift_kernel_fourier_grid(g, 1.0, [0.3 + 0.2j], QuadratureSpec(tol=1e-10))[0]
         assert abs(v - want) < 1e-8, path
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_gauge_record_roundtrip():
-    g = make_builtin_gauge("rational", alpha=2.0)
-    rec = gauge_record(g)
-    h = gauge_from_record(rec)
-    t = np.geomspace(1e-3, 1e3, 64)
-    assert np.array_equal(g(t), h(t))
-    assert h.growth_exponent == g.growth_exponent
