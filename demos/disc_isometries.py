@@ -42,7 +42,7 @@ def main():
     print(f"hidden symbols: alpha = {alpha:.12f}, beta = {beta:.12f}")
 
     print("\nisometry test across seminorm families:")
-    probes = standard_probes(rng, count=3, degree=10)
+    probes = standard_probes(rng, degree=10)
     for fam in (SupFamily(), HpFamily(1), HpFamily(2), HpFamily(3)):
         rep = isometry_test(secret, fam, circles, probes, tol=1e-5)
         print(f"  {rep.family:8s} max gap {rep.max_gap:.3e}  passed={rep.passed}")

@@ -16,7 +16,6 @@ from isolab.metric import (
     SeminormVector,
     WeightSequence,
     count_support_start,
-    default_t_grid,
     metric_value,
     moment_curve,
     separate,
@@ -57,7 +56,6 @@ def main():
     print(f"  a vs shuffled a -> {res.verdict}")
 
     print("\nRandom pairs, three gauges, 200-point dilation grid:")
-    t_grid = default_t_grid()
     for name in ("clip", "rational", "exp"):
         gg = make_builtin_gauge(name)
         gaps = []
@@ -66,7 +64,7 @@ def main():
             ww = WeightSequence.uniform(n)
             va = SeminormVector(tuple(np.sort(rng.uniform(0.1, 10.0, n))))
             vb = SeminormVector(tuple(np.sort(rng.uniform(0.1, 10.0, n))))
-            r = separate(gg, ww, va, vb, t_grid)
+            r = separate(gg, ww, va, vb)
             if r.verdict == "separated":
                 gaps.append(r.gap)
         print(f"  {name:10s} separated {len(gaps):3d}/200, smallest gap {min(gaps):.3e}")

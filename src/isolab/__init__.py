@@ -14,91 +14,29 @@ The package has five working parts:
   weighted composition operators, recovery of their parts, and the
   pointwise decomposition bound for nonsurjective isometries.
 
+`isolab.__all__` concatenates the `__all__` of quadrature (the panel mesh
+the others share) and of those five modules, and the package exports
+nothing else; each module's `__all__` is the one export list.
+
 A CLI (`isolab`, or `python -m isolab`) exposes every capability with
 deterministic flat-text reports.
 """
 
-from .quadrature import QuadratureSpec, QuadratureError, StripViolationError
-from .gauges import (
-    Gauge,
-    make_builtin_gauge,
-    clipped_square_gauge,
-    BUILTIN_GAUGE_NAMES,
-    AdmissibilityReport,
-    check_admissibility,
-    frullani_integral,
-    log_gauge,
-    shift_kernel,
-    shift_kernel_fourier_grid,
-)
-from .metric import (
-    WeightSequence,
-    SeminormVector,
-    AtomicMeasure,
-    MetricInterval,
-    SeparationResult,
-    AmbiguousSupport,
-    metric_value,
-    moment_curve,
-    default_t_grid,
-    separate,
-    count_support_start,
-    measures_from_vectors,
-)
-from .recovery import (
-    LogMeasure,
-    RecoverySpec,
-    RecoveryFailed,
-    RoundtripReport,
-    smoothed_curve,
-    smoothed_curve_samples,
-    fourier_from_samples,
-    measure_transform,
-    recover_measure,
-    roundtrip_check,
-)
-from .holodisc import (
-    TaylorFunction,
-    DiscExhaustion,
-    RotationOperator,
-    WeightedCompositionOperator,
-    MatrixOperator,
-    SupFamily,
-    HpFamily,
-    NotCharacterizable,
-    sup_seminorm,
-    hp_seminorm,
-    strict_monotonicity_check,
-    operator_matrix,
-    isometry_test,
-    characterize_isometry,
-    three_circle_check,
-    random_taylor,
-    standard_probes,
-)
-from .contspace import (
-    Exhaustion1D,
-    ExhaustionDisc,
-    IntervalGrid,
-    DiscGrid,
-    GridFunction,
-    PiecewiseLinearMap,
-    PiecewiseLinearHomeo,
-    AnnulusHomeo,
-    NotWeightedComposition,
-    sup_seminorm_grid,
-    weighted_composition_grid,
-    make_composition_operator,
-    isometry_test_grid,
-    recover_weight_and_map,
-    build_interval_homeo,
-    random_interval_homeo,
-    build_zigzag_fold,
-    random_annulus_homeo,
-    decomposition_bound_check,
-    interpolation_budget,
-    random_probe,
-    unimodular_field,
-)
+from . import contspace, gauges, holodisc, metric, quadrature, recovery
+from .contspace import *
+from .gauges import *
+from .holodisc import *
+from .metric import *
+from .quadrature import *
+from .recovery import *
+
+__all__ = [
+    *quadrature.__all__,
+    *gauges.__all__,
+    *metric.__all__,
+    *recovery.__all__,
+    *holodisc.__all__,
+    *contspace.__all__,
+]
 
 __version__ = "0.1.0"

@@ -277,10 +277,6 @@ def _family_from(params):
     raise CliError(f"family: unknown family {fam!r}")
 
 
-# degree of the probes characterize_isometry replays the recovered rotation on
-_CHARACTERIZE_DEGREE = 8
-
-
 def _disc_operator_from(params, degree):
     """The operator named by params; a matrix must act on probes of the degree."""
     kind = params["op"]
@@ -324,7 +320,7 @@ def _run_hol_iso_test(cfg: ExperimentConfig, params):
     op = _disc_operator_from(params, params["degree"])
     family = _family_from(params)
     exh = holodisc.DiscExhaustion.default(params["levels"])
-    probes = holodisc.standard_probes(rng, count=3, degree=params["degree"])
+    probes = holodisc.standard_probes(rng, degree=params["degree"])
     rep = holodisc.isometry_test(op, family, exh, probes, tol=max(cfg.tol, 1e-11))
     return (PASS if rep.passed else FINDING), rep.as_record()
 
@@ -342,7 +338,7 @@ def _selftest_hol_iso_test(cfg: ExperimentConfig):
 
 def _run_hol_characterize(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
-    op = _disc_operator_from(params, _CHARACTERIZE_DEGREE)
+    op = _disc_operator_from(params, holodisc.CHARACTERIZE_DEGREE)
     family = _family_from(params)
     exh = holodisc.DiscExhaustion.default(params["levels"])
     try:

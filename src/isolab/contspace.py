@@ -412,9 +412,10 @@ class PiecewiseLinearMap:
 class PiecewiseLinearHomeo(PiecewiseLinearMap):
     """Strictly monotone piecewise-linear bijection of an interval.
 
-    orientation records the monotonicity direction; validation against
-    an exhaustion checks the boundary rules (increasing maps fix every
-    level endpoint, decreasing maps swap them).
+    orientation records the monotonicity direction.  build_interval_homeo
+    makes every level endpoint a breakpoint with its required image, so
+    its maps keep the boundary rules (increasing maps fix every level
+    endpoint, decreasing maps swap them) by construction.
     """
 
     orientation: str = "increasing"
@@ -431,26 +432,11 @@ class PiecewiseLinearHomeo(PiecewiseLinearMap):
         if not ok:
             raise ValueError(f"breakpoint images are not strictly {self.orientation}")
 
-    def validate_against(self, exh: Exhaustion1D, tol: float = 1e-12):
-        """Check the orientation rule at every exhaustion endpoint."""
-        a_outer, b_outer = exh.outer
-        if self.xs[0] > a_outer + tol or self.xs[-1] < b_outer - tol:
-            raise ValueError("homeomorphism does not cover the outer interval")
-        for a, b in exh.intervals:
-            fa, fb = float(self(a)), float(self(b))
-            want_a, want_b = (a, b) if self.orientation == "increasing" else (b, a)
-            if abs(fa - want_a) > tol or abs(fb - want_b) > tol:
-                raise ValueError(
-                    f"level [{a:g}, {b:g}] maps to [{fa:g}, {fb:g}], breaking the "
-                    f"{self.orientation} boundary rule"
-                )
-        return self
-
 
 def build_interval_homeo(
     exh: Exhaustion1D, orientation: str = "increasing", controls=()
 ) -> PiecewiseLinearHomeo:
-    """Assemble a validated exhaustion-preserving interval homeomorphism.
+    """Assemble an exhaustion-preserving interval homeomorphism.
 
     Mandatory breakpoints send each level endpoint to itself (increasing)
     or to its opposite endpoint (decreasing).  controls is an iterable of
@@ -475,8 +461,7 @@ def build_interval_homeo(
         pairs[x] = y
     xs = np.array(sorted(pairs))
     ys = np.array([pairs[x] for x in xs])
-    homeo = PiecewiseLinearHomeo(tuple(xs), tuple(ys), orientation=orientation)
-    return homeo.validate_against(exh)
+    return PiecewiseLinearHomeo(tuple(xs), tuple(ys), orientation=orientation)
 
 
 def random_interval_homeo(exh: Exhaustion1D, rng, orientation: str = "increasing"):
@@ -563,13 +548,14 @@ class AnnulusHomeo:
 def random_annulus_homeo(exh: ExhaustionDisc, rng):
     """Random continuous radial twist, gentle enough for the grid checks.
 
-    A twist angle is drawn at 0 and at every exhaustion radius; each
+    A twist angle is drawn at every level boundary radius (breakpoints(),
+    which lists the centre 0 once, also when it is an exhaustion radius); each
     annulus wider than 0.05 then gets up to two interior wobbles of at
     most 0.3 rad about the line between its edge angles.  Draws are
     rejected until the twist slope stays below 4 everywhere, which keeps
     the map clear of the grid injectivity threshold.
     """
-    bounds = np.concatenate([[0.0], np.asarray(exh.radii)])
+    bounds = exh.breakpoints()
     for _ in range(500):
         edge_twist = rng.uniform(-0.5, 0.5, size=bounds.size)
         breaks, values = [bounds[0]], [edge_twist[0]]
@@ -707,7 +693,7 @@ def _planar(pts):
     return np.column_stack([pts.real, pts.imag])
 
 
-def recover_weight_and_map(T, exh, grid=None, tol: float = 1e-9, rng=None) -> RecoveredSymbol:
+def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> RecoveredSymbol:
     """Extract (weight, point map) from a surjective grid isometry.
 
     The weight is the image of the constant one and must be unimodular at
@@ -720,8 +706,6 @@ def recover_weight_and_map(T, exh, grid=None, tol: float = 1e-9, rng=None) -> Re
     raises NotWeightedComposition carrying the partial certificate; a
     grid that fails check_resolution raises ValueError before any check.
     """
-    if grid is None:
-        grid = (IntervalGrid if isinstance(exh, Exhaustion1D) else DiscGrid).build(exh)
     check_resolution(grid, exh)
     cert: dict = {}
     cell = grid.cell

@@ -71,7 +71,6 @@ class Gauge:
     small_constant: float = 1.0
     large_constant: float = 1.0
     kinks: tuple = ()
-    parameter: float | None = None
     mellin: Callable | None = None
 
     def __post_init__(self):
@@ -130,7 +129,6 @@ def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
             fn=fn,
             derivative=deriv,
             growth_exponent=float(alpha),
-            parameter=float(alpha),
             mellin=lambda z, a=alpha: _x_over_sinh(np.pi * z / a),
         )
     if name == "exp":

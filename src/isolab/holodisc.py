@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CHARACTERIZE_DEGREE",
     "TaylorFunction",
     "DiscExhaustion",
     "RotationOperator",
@@ -152,14 +153,13 @@ _CIRCLE_SAMPLES = 512
 
 @dataclass(frozen=True)
 class DiscExhaustion:
-    """Increasing radii in (0, 1).
+    """Strictly increasing circle radii in (0, 1).
 
-    Default radii follow 1 - 1/n for n = 2, 3, ...; the n-indices are
-    kept so a family can be restricted to named levels.
+    Default radii follow 1 - 1/n for n = 2, 3, ...; a subfamily is the
+    exhaustion of a subset of the radii.
     """
 
     radii: tuple
-    indices: tuple = ()
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -170,24 +170,10 @@ class DiscExhaustion:
         if np.any(np.diff(r) <= 0):
             raise ValueError("radii must be strictly increasing")
         object.__setattr__(self, "radii", tuple(float(x) for x in r))
-        if not self.indices:
-            object.__setattr__(self, "indices", tuple(range(2, 2 + len(self.radii))))
-        elif len(self.indices) != len(self.radii):
-            raise ValueError("indices must match radii")
 
     @classmethod
     def default(cls, count: int = 3):
-        ns = tuple(range(2, 2 + count))
-        return cls(tuple(1.0 - 1.0 / n for n in ns), ns)
-
-    def restrict(self, keep_indices) -> "DiscExhaustion":
-        keep = [i for i, n in enumerate(self.indices) if n in set(keep_indices)]
-        if not keep:
-            raise ValueError("restriction removed every radius")
-        return DiscExhaustion(
-            tuple(self.radii[i] for i in keep),
-            tuple(self.indices[i] for i in keep),
-        )
+        return cls(tuple(1.0 - 1.0 / n for n in range(2, 2 + count)))
 
 
 def _require_samples(f: TaylorFunction, samples: int | None) -> int:
@@ -301,9 +287,7 @@ class MonotonicityReport:
     constant: bool
 
 
-def strict_monotonicity_check(
-    f: TaylorFunction, p: float, radius_grid, samples: int | None = None
-) -> MonotonicityReport:
+def strict_monotonicity_check(f: TaylorFunction, p: float, radius_grid) -> MonotonicityReport:
     """Check the circle means grow strictly along an increasing radius grid.
 
     Constant functions report constant=True with a zero gap instead.
@@ -311,7 +295,7 @@ def strict_monotonicity_check(
     radii = np.asarray(radius_grid, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radius grid must be strictly increasing")
-    vals = np.array([hp_seminorm(f, p, r, samples) for r in radii])
+    vals = np.array([hp_seminorm(f, p, r) for r in radii])
     gaps = np.diff(vals)
     min_gap = float(np.min(gaps)) if gaps.size else 0.0
     is_const = f.degree == 0
@@ -464,11 +448,11 @@ class IsometryReport:
         }
 
 
-def standard_probes(rng=None, count: int = 3, degree: int = 8):
-    """The constant, the identity, a square, plus seeded random draws."""
+def standard_probes(rng=None, degree: int = 8):
+    """The constant, the identity, a square, plus three seeded random draws."""
     probes = [TaylorFunction.one(), TaylorFunction.identity(), TaylorFunction.monomial(2)]
     if rng is not None:
-        probes.extend(random_taylor(rng, degree) for _ in range(count))
+        probes.extend(random_taylor(rng, degree) for _ in range(3))
     return probes
 
 
@@ -493,6 +477,10 @@ def isometry_test(
 # characterization
 # ---------------------------------------------------------------------------
 
+# degree of the random probes characterize_isometry replays the recovered
+# rotation on; a matrix operator needs at least CHARACTERIZE_DEGREE + 1 rows
+CHARACTERIZE_DEGREE = 8
+
 
 @dataclass(frozen=True)
 class Characterization:
@@ -513,17 +501,18 @@ def characterize_isometry(
     op,
     circles: DiscExhaustion,
     family,
-    tol: float = 1e-10,
     rng=None,
 ) -> Characterization:
     """Identify an isometry as a coefficient rotation and certify it.
 
     Mirrors the uniqueness argument: the image of the constant must have
-    a flat mean curve across the first two radii, must be constant as a
-    coefficient vector (relative tail mass below 1e-10), and unimodular;
-    the normalized image of the identity must keep three sampled circles
-    inside themselves, be linear, and have unimodular slope.  The final
-    certificate replays the recovered rotation against random probes.
+    a flat mean curve across the first two radii (gap at most 1e-10 times
+    max(1, mean)), must be constant as a coefficient vector (relative tail mass
+    at most 1e-10), and unimodular (within 1e-10); the normalized image of
+    the identity must keep three sampled circles inside themselves (within
+    1e-9), be linear (tail at most 1e-10), and have unimodular slope
+    (within 1e-10).  The final certificate replays the recovered rotation
+    against standard probes of degree CHARACTERIZE_DEGREE (within 1e-9).
     Callers are expected to have run isometry_test; a non-isometry fails
     at whichever step first exposes it.
 
@@ -543,7 +532,7 @@ def characterize_isometry(
         v1 = family.seminorm(g0, circles.radii[0], q)
         v2 = family.seminorm(g0, circles.radii[1], q)
         cert["mean_flatness_gap"] = abs(v1 - v2)
-        if abs(v1 - v2) > tol * max(1.0, v1):
+        if abs(v1 - v2) > 1e-10 * max(1.0, v1):
             raise NotCharacterizable(
                 "mean-flatness", f"means {v1:g} and {v2:g} differ across radii"
             )
@@ -558,7 +547,7 @@ def characterize_isometry(
         )
     alpha = complex(c0[0])
     cert["alpha_modulus_gap"] = abs(abs(alpha) - 1.0)
-    if abs(abs(alpha) - 1.0) > tol:
+    if abs(abs(alpha) - 1.0) > 1e-10:
         raise NotCharacterizable(
             "unimodularity", f"|alpha| = {abs(alpha):g} is not 1"
         )
@@ -570,7 +559,7 @@ def characterize_isometry(
         vals = np.abs(_circle_values(phi, r, qphi))
         circle_gap = max(circle_gap, float(np.max(np.abs(vals - r))))
     cert["circle_preservation_gap"] = circle_gap
-    if circle_gap > max(tol, 1e-9):
+    if circle_gap > 1e-9:
         raise NotCharacterizable(
             "circle-preservation", f"sampled circles move by {circle_gap:g}"
         )
@@ -580,29 +569,22 @@ def characterize_isometry(
         np.sqrt(abs(cphi[0]) ** 2 + float(np.sum(np.abs(cphi[2:]) ** 2)))
     ) if cphi.size > 1 else float(np.abs(cphi[0]))
     cert["linearity_gap"] = linear_tail
-    if cphi.size < 2 or linear_tail > max(tol, 1e-10):
+    if cphi.size < 2 or linear_tail > 1e-10:
         raise NotCharacterizable(
             "linearity", f"normalized identity image is not a multiple of z"
         )
     beta = complex(cphi[1])
     cert["beta_modulus_gap"] = abs(abs(beta) - 1.0)
-    if abs(abs(beta) - 1.0) > tol:
+    if abs(abs(beta) - 1.0) > 1e-10:
         raise NotCharacterizable("beta-unimodularity", f"|beta| = {abs(beta):g}")
 
     rng = np.random.default_rng(0) if rng is None else rng
     model = RotationOperator(alpha / abs(alpha), beta / abs(beta))
     recon_gap = 0.0
-    for f in standard_probes(rng, count=3, degree=8):
-        got = apply(f)
-        want = model.apply(f)
-        n = max(got.degree, want.degree) + 1
-        a = np.zeros(n, dtype=complex)
-        b = np.zeros(n, dtype=complex)
-        a[: got.degree + 1] = got.array
-        b[: want.degree + 1] = want.array
-        recon_gap = max(recon_gap, float(np.max(np.abs(a - b))))
+    for f in standard_probes(rng, CHARACTERIZE_DEGREE):
+        recon_gap = max(recon_gap, float(np.max(np.abs((apply(f) - model.apply(f)).array))))
     cert["reconstruction_gap"] = recon_gap
-    if recon_gap > max(tol, 1e-9):
+    if recon_gap > 1e-9:
         raise NotCharacterizable(
             "reconstruction", f"operator deviates from the rotation by {recon_gap:g}"
         )

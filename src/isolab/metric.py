@@ -126,12 +126,13 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
-    def approx_equal(self, other: "AtomicMeasure", atol: float = 1e-12) -> bool:
+    def approx_equal(self, other: "AtomicMeasure") -> bool:
+        """Same atom count, atoms and masses each within 1e-12."""
         if len(self.atoms) != len(other.atoms):
             return False
         return bool(
-            np.allclose(self.atoms, other.atoms, rtol=0.0, atol=atol)
-            and np.allclose(self.masses, other.masses, rtol=0.0, atol=atol)
+            np.allclose(self.atoms, other.atoms, rtol=0.0, atol=1e-12)
+            and np.allclose(self.masses, other.masses, rtol=0.0, atol=1e-12)
         )
 
 
@@ -197,9 +198,8 @@ def separate(
     weights: WeightSequence,
     a: SeminormVector,
     b: SeminormVector,
-    t_grid=None,
 ) -> SeparationResult:
-    """Search a dilation grid for a moment-curve gap between two vectors.
+    """Search default_t_grid() for a moment-curve gap between two vectors.
 
     Vectors must have strictly positive entries.  Equality is decided at
     measure level (coincident atoms merged): equal measures give
@@ -210,7 +210,7 @@ def separate(
     """
     if np.any(a.array <= 0) or np.any(b.array <= 0):
         raise ValueError("separate requires strictly positive entries")
-    t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    t_grid = default_t_grid()
     if measures_from_vectors(weights, a).approx_equal(measures_from_vectors(weights, b)):
         return SeparationResult("not_separated", None, 0.0)
     gaps = np.abs(moment_curve(g, weights, a, t_grid) - moment_curve(g, weights, b, t_grid))

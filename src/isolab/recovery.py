@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .gauges import Gauge, shift_kernel, shift_kernel_fourier_grid
-from .metric import AtomicMeasure
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "smoothed_curve",
     "smoothed_curve_samples",
     "fourier_from_samples",
-    "measure_transform",
     "recover_measure",
     "roundtrip_check",
 ]
@@ -70,13 +68,6 @@ class LogMeasure:
         object.__setattr__(self, "positions", tuple(float(x) for x in p))
         object.__setattr__(self, "masses", tuple(float(x) for x in m))
 
-    @classmethod
-    def from_atomic(cls, measure: AtomicMeasure) -> "LogMeasure":
-        return cls(tuple(np.log(measure.atoms)), measure.masses)
-
-    def to_atomic(self) -> AtomicMeasure:
-        return AtomicMeasure(tuple(np.exp(self.positions)), self.masses)
-
     def shifted(self, c: float) -> "LogMeasure":
         return LogMeasure(tuple(np.asarray(self.positions) + c), self.masses)
 
@@ -85,34 +76,31 @@ class LogMeasure:
         return float(np.sum(self.masses))
 
 
-def _default_freq_grid():
-    return np.linspace(-8.0, 8.0, 257)
-
-
 @dataclass(frozen=True)
 class RecoverySpec:
-    """Observation window, frequency grid, and division guard.
+    """Frequency grid of the division step, over a fixed observation model.
 
-    shift              positive kernel shift of the observation
-    window             observations live on [-window, window]
-    frequency_grid     uniform real frequencies for the division step
+    frequency_grid is the only setting: uniform real frequencies, at least
+    8 of them (default 257 on [-8, 8]).  Every spec shares one observation
+    model:
+
+    shift              kernel shift of the observation, 1
+    window             observations live on [-32, 32]
+    sample_count       forward samples drawn by roundtrip_check, 4097
     regularization_floor  frequencies where |kernel transform| falls below
-                       floor * max|kernel transform| are skipped
-    sample_count       forward samples drawn by roundtrip_check
+                       1e-8 * max|kernel transform| are skipped
+    quadrature         kernel transforms without a closed form, tol 1e-10
     """
 
-    shift: float = 1.0
-    window: float = 32.0
-    frequency_grid: tuple = field(default_factory=lambda: tuple(_default_freq_grid()))
-    regularization_floor: float = 1e-8
-    sample_count: int = 4097
-    quadrature: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(tol=1e-10))
+    frequency_grid: tuple = field(default_factory=lambda: tuple(np.linspace(-8.0, 8.0, 257)))
+
+    shift = 1.0
+    window = 32.0
+    regularization_floor = 1e-8
+    sample_count = 4097
+    quadrature = QuadratureSpec(tol=1e-10)
 
     def __post_init__(self):
-        if not 0 < self.shift < np.inf:
-            raise ValueError("shift must be positive and finite")
-        if not 0 < self.window < np.inf:
-            raise ValueError("window must be positive and finite")
         zs = np.asarray(self.frequency_grid, dtype=float)
         if zs.ndim != 1 or zs.size < 8:
             raise ValueError("frequency_grid must hold at least 8 frequencies")
@@ -120,10 +108,6 @@ class RecoverySpec:
             raise ValueError("frequency_grid must be finite")
         if not _uniform_step(zs, "frequency_grid") > 0:
             raise ValueError("frequency_grid must be increasing")
-        if not (np.isfinite(self.regularization_floor) and self.regularization_floor >= 0):
-            raise ValueError("regularization_floor must be finite and nonnegative")
-        if self.sample_count < 2:
-            raise ValueError("sample_count must be at least 2")
         object.__setattr__(self, "frequency_grid", tuple(float(z) for z in zs))
 
     @property
@@ -211,18 +195,6 @@ def _chirp(beta, p):
     return np.exp(1j * (head * q)) * np.exp(1j * ((beta - head) * q))
 
 
-def measure_transform(measure: LogMeasure, zs):
-    """Closed-form transform of the measure at the division frequencies.
-
-    Evaluates sum_j mass_j e^{i position_j z}, the factor exposed by
-    dividing the observation transform by the kernel transform.
-    """
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    pos = np.asarray(measure.positions)
-    mass = np.asarray(measure.masses)
-    return np.exp(1j * zs[:, None] * pos[None, :]) @ mass
-
-
 def _pencil_estimate(quotient, dz, z0, budget):
     """Matrix-pencil node estimate on a uniform quotient run.
 
@@ -275,7 +247,7 @@ def recover_measure(
     ----------
     g : gauge whose shift kernel produced the observation.
     s_samples, h_samples : uniform observation samples.
-    spec : window/frequency configuration; spec.shift must match the data.
+    spec : frequency grid; the samples follow the spec's observation model.
     atom_budget : maximum number of atoms to fit.
 
     Raises RecoveryFailed with the best candidate attached when the fit's

@@ -97,8 +97,7 @@ def test_02_frullani_integral_matches_log():
 def test_03_separation_of_measure_distinct_vectors():
     rng = np.random.default_rng(101)
     gauges = [make_builtin_gauge(n) for n in BUILTIN_GAUGE_NAMES]
-    t_grid = default_t_grid()  # 200 log-spaced dilations
-    assert t_grid.size == 200
+    assert default_t_grid().size == 200  # separate scans 200 log-spaced dilations
     t0 = time.perf_counter()
     for _ in range(500):
         n = int(rng.integers(1, 9))
@@ -109,7 +108,7 @@ def test_03_separation_of_measure_distinct_vectors():
             if not measures_from_vectors(w, a).approx_equal(measures_from_vectors(w, b)):
                 break
         for g in gauges:
-            res = separate(g, w, a, b, t_grid)
+            res = separate(g, w, a, b)
             assert res.verdict == "separated"
             assert res.gap > 1e-12
     # vectors that agree as measures must never be declared separated
@@ -120,7 +119,7 @@ def test_03_separation_of_measure_distinct_vectors():
         a = SeminormVector(tuple(vals))
         b = SeminormVector(tuple(np.sort(rng.permutation(vals))))
         for g in gauges:
-            assert separate(g, w, a, b, t_grid).verdict == "not_separated"
+            assert separate(g, w, a, b).verdict == "not_separated"
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"separation sweep took {elapsed:.2f}s"
 
@@ -192,7 +191,7 @@ def test_07_circle_means_strictly_increase():
 def test_08_rotation_characterization_on_opaque_matrices():
     rng = np.random.default_rng(127)
     circles = DiscExhaustion.default(4)
-    sub_circles = circles.restrict((2, 3))
+    sub_circles = DiscExhaustion(circles.radii[:2])
     hp_circles = DiscExhaustion.default(3)
     worst = 0.0
     for _ in range(100):

@@ -187,7 +187,10 @@ def test_random_interval_homeo_slopes_bounded():
         slopes = np.abs(np.diff(ys) / np.diff(xs))
         assert np.all(slopes >= 0.45 - 1e-12)
         assert np.all(slopes <= 1.9 + 1e-12)
-        h.validate_against(EXH)
+        # increasing maps fix every level endpoint, decreasing maps swap them
+        for a, b in EXH.intervals:
+            want_a, want_b = (a, b) if orientation == "increasing" else (b, a)
+            assert abs(h(a) - want_a) <= 1e-12 and abs(h(b) - want_b) <= 1e-12
 
 
 def test_zigzag_fold_needs_two_levels():
@@ -345,6 +348,19 @@ def test_disc_roundtrip():
     sym = recover_weight_and_map(T, DEXH, DGRID, rng=rng)
     assert np.max(np.abs(sym.weight.array - h.array)) < 1e-12
     assert np.max(np.abs(sym.point_map.array - phi(DGRID.nodes))) <= DGRID.cell
+
+
+def test_disc_twist_on_exhaustion_from_the_centre():
+    # a first radius of 0 is the centre itself; the twist profile lists it once
+    exh = ExhaustionDisc((0.0, 0.8))
+    rng = np.random.default_rng(0)
+    phi = random_annulus_homeo(exh, rng)
+    assert phi.twist_breaks[:1] == (0.0,) and phi.twist_breaks[-1] == 0.8
+    grid = DiscGrid.build(exh, 256, 512)
+    h = unimodular_field(grid, rng)
+    sym = recover_weight_and_map(make_composition_operator(h, phi), exh, grid, rng=rng)
+    assert np.max(np.abs(sym.weight.array - h.array)) < 1e-12
+    assert np.max(np.abs(sym.point_map.array - phi(grid.nodes))) <= grid.cell
 
 
 def test_weighted_composition_grid_direct():

@@ -57,15 +57,6 @@ def test_random_taylor_degree_and_significance():
 def test_exhaustion_default_radii():
     exh = DiscExhaustion.default(3)
     assert np.allclose(exh.radii, (0.5, 2.0 / 3.0, 0.75))
-    assert exh.indices == (2, 3, 4)
-
-
-def test_exhaustion_restrict():
-    exh = DiscExhaustion.default(4)
-    sub = exh.restrict((3, 5))
-    assert sub.radii == (exh.radii[1], exh.radii[3])
-    with pytest.raises(ValueError):
-        exh.restrict((99,))
 
 
 def test_exhaustion_validation():
@@ -251,7 +242,7 @@ def test_rotation_operator_is_isometry_everywhere():
     # so they get a tolerance matching their documented accuracy
     exh = DiscExhaustion.default(3)
     rng = np.random.default_rng(2)
-    probes = standard_probes(rng, count=3, degree=10)
+    probes = standard_probes(rng, degree=10)
     op = RotationOperator(np.exp(0.4j), np.exp(-2.2j))
     for family, tol in (
         (SupFamily(), 1e-9),
@@ -318,7 +309,7 @@ def test_characterize_restricted_subfamily_identical():
     m = _rotation_matrix(alpha, beta)
     full = characterize_isometry(m, exh, SupFamily(), rng=np.random.default_rng(1))
     sub = characterize_isometry(
-        m, exh.restrict((2, 3)), SupFamily(), rng=np.random.default_rng(1)
+        m, DiscExhaustion(exh.radii[:2]), SupFamily(), rng=np.random.default_rng(1)
     )
     assert sub.scalar_alpha == full.scalar_alpha
     assert sub.scalar_beta == full.scalar_beta

@@ -142,15 +142,6 @@ def test_separate_rejects_zero_entries():
         separate(CLIP, w, SeminormVector((0.0, 1.0)), SeminormVector((1.0, 2.0)))
 
 
-def test_separate_respects_custom_grid():
-    w = WeightSequence.uniform(2)
-    a = SeminormVector((1.0, 2.0))
-    b = SeminormVector((1.0, 3.0))
-    res = separate(EXP, w, a, b, t_grid=np.geomspace(0.01, 100.0, 50))
-    assert res.verdict == "separated"
-    assert 0.01 <= res.t_star <= 100.0
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_separate_random_distinct_pairs(data):
