@@ -45,20 +45,16 @@ class ExperimentConfig:
 
     subcommand: str
     seed: int = 0
-    tol: float = 1e-9
+    tol: float | None = None  # None for a subcommand that reads no tolerance
     out: str | None = None
     params: dict = field(default_factory=dict)
 
     def echo_json(self) -> str:
         """Config form embedded in reports: paths stripped, inputs kept."""
-        return io_formats.canonical_json(
-            {
-                "subcommand": self.subcommand,
-                "seed": self.seed,
-                "tol": self.tol,
-                "params": self.params,
-            }
-        )
+        echo = {"subcommand": self.subcommand, "seed": self.seed, "params": self.params}
+        if self.tol is not None:
+            echo["tol"] = self.tol
+        return io_formats.canonical_json(echo)
 
 
 def _parse_floats(text: str, flag: str):
@@ -709,6 +705,8 @@ _HANDLERS = {
     "cu-decomp-bound": (_run_cu_decomp_bound, _selftest_cu_decomp_bound, _GRID + ("probes",)),
     "emit-figure": (_run_emit_figure, _selftest_emit_figure, ("which",)),
 }
+# the subcommands whose verdict reads cfg.tol; only they take --tol
+_READS_TOL = ("frullani", "hol-iso-test", "cu-iso-test", "cu-recover", "cu-decomp-bound")
 _DEFAULT_OVERRIDES = {
     "recover-measure": {"gauge": "rational", "alpha": 2.0},
     "cu-decomp-bound": {"map": "zigzag"},
@@ -731,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--tol", type=float, default=None, help="tolerance")
+        if name in _READS_TOL:
+            p.add_argument("--tol", type=float, default=None, help="tolerance")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--selftest", action="store_true", help="run built-in examples")
         for key, default in _defaults(name).items():
@@ -765,12 +764,14 @@ def _resolve_config(args) -> ExperimentConfig:
             raise CliError(f"config: {exc}") from exc
         if not isinstance(loaded, dict):
             raise CliError("config: top level must be a JSON object")
+    top = {"seed": 0, "out": None}
+    if args.subcommand in _READS_TOL:
+        top["tol"] = 1e-9
     for key in loaded:
-        if key not in ("subcommand", "seed", "tol", "out", "params"):
-            raise CliError(f"{key}: unknown config field")
+        if key not in ("subcommand", "params", *top):
+            raise CliError(f"{key}: not a config field of {args.subcommand}")
     if loaded.get("subcommand", args.subcommand) != args.subcommand:
         raise CliError(f"subcommand: config is for {loaded['subcommand']!r}")
-    top = {"seed": 0, "tol": 1e-9, "out": None}
     top.update({k: loaded[k] for k in top if k in loaded})
     top.update({k: getattr(args, k) for k in top if getattr(args, k) is not None})
     seed = _checked("seed", int, top["seed"])
@@ -783,7 +784,8 @@ def _resolve_config(args) -> ExperimentConfig:
         if key not in takes:
             raise CliError(f"{key}: not a parameter of {args.subcommand}")
         params[key] = _checked(key, _PARAMS[key][0], value)
-    return ExperimentConfig(args.subcommand, seed, _checked("tol", float, top["tol"]), out, params)
+    tol = _checked("tol", float, top["tol"]) if "tol" in top else None
+    return ExperimentConfig(args.subcommand, seed, tol, out, params)
 
 
 def main(argv=None) -> int:

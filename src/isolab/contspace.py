@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Exhaustion1D",
@@ -686,6 +685,13 @@ class RecoveredSymbol:
 
     def as_record(self) -> dict:
         return {f"certificate.{k}": v for k, v in sorted(self.certificate.items())}
+
+
+def cKDTree(data):
+    """scipy.spatial.cKDTree, imported on first call so `import isolab` loads no scipy."""
+    from scipy import spatial
+
+    return spatial.cKDTree(data)
 
 
 def _planar(pts):

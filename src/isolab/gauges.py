@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma
 
 from .quadrature import (
     QuadratureError,
@@ -143,9 +142,16 @@ def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
             growth_exponent=0.5,
             small_threshold=16.0,
             large_threshold=1.0,
-            mellin=lambda z: gamma(1.0 - 1j * z),
+            mellin=_exp_mellin,
         )
     raise ValueError(f"unknown builtin gauge {name!r}")
+
+
+def _exp_mellin(z):
+    """Gamma(1 - iz), the exp gauge's Mellin transform; scipy loads on first call."""
+    from scipy.special import gamma
+
+    return gamma(1.0 - 1j * z)
 
 
 def _x_over_sinh(x):

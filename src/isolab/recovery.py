@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .gauges import Gauge, shift_kernel, shift_kernel_fourier_grid
 from .quadrature import QuadratureSpec
@@ -223,6 +222,13 @@ def _pencil_estimate(quotient, dz, z0, budget):
         raise RecoveryFailed("pencil produced no stable nodes")
     positions = np.angle(nodes) / dz
     return np.sort(positions)
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first call so `import isolab` loads no scipy."""
+    from scipy import optimize
+
+    return optimize.least_squares(*args, **kwargs)
 
 
 def _fit_residual(params, k, zs, g_hat, h_hat, scale):

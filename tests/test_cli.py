@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isolab.cli import (
-    _HANDLERS, _PARAMS, PASS, FINDING, INVALID, build_parser, main,
+    _HANDLERS, _PARAMS, _READS_TOL, PASS, FINDING, INVALID, build_parser, main,
 )
 from isolab.io_formats import write_columns
 
@@ -165,13 +165,47 @@ def test_config_file_with_cli_override(tmp_path, capsys):
 
 def test_config_echo_reruns_byte_identical(tmp_path, capsys):
     argv = ["separate", "--gauge", "exp", "--vec-a", "1,2.5", "--tail", "0.25",
-            "--weights", "uniform:2", "--seed", "4", "--tol", "1e-8"]
+            "--weights", "uniform:2", "--seed", "4"]
     code, out, _ = run_cli(capsys, *argv)
     echo = dict(line.split("=", 1) for line in out.splitlines())["config"]
     cfg = tmp_path / "echo.json"
     cfg.write_text(echo)
     rerun_code, rerun_out, _ = run_cli(capsys, "separate", "--config", str(cfg))
     assert (rerun_code, rerun_out) == (code, out)
+
+
+def _echo(out) -> dict:
+    return json.loads(dict(line.split("=", 1) for line in out.splitlines())["config"])
+
+
+_NO_TOL = (
+    "theta-check", "separate", "recover-measure", "hol-characterize", "three-circle", "emit-figure"
+)
+
+
+def test_tol_echoed_and_rerun_where_a_verdict_reads_it(tmp_path, capsys):
+    assert sorted(_READS_TOL) == sorted(set(_HANDLERS) - set(_NO_TOL))
+    code, out, _ = run_cli(capsys, "frullani", "--tol", "1e-8")
+    assert _echo(out)["tol"] == 1e-8
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(json.dumps(_echo(out)))
+    assert run_cli(capsys, "frullani", "--config", str(cfg)) == (code, out, "")
+
+
+@pytest.mark.parametrize("name", _NO_TOL)
+def test_tol_refused_where_no_verdict_reads_it(name, tmp_path, capsys):
+    out_dir = ["--out", str(tmp_path)] if name == "emit-figure" else []
+    code, out, err = run_cli(capsys, name, "--tol", "0.5", *out_dir)
+    assert (code, out) == (INVALID, "")
+    assert "--tol" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 0.5}))
+    code, out, err = run_cli(capsys, name, "--config", str(cfg), *out_dir)
+    assert (code, out) == (INVALID, "")
+    assert err.startswith("error=tol: ")
+    code, out, _ = run_cli(capsys, name, "--selftest", *out_dir)
+    assert code == PASS
+    assert "tol" not in _echo(out)
 
 
 @pytest.mark.parametrize(

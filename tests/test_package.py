@@ -1,12 +1,20 @@
 """Every public name the package lists is importable and has a caller,
-and every module uses what it imports."""
+every module uses what it imports, and importing the package loads no
+scipy: the three scipy names are shims that import on their first call."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+
 import isolab
+from isolab import contspace, make_builtin_gauge
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ("quadrature", "gauges", "metric", "recovery", "holodisc", "contspace")
@@ -103,3 +111,60 @@ def test_no_unused_imports():
         source = Path(isolab.__path__[0], f"{name}.py").read_text()
         unused = _unused_imports(source)
         assert not unused, f"isolab.{name} imports {unused} without using them"
+
+
+def _scipy_after(*argvs) -> tuple:
+    """(exit codes, loaded scipy modules) of a fresh interpreter that imports
+    isolab and then runs cli.main on each argv."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import isolab\n"
+        "from isolab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(list(argv)) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    return codes, loaded
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_after() == ([], [])
+
+
+def test_scipy_free_subcommands_load_no_scipy():
+    argvs = (["theta-check"], ["hol-characterize"], ["cu-iso-test"])
+    assert _scipy_after(*argvs) == ([0, 0, 0], [])
+
+
+def test_recover_measure_loads_scipy_through_the_shim():
+    codes, loaded = _scipy_after(["recover-measure"])
+    assert codes == [0]
+    assert "scipy.optimize" in loaded
+
+
+def test_exp_mellin_shim_matches_scipy_gamma():
+    from scipy.special import gamma
+
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-20, 20, 256) + 1j * rng.uniform(-0.9, 0.9, 256)
+    assert np.array_equal(make_builtin_gauge("exp").mellin(z), gamma(1 - 1j * z))
+
+
+def test_kdtree_shim_matches_scipy():
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(12)
+    pts = rng.random((2000, 2))
+    q = rng.random((500, 2))
+    ours, theirs = contspace.cKDTree(pts), cKDTree(pts)
+    for a, b in zip(ours.query(q, k=1), theirs.query(q, k=1)):
+        assert np.array_equal(a, b)
+    pairs = ours.query_pairs(0.02, output_type="ndarray")
+    assert pairs.shape[0] > 0
+    assert np.array_equal(pairs, theirs.query_pairs(0.02, output_type="ndarray"))
