@@ -8,9 +8,10 @@ isometry, and check the decomposition bound that survives in the
 nonsurjective case.
 
 Each exhaustion says how far points lie outside a level (excess); each
-grid lists its unique points (point_list, flatten_values) and samples
+grid lists its unique points (point_list, flatten_values), samples
 functions on its nodes (sample; on the disc the one place that gives the
-center row a single value), so the analysis has no per-domain branches.
+center row a single value) and builds the interpolation stencil of a point
+set (stencil), so the analysis has no per-domain branches.
 
 Grid surrogates replace the continuum notions: surjectivity means every
 target node lies within one grid cell of the image, injectivity means no
@@ -203,6 +204,14 @@ class IntervalGrid:
         """fn evaluated at the nodes."""
         return fn(self.array)
 
+    def stencil(self, points):
+        """Interpolation stencil of points (their real parts): the clipped abscissae."""
+        x = np.real(points)
+        nodes = self.array
+        if np.any(x < nodes[0] - _EDGE) or np.any(x > nodes[-1] + _EDGE):
+            raise ValueError("interpolation point leaves the grid domain")
+        return np.clip(x, nodes[0], nodes[-1])
+
 
 @dataclass(frozen=True)
 class DiscGrid:
@@ -263,6 +272,26 @@ class DiscGrid:
         vals[0] = vals[0, 0]
         return vals
 
+    def stencil(self, points):
+        """Polar bilinear stencil: the flat (i0, j0) and (i0, j1) corners, then wi, wj.
+
+        The i1 corners are one ring (angle_count flat indices) further on.
+        """
+        z = np.asarray(points, dtype=complex)
+        r = np.abs(z)
+        radii = self.radii_array
+        if np.any(r > radii[-1] + _EDGE):
+            raise ValueError("interpolation point leaves the grid domain")
+        r = np.minimum(r, radii[-1])
+        na = self.angle_count
+        ti = np.mod(np.angle(z), 2.0 * np.pi) * na / (2.0 * np.pi)
+        t0 = np.floor(ti)
+        j0 = t0.astype(int) % na
+        i0 = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1) - 1
+        wi = (r - radii[i0]) / (radii[i0 + 1] - radii[i0])
+        k0 = i0 * na
+        return k0 + j0, k0 + (j0 + 1) % na, wi, ti - t0
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -312,39 +341,18 @@ class GridFunction:
         """The identity function: x on the interval, z on the disc."""
         return cls.sample(grid, lambda z: np.asarray(z, dtype=complex))
 
-    def interpolate(self, where):
-        """Evaluate at off-grid points (their real parts on the interval).
-
-        Raises if a point leaves the grid.
-        """
-        v = self.array
-        if isinstance(self.grid, IntervalGrid):
-            x = np.real(where)
-            nodes = self.grid.array
-            if np.any(x < nodes[0] - _EDGE) or np.any(x > nodes[-1] + _EDGE):
-                raise ValueError("interpolation point leaves the grid domain")
-            return np.interp(np.clip(x, nodes[0], nodes[-1]), nodes, v)
-        z = np.asarray(where, dtype=complex)
-        r = np.abs(z)
-        radii = self.grid.radii_array
-        if np.any(r > radii[-1] + _EDGE):
-            raise ValueError("interpolation point leaves the grid domain")
-        r = np.minimum(r, radii[-1])
-        theta = np.mod(np.angle(z), 2.0 * np.pi)
+    def interpolate(self, stencil):
+        """Evaluate at the points whose grid.stencil this is; the stencil raises off the grid."""
+        if not isinstance(stencil, tuple):
+            return np.interp(stencil, self.grid.array, self.array)
+        k00, k01, wi, wj = stencil
+        v = self.array.ravel()
         na = self.grid.angle_count
-        ti = theta * na / (2.0 * np.pi)
-        j0 = np.floor(ti).astype(int) % na
-        wj = ti - np.floor(ti)
-        i1 = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1)
-        i0 = i1 - 1
-        denom = radii[i1] - radii[i0]
-        wi = (r - radii[i0]) / denom
-        j1 = (j0 + 1) % na
         return (
-            v[i0, j0] * (1 - wi) * (1 - wj)
-            + v[i0, j1] * (1 - wi) * wj
-            + v[i1, j0] * wi * (1 - wj)
-            + v[i1, j1] * wi * wj
+            v[k00] * (1 - wi) * (1 - wj)
+            + v[k01] * (1 - wi) * wj
+            + v[k00 + na] * wi * (1 - wj)
+            + v[k01 + na] * wi * wj
         )
 
     def lipschitz_estimate(self) -> float:
@@ -581,17 +589,29 @@ def random_annulus_homeo(exh: ExhaustionDisc, rng):
 # ---------------------------------------------------------------------------
 
 
+# (grid, phi, stencil of phi's node images) of the last composition: one slot, so at most
+# one stencil outlives a call; it holds phi itself, so a recycled id can never match.
+_last_phi_stencil = (None, None, None)
+
+
 def weighted_composition_grid(h: GridFunction, phi, f: GridFunction) -> GridFunction:
     """Node-wise h(z) * f(phi(z)), interpolating f at the mapped nodes.
 
     phi may be a PiecewiseLinearMap, an AnnulusHomeo, or any callable on
-    node coordinates; it must keep every node inside the grid domain.
+    node coordinates; it must keep every node inside the grid domain and
+    be a pure function of the nodes, because the stencil of its node
+    images is reused while the same phi is applied on the same grid.
     Isometry additionally needs |h| = 1, which is not enforced here (the
     non-unimodular case is a deliberate counterexample input).
     """
+    global _last_phi_stencil
     if h.grid is not f.grid and h.grid != f.grid:
         raise ValueError("weight and argument must share one grid")
-    return GridFunction(f.grid, h.array * f.interpolate(f.grid.sample(phi)))
+    grid, last_phi, stencil = _last_phi_stencil
+    if last_phi is not phi or grid != f.grid:
+        stencil = f.grid.stencil(f.grid.sample(phi))
+        _last_phi_stencil = (f.grid, phi, stencil)
+    return GridFunction(f.grid, h.array * f.interpolate(stencil))
 
 
 def make_composition_operator(h: GridFunction, phi):
@@ -688,10 +708,16 @@ class RecoveredSymbol:
 
 
 def cKDTree(data):
-    """scipy.spatial.cKDTree, imported on first call so `import isolab` loads no scipy."""
+    """scipy.spatial.cKDTree, imported on first call so `import isolab` loads no scipy.
+
+    Unbalanced, uncompacted nodes: on grid images that halves the build, barely moving a query.
+    """
     from scipy import spatial
 
-    return spatial.cKDTree(data)
+    return spatial.cKDTree(data, balanced_tree=False, compact_nodes=False)
+
+
+_PAIR_CHUNK = 1 << 16  # pairs per block of the collapsed-pair count: small temporaries
 
 
 def _planar(pts):
@@ -751,13 +777,15 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
             "surjectivity", f"image misses level nodes by {worst_surj:g}", cert
         )
 
-    # (b) grid-injectivity over the whole outer level
-    tree = cKDTree(_planar(images))
+    # (b) grid-injectivity over every node; when the outermost level holds
+    # them all, its surjectivity tree is already the tree of every image
+    if not np.all(mask):
+        tree = cKDTree(_planar(images))
     pairs = tree.query_pairs(0.5 * cell, output_type="ndarray")
     collapsed = 0
-    if pairs.size:
-        src = np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]])
-        collapsed = int(np.sum(src > 2.0 * cell))
+    for lo in range(0, len(pairs), _PAIR_CHUNK):
+        a, b = pairs[lo : lo + _PAIR_CHUNK].T
+        collapsed += int(np.sum(np.abs(pts[a] - pts[b]) > 2.0 * cell))
     cert["collapsed_pairs"] = collapsed
     if collapsed > 0:
         raise NotWeightedComposition(
@@ -769,9 +797,10 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
     probes = [random_probe(grid, rng) for _ in range(3)]
     budget = interpolation_budget(probes, cell)
     recon = 0.0
+    stencil = grid.stencil(phi_gf.array)
     for f in probes:
         direct = T(f).array
-        rebuilt = h.array * f.interpolate(phi_gf.array)
+        rebuilt = h.array * f.interpolate(stencil)
         recon = max(recon, float(np.max(np.abs(direct - rebuilt))))
     cert["reconstruction_gap"] = recon
     cert["reconstruction_budget"] = budget

@@ -1,6 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from isolab import contspace
 from isolab.contspace import (
     AnnulusHomeo,
     DiscGrid,
@@ -101,16 +106,16 @@ def test_disc_grid_shape_and_center():
 
 def test_grid_function_interpolation_exact_on_nodes():
     f = GridFunction.sample(GRID, lambda x: np.sin(3 * x))
-    assert np.max(np.abs(f.interpolate(GRID.array) - f.array)) == 0.0
+    assert np.max(np.abs(f.interpolate(GRID.stencil(GRID.array)) - f.array)) == 0.0
     mid = 0.5 * (GRID.array[10] + GRID.array[11])
     want = 0.5 * (f.array[10] + f.array[11])
-    assert abs(f.interpolate(np.array([mid]))[0] - want) < 1e-15
+    assert abs(f.interpolate(GRID.stencil(np.array([mid])))[0] - want) < 1e-15
 
 
 def test_grid_function_interpolation_domain_guard():
     f = GridFunction.constant(GRID, 1.0)
     with pytest.raises(ValueError, match="leaves the grid domain"):
-        f.interpolate(np.array([EXH.outer[1] + 0.01]))
+        f.interpolate(GRID.stencil(np.array([EXH.outer[1] + 0.01])))
 
 
 def test_disc_function_center_must_be_constant():
@@ -122,8 +127,77 @@ def test_disc_function_center_must_be_constant():
 
 def test_disc_interpolation_exact_on_grid_radii():
     f = GridFunction.sample(DGRID, lambda z: z**2)
-    got = f.interpolate(DGRID.nodes)
+    got = f.interpolate(DGRID.stencil(DGRID.nodes))
     assert np.max(np.abs(got - f.array)) < 1e-14
+
+
+def _reference_interpolate(f, where):
+    """Linear (interval) and polar bilinear (disc) interpolation in one pass, the oracle."""
+    v = f.array
+    if isinstance(f.grid, IntervalGrid):
+        nodes = f.grid.array
+        return np.interp(np.clip(np.real(where), nodes[0], nodes[-1]), nodes, v)
+    z = np.asarray(where, dtype=complex)
+    radii = f.grid.radii_array
+    r = np.minimum(np.abs(z), radii[-1])
+    theta = np.mod(np.angle(z), 2.0 * np.pi)
+    na = f.grid.angle_count
+    ti = theta * na / (2.0 * np.pi)
+    j0 = np.floor(ti).astype(int) % na
+    wj = ti - np.floor(ti)
+    i1 = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1)
+    i0 = i1 - 1
+    denom = radii[i1] - radii[i0]
+    wi = (r - radii[i0]) / denom
+    j1 = (j0 + 1) % na
+    return (
+        v[i0, j0] * (1 - wi) * (1 - wj)
+        + v[i0, j1] * (1 - wi) * wj
+        + v[i1, j0] * wi * (1 - wj)
+        + v[i1, j1] * wi * wj
+    )
+
+
+def test_stencil_interpolation_bit_exact_on_the_interval():
+    rng = np.random.default_rng(51)
+    f = random_probe(GRID, rng)
+    lo, hi = GRID.array[0], GRID.array[-1]
+    edge = contspace._EDGE / 2
+    x = np.concatenate([
+        rng.uniform(lo, hi, 5000), GRID.array, [lo - edge, lo, lo + edge, hi - edge, hi, hi + edge],
+    ])
+    for where in (x, x + 0.3j):
+        assert np.array_equal(f.interpolate(GRID.stencil(where)), _reference_interpolate(f, where))
+
+
+def test_stencil_interpolation_bit_exact_on_the_disc():
+    rng = np.random.default_rng(52)
+    f = random_probe(DGRID, rng)
+    radii = DGRID.radii_array
+    outer = radii[-1]
+    theta = rng.uniform(-np.pi, np.pi, radii.size)
+    below_2pi = np.nextafter(2.0 * np.pi, 0.0)
+    z = np.concatenate([
+        np.sqrt(rng.uniform(0, outer**2, 5000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000)),
+        radii * np.exp(1j * theta),  # exactly on every ring radius
+        (outer + contspace._EDGE / 2) * np.exp(1j * theta),
+        radii * np.exp(1j * below_2pi),
+        radii + 0j,  # theta = 0
+        radii - 1e-300j,  # theta just below 0, so just below 2 pi after the wrap
+        DGRID.nodes.ravel(),
+    ])
+    assert np.array_equal(f.interpolate(DGRID.stencil(z)), _reference_interpolate(f, z))
+
+
+@pytest.mark.parametrize("grid, where", [
+    (GRID, [GRID.array[0] - 2 * contspace._EDGE]),
+    (GRID, [GRID.array[-1] + 2 * contspace._EDGE]),
+    (DGRID, [(DGRID.radii[-1] + 2 * contspace._EDGE) * 1j]),
+])
+def test_stencil_refuses_points_off_the_grid(grid, where):
+    with pytest.raises(ValueError) as exc_info:
+        grid.stencil(np.array(where))
+    assert str(exc_info.value) == "interpolation point leaves the grid domain"
 
 
 def test_lipschitz_estimate_linear_function():
@@ -381,3 +455,142 @@ def test_disc_center_row_collapsed_once():
     rng = np.random.default_rng(4)
     out = weighted_composition_grid(unimodular_field(DGRID, rng), phi, random_probe(DGRID, rng))
     assert np.all(out.array[0] == out.array[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the composition operator's stencil cache
+# ---------------------------------------------------------------------------
+
+
+def _fresh_composition(h, phi, f):
+    grid = f.grid
+    return h.array * f.interpolate(grid.stencil(grid.sample(phi)))
+
+
+def test_composition_cache_alternating_maps_match_fresh_stencils():
+    rng = np.random.default_rng(61)
+    h = unimodular_field(DGRID, rng)
+    f = random_probe(DGRID, rng)
+    phis = [random_annulus_homeo(DEXH, rng) for _ in range(2)]
+    ops = [make_composition_operator(h, phi) for phi in phis]
+    for _ in range(2):
+        for T, phi in zip(ops, phis):
+            assert np.array_equal(T(f).array, _fresh_composition(h, phi, f))
+
+
+def test_composition_cache_one_map_on_alternating_grids():
+    rng = np.random.default_rng(62)
+    phi = random_interval_homeo(EXH, rng)
+    # an equal grid built apart shares the stencil; a finer one does not
+    grids = [GRID, IntervalGrid.build(EXH, 1024), IntervalGrid.build(EXH, 2048)]
+    hf = [(unimodular_field(g, rng), random_probe(g, rng)) for g in grids]
+    for _ in range(2):
+        for h, f in hf:
+            out = weighted_composition_grid(h, phi, f)
+            assert np.array_equal(out.array, _fresh_composition(h, phi, f))
+
+
+def test_composition_keeps_at_most_one_stencil():
+    rng = np.random.default_rng(63)
+    h = GridFunction.constant(GRID, 1.0)
+    f = random_probe(GRID, rng)
+    first = random_interval_homeo(EXH, rng)
+    T = make_composition_operator(h, first)
+    T(f)
+    ref = weakref.ref(first)
+    del T, first
+    gc.collect()
+    assert ref() is not None  # the last stencil's map is still held
+    make_composition_operator(h, random_interval_homeo(EXH, rng))(f)
+    gc.collect()
+    assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# grid-layer work counts and the injectivity paths
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = owner.__dict__[name]
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_default_disc_recovery_builds_two_trees_and_two_stencils(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, contspace, "cKDTree", counts)
+    _count_calls(monkeypatch, DiscGrid, "stencil", counts)
+    grid = DiscGrid.build(DEXH)
+    rng = np.random.default_rng(64)
+    T = make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
+    recover_weight_and_map(T, DEXH, grid, rng=rng)
+    assert counts == {"cKDTree": 2, "stencil": 2}
+
+
+def test_isometry_test_samples_the_map_once():
+    rng = np.random.default_rng(65)
+    fold = build_zigzag_fold(EXH, GRID)
+    calls = 0
+
+    def phi(x):
+        nonlocal calls
+        calls += 1
+        return fold(x)
+
+    probes = [random_probe(GRID, rng) for _ in range(20)]
+    T = make_composition_operator(unimodular_field(GRID, rng), phi)
+    assert isometry_test_grid(T, EXH, probes).passed
+    assert calls == 1
+
+
+def _reference_tree_certificate(exh, pts, images, cell):
+    """Containment, surjectivity and collapsed pairs with one tree per level and per count."""
+    planar = lambda z: np.column_stack([z.real, z.imag])  # noqa: E731
+    contain = surj = 0.0
+    for n in range(exh.levels):
+        mask = exh.excess(pts, n) <= contspace._EDGE
+        contain = max(contain, float(np.max(exh.excess(images[mask], n))))
+        dists, _ = cKDTree(planar(images[mask])).query(planar(pts[mask]), k=1)
+        surj = max(surj, float(np.max(dists)))
+    pairs = cKDTree(planar(images)).query_pairs(0.5 * cell, output_type="ndarray")
+    src = np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]])
+    return {
+        "containment_breach": contain,
+        "surjectivity_gap": surj,
+        "collapsed_pairs": int(np.sum(src > 2.0 * cell)),
+    }, len(pairs)
+
+
+def test_grid_beyond_the_outer_level_builds_a_separate_injectivity_tree(monkeypatch):
+    radii = np.unique(np.concatenate([np.linspace(0.0, 0.9, 91), DEXH.radii]))
+    grid = DiscGrid(tuple(radii), 128)
+    rng = np.random.default_rng(66)
+    T = make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
+    counts = {}
+    _count_calls(monkeypatch, contspace, "cKDTree", counts)
+    sym = recover_weight_and_map(T, DEXH, grid, rng=rng)
+    assert counts == {"cKDTree": DEXH.levels + 1}
+    images = grid.flatten_values(sym.point_map.array)
+    want, _ = _reference_tree_certificate(DEXH, grid.point_list(), images, grid.cell)
+    assert {k: sym.certificate[k] for k in want} == want
+
+
+def test_collapsed_pairs_counted_across_chunks():
+    # angle doubling keeps every circle, so containment and surjectivity
+    # hold, but sends each pair of antipodal nodes to one point
+    T = make_composition_operator(
+        GridFunction.constant(DGRID, 1.0), lambda z: np.abs(z) * np.exp(2j * np.angle(z))
+    )
+    with pytest.raises(NotWeightedComposition) as exc_info:
+        recover_weight_and_map(T, DEXH, DGRID)
+    assert exc_info.value.check == "injectivity"
+    images = DGRID.flatten_values(T(GridFunction.coordinate(DGRID)).array)
+    want, pair_count = _reference_tree_certificate(DEXH, DGRID.point_list(), images, DGRID.cell)
+    assert pair_count > 2 * contspace._PAIR_CHUNK
+    assert want["collapsed_pairs"] > 0
+    assert exc_info.value.certificate["collapsed_pairs"] == want["collapsed_pairs"]
