@@ -224,6 +224,8 @@ def check_admissibility(g: Gauge) -> AdmissibilityReport:
     slack), both growth certificate bounds, and consistency of the a.e.
     derivative (its integral over the sampled bulk range, corrected by
     gauge-evaluated endpoint terms, must reconstruct 1 within 1e-6).
+    Monotonicity also reads the derivative at that integral's quadrature
+    nodes, so a dip between two value samples shows as theta' < 0.
     """
     tol = 1e-9
     grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 1201)])
@@ -231,15 +233,16 @@ def check_admissibility(g: Gauge) -> AdmissibilityReport:
     ps, pt = (a.ravel() for a in np.meshgrid(base, base))
 
     vals = g(grid)
+    deriv_gap, deriv_low = _derivative_mass_gap(g)
     checks = []
 
     gap0 = float(abs(g(np.array([0.0]))[0]))
     checks.append(HypothesisCheck("zero_value", gap0 <= tol, gap0))
 
-    range_gap = float(max(np.max(vals) - 1.0, np.max(-vals), 0.0))
+    range_gap = float(max(0.0, np.max(vals) - 1.0, np.max(-vals)))
     checks.append(HypothesisCheck("bounded_range", range_gap <= tol, range_gap))
 
-    mono_gap = float(max(0.0, -np.min(np.diff(vals))))
+    mono_gap = float(max(0.0, -np.min(np.diff(vals)), -deriv_low))
     checks.append(HypothesisCheck("monotone", mono_gap <= tol, mono_gap))
 
     sub = g(ps + pt) - g(ps) - g(pt)
@@ -274,14 +277,14 @@ def check_admissibility(g: Gauge) -> AdmissibilityReport:
         large_gap, where = 0.0, ()
     checks.append(HypothesisCheck("large_growth", large_gap <= tol, large_gap, where))
 
-    deriv_gap = _derivative_mass_gap(g)
     checks.append(HypothesisCheck("derivative_mass", deriv_gap <= 1e-6, deriv_gap))
 
     return AdmissibilityReport(gauge_name=g.name, checks=tuple(checks))
 
 
-def _derivative_mass_gap(g: Gauge) -> float:
-    """|integral of the a.e. derivative, endpoint-corrected, minus 1|."""
+def _derivative_mass_gap(g: Gauge):
+    """|integral of the a.e. derivative, endpoint-corrected, minus 1|, and
+    the least derivative value met at the quadrature nodes on the way."""
     eps, top = 1e-8, 1e5
     breaks = graded_breaks(
         np.log(eps), np.log(top), interior=[np.log(k) for k in g.kinks], max_step=0.5
@@ -289,14 +292,20 @@ def _derivative_mass_gap(g: Gauge) -> float:
     # integrate theta'(e^y) e^y dy over the bulk, in log coordinates; an
     # integral that never stabilizes is an infinite gap, any other error is
     # the derivative's own and propagates
+    low = np.inf
+
+    def rule(y, w):
+        nonlocal low
+        d = g.derivative(np.exp(y))
+        low = min(low, float(np.min(d)))
+        return np.dot(w, d * np.exp(y))
+
     try:
-        bulk = _integrate_refined(
-            lambda y, w: np.dot(w, g.derivative(np.exp(y)) * np.exp(y)), breaks, 1e-9
-        )
+        bulk = _integrate_refined(rule, breaks, 1e-9)
     except QuadratureError:
-        return np.inf
+        return np.inf, low
     total = bulk + float(g(np.array([eps]))[0]) + (1.0 - float(g(np.array([top]))[0]))
-    return abs(float(total) - 1.0)
+    return abs(float(total) - 1.0), low
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,15 @@
 The forward model convolves a measure on the log line with the gauge's
 shift kernel.  On the Fourier side that is a product, so the measure's
 transform is exposed by pointwise division wherever the kernel transform
-is safely away from zero; a matrix-pencil estimate on a uniform frequency
-run initializes a nonlinear least-squares fit of (position, mass) pairs
-carried out in the undivided domain, where the noise floor is flat.
+is safely away from zero.  On the longest uniform run of such frequencies
+a matrix pencil estimates the atom positions.  Its Hankel matrix has rank
+at most the atom budget, so the pencil pays only for that rank: a sketch
+of budget + 6 fixed probe columns, one power step and a small SVD give the
+column space and the singular values the rank rule reads (a full SVD
+would cost as much as the rest of a recovery).  The estimate initializes
+a bounded nonlinear least-squares fit of (position, mass) pairs with a
+closed-form Jacobian, carried out in the undivided domain, where the
+noise floor is flat.
 """
 
 from __future__ import annotations
@@ -194,34 +200,39 @@ def _chirp(beta, p):
     return np.exp(1j * (head * q)) * np.exp(1j * ((beta - head) * q))
 
 
-def _pencil_estimate(quotient, dz, z0, budget):
+def _pencil_estimate(quotient, dz, budget):
     """Matrix-pencil node estimate on a uniform quotient run.
 
-    Returns raw positions; masses are refit later.  The pencil length is
-    a third of the run, singular values below 1e-10 of the top one are
-    treated as rank noise, and the count is capped by the atom budget.
+    Returns the raw positions, sorted, and the pencil rank; masses are
+    refit later.  The pencil length is a third of the run.  The Hankel
+    matrix y0 has rank at most the atom budget, so its column space comes
+    from a sketch instead of a full SVD: y0 times a fixed Gaussian test
+    matrix of budget + 6 columns, orthonormalized, then one power step
+    y0 (y0^H Q) and a second QR.  The SVD of the small Q^H y0 gives the
+    singular values and the top left singular vectors u1 = Q ub.  The
+    rank rule reads those singular values: the ones below 1e-10 of the
+    top one are rank noise, and the count is capped by the atom budget.
+    The nodes are the eigenvalues of the shift-invariance pencil
+    y0 g -> y1 g with g = y0^H u1.
     """
     n = quotient.size
     L = max(budget + 1, n // 3)
     if n - L < budget:
         raise RecoveryFailed("usable frequency run too short for the atom budget")
-    rows = n - L
-    idx = np.arange(rows)[:, None] + np.arange(L)[None, :]
+    idx = np.arange(n - L)[:, None] + np.arange(L)[None, :]
     Y = quotient[idx]
-    u_svd, sigma, _ = np.linalg.svd(Y[:, :-1], full_matrices=False)
-    rank = int(np.sum(sigma > sigma[0] * 1e-10)) if sigma.size else 0
-    rank = max(1, min(rank, budget))
-    # shift-invariance pencil on the column space
-    u1 = u_svd[:, :rank]
-    y0 = Y[:, :-1]
-    y1 = Y[:, 1:]
-    a_mat = np.linalg.lstsq(y0 @ np.conj(y0.T) @ u1, y1 @ np.conj(y0.T) @ u1, rcond=None)[0]
-    nodes = np.linalg.eigvals(a_mat)
+    y0, y1 = Y[:, :-1], Y[:, 1:]
+    probes = np.random.default_rng(0).standard_normal((L - 1, min(budget + 6, L - 1)))
+    q = np.linalg.qr(y0 @ probes)[0]
+    q = np.linalg.qr(y0 @ (y0.conj().T @ q))[0]
+    ub, sigma, _ = np.linalg.svd(q.conj().T @ y0, full_matrices=False)
+    rank = max(1, min(int(np.sum(sigma > sigma[0] * 1e-10)), budget))
+    g = y0.conj().T @ (q @ ub[:, :rank])
+    nodes = np.linalg.eigvals(np.linalg.lstsq(y0 @ g, y1 @ g, rcond=None)[0])
     nodes = nodes[np.abs(np.log(np.abs(nodes) + 1e-300)) < 0.7]
     if nodes.size == 0:
         raise RecoveryFailed("pencil produced no stable nodes")
-    positions = np.angle(nodes) / dz
-    return np.sort(positions)
+    return np.sort(np.angle(nodes) / dz), rank
 
 
 def least_squares(*args, **kwargs):
@@ -238,6 +249,16 @@ def _fit_residual(params, k, zs, g_hat, h_hat, scale):
     model = g_hat * (np.exp(1j * zs[:, None] * pos[None, :]) @ mass)
     diff = (model - h_hat) / scale
     return np.concatenate([diff.real, diff.imag])
+
+
+def _fit_jacobian(params, k, zs, g_hat, h_hat, scale):
+    """Closed-form Jacobian of _fit_residual, stacked re/im the same way.
+
+    d/dx_j = g_hat i z e^(i z x_j) m_j / scale and d/dm_j = g_hat e^(i z x_j) / scale.
+    """
+    basis = (g_hat / scale)[:, None] * np.exp(1j * zs[:, None] * params[None, :k])
+    jac = np.hstack([1j * zs[:, None] * basis * params[k:], basis])
+    return np.vstack([jac.real, jac.imag])
 
 
 def recover_measure(
@@ -261,11 +282,17 @@ def recover_measure(
     grid admits an in-window alias of a recovered atom (two measures the
     grid cannot tell apart).
     """
-    measure, _ = _recover_with_residual(g, s_samples, h_samples, spec, atom_budget)
+    measure, _ = _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, {})
     return measure
 
 
-def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget):
+def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, counts):
+    """recover_measure, returning the relative residual too.
+
+    Once the fit has run, counts gets pencil_rank, fit_nfev and
+    frequencies_used (those left above the regularization floor), also
+    when a later check refuses.
+    """
     if atom_budget < 1:
         raise ValueError("atom_budget must be at least 1")
     zs = spec.freq_array
@@ -289,7 +316,7 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget):
     run_lo, run_hi = _longest_run(strong)
     quotient = h_hat[run_lo:run_hi] / g_hat[run_lo:run_hi]
     try:
-        pos0 = _pencil_estimate(quotient, dz, zs[run_lo], atom_budget)
+        pos0, rank = _pencil_estimate(quotient, dz, atom_budget)
     except np.linalg.LinAlgError:
         raise RecoveryFailed("pencil initialization failed")
     if np.any(np.abs(pos0) > np.pi / dz):
@@ -315,6 +342,7 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget):
     fit = least_squares(
         _fit_residual,
         np.clip(x0, bound_lo + 1e-12, bound_hi - 1e-12),
+        jac=_fit_jacobian,
         args=(k, *data),
         bounds=(bound_lo, bound_hi),
         xtol=1e-15,
@@ -322,6 +350,7 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget):
         gtol=1e-15,
         max_nfev=400,
     )
+    counts.update(pencil_rank=rank, fit_nfev=int(fit.nfev), frequencies_used=int(np.sum(usable)))
     pos = fit.x[:k]
     mass = fit.x[k:]
     order = np.argsort(pos)
@@ -393,6 +422,9 @@ class RoundtripReport:
     max_mass_error: float
     residual: float
     recovered: LogMeasure | None
+    pencil_rank: int = 0
+    fit_nfev: int = 0
+    frequencies_used: int = 0
 
     @property
     def passed(self) -> bool:
@@ -404,6 +436,9 @@ class RoundtripReport:
             "max_mass_error": self.max_mass_error,
             "residual": self.residual,
             "passed": self.passed,
+            "pencil_rank": self.pencil_rank,
+            "fit_nfev": self.fit_nfev,
+            "frequencies_used": self.frequencies_used,
         }
 
 
@@ -418,24 +453,28 @@ def roundtrip_check(
     Atom counts must agree for the errors to be finite; a count mismatch
     reports infinite error rather than raising, so expected-failure cases
     stay inspectable.  RecoveryFailed propagates its candidate the same way.
+    The pencil rank, the fit's evaluations and the frequencies used read 0
+    when recovery refused before the fit.
     """
     s, h = smoothed_curve_samples(g, measure, spec)
+    counts = {}
     try:
-        rec, residual = _recover_with_residual(g, s, h, spec, atom_budget)
+        rec, residual = _recover_with_residual(g, s, h, spec, atom_budget, counts)
     except RecoveryFailed as err:
         rec = err.candidate
         residual = err.residual
         if rec is None:
-            return RoundtripReport(np.inf, np.inf, residual, None)
+            return RoundtripReport(np.inf, np.inf, residual, None, **counts)
     true_p = np.asarray(measure.positions)
     true_m = np.asarray(measure.masses)
     got_p = np.asarray(rec.positions)
     got_m = np.asarray(rec.masses)
     if got_p.size != true_p.size:
-        return RoundtripReport(np.inf, np.inf, residual, rec)
+        return RoundtripReport(np.inf, np.inf, residual, rec, **counts)
     return RoundtripReport(
         float(np.max(np.abs(got_p - true_p))),
         float(np.max(np.abs(got_m - true_m))),
         residual,
         rec,
+        **counts,
     )

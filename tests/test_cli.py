@@ -80,6 +80,23 @@ def test_recover_measure_roundtrip(capsys):
     assert "passed=true" in out
 
 
+def test_recover_measure_reports_what_it_used(capsys):
+    code, out, _ = run_cli(
+        capsys, "recover-measure", "--positions", "0.0,1.2", "--masses", "0.3,0.4"
+    )
+    assert code == PASS
+    assert "pencil_rank=2\n" in out
+    assert "frequencies_used=257\n" in out
+    assert "fit_nfev=" in out and "fit_nfev=0\n" not in out
+    # refused before the fit: the counts read 0
+    code, out, _ = run_cli(
+        capsys, "recover-measure", "--positions", "0.0", "--masses", "0.3", "--atom-budget", "200"
+    )
+    assert code == FINDING
+    for key in ("pencil_rank", "fit_nfev", "frequencies_used"):
+        assert f"{key}=0\n" in out
+
+
 def test_hol_characterize_scale_finding(capsys):
     code, out, _ = run_cli(capsys, "hol-characterize", "--op", "scale")
     assert code == FINDING

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from isolab.gauges import (
     BUILTIN_GAUGE_NAMES,
+    Gauge,
     StripViolationError,
     check_admissibility,
     clipped_square_gauge,
@@ -82,6 +83,36 @@ def test_admissibility_report_shape():
     assert rec["gauge"] == "clip"
     assert rec["all_pass"] is True
     assert "subadditive.worst_gap" in rec
+
+
+@pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_no_worst_gap_is_negative_zero(name, alpha):
+    # max() keeps the first of equal values, so a -0.0 met before 0.0 used
+    # to reach the report as bounded_range.worst_gap=-0.0 (rational)
+    rep = check_admissibility(make_builtin_gauge(name, alpha=alpha))
+    assert not any(np.signbit(c.worst_gap) for c in rep.checks), rep.as_record()
+
+
+@pytest.mark.parametrize("declare_kinks", [True, False], ids=["kinks", "no_kinks"])
+def test_monotone_sees_a_dip_between_value_samples(declare_kinks):
+    # t/(1+t) minus a triangular dip 0.05 deep and 0.0015 in half-width,
+    # placed between two of the 1201 log-spaced value samples (0.4937 and
+    # 0.5012), so every sampled difference still increases
+    c, w, depth = 0.4974, 0.0015, 0.05
+
+    def fn(t):
+        return t / (1.0 + t) - depth * np.maximum(0.0, 1.0 - np.abs(t - c) / w)
+
+    def deriv(t):
+        return 1.0 / (1.0 + t) ** 2 + np.where(np.abs(t - c) < w, depth / w * np.sign(t - c), 0.0)
+
+    kinks = (c - w, c, c + w) if declare_kinks else ()
+    rep = check_admissibility(Gauge("dip", fn, deriv, growth_exponent=1.0, kinks=kinks))
+    assert not rep.check("monotone").passed
+    assert rep.check("monotone").worst_gap > 1.0  # theta' about -33 inside the dip
+    assert rep.check("subadditive").passed
+    assert rep.check("derivative_mass").passed == declare_kinks
 
 
 def test_derivative_error_propagates():

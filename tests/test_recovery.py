@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from isolab.gauges import make_builtin_gauge
+from isolab import recovery
+from isolab.gauges import BUILTIN_GAUGE_NAMES, make_builtin_gauge
 from isolab.recovery import (
     LogMeasure,
     RecoveryFailed,
@@ -153,6 +154,22 @@ def test_roundtrip_close_atoms_fails_honestly():
     assert np.isinf(rep.max_position_error)
 
 
+def test_roundtrip_report_counts_what_it_used():
+    rep = roundtrip_check(EXP, LogMeasure((-0.7, 0.9), (0.3, 0.4)), RecoverySpec(), 4)
+    rec = rep.as_record()
+    assert (rec["pencil_rank"], rec["frequencies_used"]) == (2, 257)
+    assert 1 <= rec["fit_nfev"] <= 400
+    # refused before the fit: every count reads 0
+    rep = roundtrip_check(EXP, LogMeasure((0.0,), (0.5,)), RecoverySpec(), 200)
+    assert rep.recovered is None
+    assert (rep.pencil_rank, rep.fit_nfev, rep.frequencies_used) == (0, 0, 0)
+    # refused after the fit: the counts stay
+    spec = RecoverySpec(frequency_grid=tuple(np.linspace(-8.0, 8.0, 17)))
+    rep = roundtrip_check(EXP, LogMeasure((0.5,), (0.5,)), spec, 1)
+    assert (rep.pencil_rank, rep.frequencies_used) == (1, 17)
+    assert rep.fit_nfev >= 1
+
+
 def test_recover_measure_direct_api():
     spec = RecoverySpec()
     nu = LogMeasure((-0.8, 1.0), (0.3, 0.5))
@@ -201,3 +218,92 @@ def test_recovery_spec_validation():
         for i in (0, 5, 16):
             with pytest.raises(ValueError, match="finite"):
                 RecoverySpec(frequency_grid=tuple(np.where(np.arange(17) == i, bad, grid)))
+
+
+# ---------------------------------------------------------------------------
+# fast paths against slower references
+# ---------------------------------------------------------------------------
+
+
+def _svd_pencil(quotient, dz, budget):
+    """The pencil from a full SVD of the Hankel matrix, products as written."""
+    n = quotient.size
+    L = max(budget + 1, n // 3)
+    Y = quotient[np.arange(n - L)[:, None] + np.arange(L)[None, :]]
+    y0, y1 = Y[:, :-1], Y[:, 1:]
+    u, sigma, _ = np.linalg.svd(y0, full_matrices=False)
+    rank = max(1, min(int(np.sum(sigma > sigma[0] * 1e-10)), budget))
+    u1 = u[:, :rank]
+    a_mat = np.linalg.lstsq(y0 @ np.conj(y0.T) @ u1, y1 @ np.conj(y0.T) @ u1, rcond=None)[0]
+    nodes = np.linalg.eigvals(a_mat)
+    nodes = nodes[np.abs(np.log(np.abs(nodes) + 1e-300)) < 0.7]
+    return np.sort(np.angle(nodes) / dz), rank
+
+
+def _seeded_measure(k):
+    rng = np.random.default_rng(100 + k)
+    while True:
+        p = np.sort(rng.uniform(-2.5, 2.5, size=k))
+        if k == 1 or np.min(np.diff(p)) >= 1.0:
+            return LogMeasure(tuple(p), tuple(rng.uniform(0.15, 0.3, size=k)))
+
+
+@pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
+def test_sketch_pencil_matches_full_svd(name, monkeypatch):
+    g = make_builtin_gauge(name, alpha=2.0)
+    spec = RecoverySpec()
+    sketch = recovery._pencil_estimate
+    for k in (1, 2, 3):
+        nu = _seeded_measure(k)
+        for budget in range(k, k + 4):
+            pencils = []
+
+            def both(quotient, dz, b):
+                pencils.append((sketch(quotient, dz, b), _svd_pencil(quotient, dz, b)))
+                return pencils[-1][0]
+
+            monkeypatch.setattr(recovery, "_pencil_estimate", both)
+            fast = roundtrip_check(g, nu, spec, budget)
+            monkeypatch.setattr(recovery, "_pencil_estimate", _svd_pencil)
+            slow = roundtrip_check(g, nu, spec, budget)
+            [((pos, rank), (ref_pos, ref_rank))] = pencils
+            assert rank == ref_rank, (name, k, budget)
+            if rank == k:
+                # no noise directions: the node estimates themselves agree;
+                # beyond that the rank rule keeps noise (the clip quotient's
+                # floor sits above 1e-10), whose nodes neither path pins down
+                assert np.max(np.abs(pos - ref_pos)) <= 1e-9, (name, k, budget)
+            # the same verdict and atom count; where the fit recovered the
+            # measure, the same measure (a split into spurious atoms that
+            # both paths refuse is a different local minimum on each)
+            assert fast.passed == slow.passed, (name, k, budget)
+            assert (fast.recovered is None) == (slow.recovered is None)
+            if fast.recovered is not None:
+                assert len(fast.recovered.positions) == len(slow.recovered.positions)
+            if slow.passed:
+                got = np.array([fast.recovered.positions, fast.recovered.masses])
+                want = np.array([slow.recovered.positions, slow.recovered.masses])
+                assert np.max(np.abs(got - want)) <= 1e-9, (name, k, budget)
+
+
+@pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
+def test_fit_jacobian_matches_central_differences(name):
+    g = make_builtin_gauge(name, alpha=2.0)
+    spec = RecoverySpec()
+    zs = spec.freq_array
+    g_hat = recovery.shift_kernel_fourier_grid(g, spec.shift, zs, spec.quadrature)
+    s, h = smoothed_curve_samples(g, LogMeasure((-1.0, 0.6), (0.3, 0.4)), spec)
+    h_hat = fourier_from_samples(s, h, zs)
+    data = (2, zs, g_hat, h_hat, float(np.max(np.abs(h_hat))))
+    params = np.array([-0.93, 0.71, 0.27, 0.45])  # off the optimum
+    jac = recovery._fit_jacobian(params, *data)
+    step = 1e-6
+    fd = np.empty_like(jac)
+    for j in range(params.size):
+        e = np.zeros_like(params)
+        e[j] = step
+        plus = recovery._fit_residual(params + e, *data)
+        minus = recovery._fit_residual(params - e, *data)
+        fd[:, j] = (plus - minus) / (2 * step)
+    assert jac.shape == (2 * zs.size, params.size)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
