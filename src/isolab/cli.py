@@ -416,7 +416,7 @@ def _grid_setup(params):
     elif domain == "disc":
         exh = contspace.ExhaustionDisc.default()
         grid = contspace.DiscGrid.build(exh, params["radial_count"], params["angle_count"])
-        radial_step = float(np.max(np.diff(grid.radii_array)))
+        radial_step = float(np.max(np.diff(grid.radii)))
         coarse = "radial_count" if radial_step >= grid.cell else "angle_count"
     else:
         raise CliError(f"domain: unknown domain {domain!r}")
@@ -429,7 +429,7 @@ def _grid_setup(params):
 
 def _grid_keys(grid) -> dict:
     """The resolution a grid report is relative to."""
-    return {"cell": grid.cell, "nodes": int(grid.point_list().size)}
+    return {"cell": grid.cell, "nodes": int(grid.nodes.size)}
 
 
 def _grid_operator(params, domain, exh, grid, rng):
@@ -548,15 +548,10 @@ def _selftest_cu_decomp_bound(cfg: ExperimentConfig):
 
 
 def _write_grid_function(path: Path, gf: contspace.GridFunction):
-    v = gf.array
-    if gf.domain == "interval":
-        x = gf.grid.array
-        io_formats.write_columns(path, x, v.real, v.imag)
-    else:
-        nodes = gf.grid.nodes
-        io_formats.write_columns(
-            path, nodes.real.ravel(), nodes.imag.ravel(), v.real.ravel(), v.imag.ravel()
-        )
+    """One row per distinct node: its position (x, or x and y on the disc), then Re and Im."""
+    nodes, v = gf.grid.nodes, gf.values
+    position = (nodes,) if gf.domain == "interval" else (nodes.real, nodes.imag)
+    io_formats.write_columns(path, *position, v.real, v.imag)
 
 
 def _run_emit_figure(cfg: ExperimentConfig, params):

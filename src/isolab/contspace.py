@@ -8,10 +8,11 @@ isometry, and check the decomposition bound that survives in the
 nonsurjective case.
 
 Each exhaustion says how far points lie outside a level (excess); each
-grid lists its unique points (point_list, flatten_values), samples
-functions on its nodes (sample; on the disc the one place that gives the
-center row a single value) and builds the interpolation stencil of a point
-set (stencil), so the analysis has no per-domain branches.
+grid holds its distinct nodes once as a flat vector (nodes), finds once
+per exhaustion the smallest level holding each node (level_of) and builds
+the interpolation stencil of a point set (stencil).  Grid function values
+line up with the nodes on both domains, so the analysis has no per-domain
+branches.
 
 Grid surrogates replace the continuum notions: surjectivity means every
 target node lies within one grid cell of the image, injectivity means no
@@ -24,7 +25,8 @@ cell of at most a quarter of the narrowest band between level boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -165,121 +167,121 @@ class ExhaustionDisc:
 _EDGE = 1e-12
 
 
-@dataclass(frozen=True)
-class IntervalGrid:
-    """Sorted sample nodes covering the outermost exhaustion interval."""
+class _Grid:
+    """Equality and the level index, shared by both grids.
 
-    nodes: tuple
+    Grids are equal when their compared fields are equal element for element,
+    so a grid built apart from the same inputs equals the original; arrays
+    derived from those fields are not compared.
+    """
+
+    _levels = (None, None)  # (exhaustion, level index) of the last level_of call
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self) if f.compare
+        )
+
+    def level_of(self, exh):
+        """Smallest level of exh holding each node, exh.levels past the outermost.
+
+        Levels nest, so level_of(exh) <= n is exactly excess(nodes, n) <= _EDGE.
+        """
+        last, levels = self._levels
+        if last != exh:
+            levels = np.full(self.nodes.size, exh.levels, np.min_scalar_type(exh.levels))
+            for n in range(exh.levels - 1, -1, -1):
+                levels[exh.excess(self.nodes, n) <= _EDGE] = n
+            levels.setflags(write=False)
+            object.__setattr__(self, "_levels", (exh, levels))
+        return levels
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalGrid(_Grid):
+    """Sorted sample nodes covering the outermost exhaustion interval (a read-only vector)."""
+
+    nodes: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.nodes, dtype=float)
-        if x.size < 2 or np.any(np.diff(x) <= 0):
+        x = np.array(self.nodes, dtype=float)
+        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
             raise ValueError("nodes must be strictly increasing, at least two")
-        object.__setattr__(self, "nodes", tuple(float(v) for v in x))
+        x.setflags(write=False)
+        object.__setattr__(self, "nodes", x)
 
     @classmethod
     def build(cls, exh: Exhaustion1D, count: int = 4096):
         """Equispaced nodes on the outer interval plus every level endpoint."""
         a, b = exh.outer
         base = np.linspace(a, b, count)
-        pts = np.unique(np.concatenate([base, exh.breakpoints()]))
-        return cls(tuple(pts))
+        return cls(np.unique(np.concatenate([base, exh.breakpoints()])))
 
     @property
     def array(self):
-        return np.asarray(self.nodes)
+        return self.nodes
 
     @property
     def cell(self) -> float:
-        return float(np.max(np.diff(self.array)))
-
-    def point_list(self):
-        """Node positions as complex values."""
-        return self.array.astype(complex)
-
-    def flatten_values(self, values):
-        return np.asarray(values)
-
-    def sample(self, fn):
-        """fn evaluated at the nodes."""
-        return fn(self.array)
+        return float(np.max(np.diff(self.nodes)))
 
     def stencil(self, points):
-        """Interpolation stencil of points (their real parts): the clipped abscissae."""
+        """The stencil of points (their real parts): node values -> their linear interpolant."""
         x = np.real(points)
-        nodes = self.array
+        nodes = self.nodes
         if np.any(x < nodes[0] - _EDGE) or np.any(x > nodes[-1] + _EDGE):
             raise ValueError("interpolation point leaves the grid domain")
-        return np.clip(x, nodes[0], nodes[-1])
+        return partial(np.interp, np.clip(x, nodes[0], nodes[-1]), nodes)
 
 
-@dataclass(frozen=True)
-class DiscGrid:
+@dataclass(frozen=True, eq=False)
+class DiscGrid(_Grid):
     """Polar grid: sorted radii (starting at 0) times equispaced angles.
 
-    The center row is geometrically a single point: sample gives it one
-    value and point_list collapses it, so node-set arguments see each
-    location once.
+    radii is read-only; nodes, derived once and not compared, is the flat
+    read-only vector of distinct nodes: the centre 0j, then ring i >= 1 at
+    flat index 1 + (i - 1) * angle_count + j (angle 2 pi j / angle_count).
     """
 
-    radii: tuple
+    radii: np.ndarray
     angle_count: int = 512
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if r.size < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0) or r[-1] >= 1:
+        r = np.array(self.radii, dtype=float)
+        if r.ndim != 1 or r.size < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0) or r[-1] >= 1:
             raise ValueError("radii must start at 0, increase strictly, stay below 1")
         if self.angle_count < 8:
             raise ValueError("need at least 8 angles")
-        object.__setattr__(self, "radii", tuple(float(v) for v in r))
+        angles = 2.0 * np.pi * np.arange(self.angle_count) / self.angle_count
+        nodes = np.concatenate([[0j], (r[1:, None] * np.exp(1j * angles)[None, :]).ravel()])
+        for a in (r, nodes):
+            a.setflags(write=False)
+        object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def build(cls, exh: ExhaustionDisc, radial_count: int = 256, angle_count: int = 512):
         base = np.linspace(0.0, exh.outer, radial_count)
-        r = np.unique(np.concatenate([base, np.asarray(exh.radii)]))
-        return cls(tuple(r), angle_count)
-
-    @property
-    def radii_array(self):
-        return np.asarray(self.radii)
-
-    @property
-    def angles(self):
-        return 2.0 * np.pi * np.arange(self.angle_count) / self.angle_count
-
-    @property
-    def nodes(self):
-        """Complex node array, shape (radial, angular)."""
-        return self.radii_array[:, None] * np.exp(1j * self.angles)[None, :]
+        return cls(np.unique(np.concatenate([base, np.asarray(exh.radii)])), angle_count)
 
     @property
     def cell(self) -> float:
-        dr = float(np.max(np.diff(self.radii_array)))
+        dr = float(np.max(np.diff(self.radii)))
         arc = self.radii[-1] * 2.0 * np.pi / self.angle_count
         return max(dr, arc)
 
-    def point_list(self):
-        """Unique node positions as complex values: center once, then rings."""
-        rings = self.nodes[1:].ravel()
-        return np.concatenate([[0.0 + 0.0j], rings])
-
-    def flatten_values(self, values):
-        return np.concatenate([[values[0, 0]], values[1:].ravel()])
-
-    def sample(self, fn):
-        """fn at the nodes, its first center value repeated along the center row."""
-        vals = np.array(fn(self.nodes), dtype=complex)
-        vals[0] = vals[0, 0]
-        return vals
-
     def stencil(self, points):
-        """Polar bilinear stencil: the flat (i0, j0) and (i0, j1) corners, then wi, wj.
+        """The stencil of points: node values -> their polar bilinear interpolant there.
 
-        The i1 corners are one ring (angle_count flat indices) further on.
+        Linear in angle on the bracketing rings i0 and i0 + 1, then in r.  It keeps
+        the ring-(i0 + 1) corners; the ring-i0 ones lie angle_count flat indices
+        back, clamped at 0, so on i0 = 0 both are the centre.
         """
         z = np.asarray(points, dtype=complex)
         r = np.abs(z)
-        radii = self.radii_array
+        radii = self.radii
         if np.any(r > radii[-1] + _EDGE):
             raise ValueError("interpolation point leaves the grid domain")
         r = np.minimum(r, radii[-1])
@@ -289,32 +291,36 @@ class DiscGrid:
         j0 = t0.astype(int) % na
         i0 = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1) - 1
         wi = (r - radii[i0]) / (radii[i0 + 1] - radii[i0])
-        k0 = i0 * na
-        return k0 + j0, k0 + (j0 + 1) % na, wi, ti - t0
+        wj = ti - t0
+        k1 = 1 + i0 * na
+        k10, k11 = k1 + j0, k1 + (j0 + 1) % na
+
+        def apply(v):
+            return (
+                v[np.maximum(k10 - na, 0)] * (1 - wi) * (1 - wj)
+                + v[np.maximum(k11 - na, 0)] * (1 - wi) * wj
+                + v[k10] * wi * (1 - wj)
+                + v[k11] * wi * wj
+            )
+
+        return apply
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on an interval or disc grid.
+    """Complex samples at the nodes of an interval or disc grid.
 
-    Values are stored immutably; interpolation is linear between nodes
-    (bilinear in polar coordinates on the disc).
+    values is a read-only vector aligned with grid.nodes; interpolation is
+    linear between nodes (bilinear in polar coordinates on the disc).
     """
 
     grid: IntervalGrid | DiscGrid
-    values: tuple = field(compare=False)
+    values: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
-        if isinstance(self.grid, IntervalGrid):
-            if v.shape != (len(self.grid.nodes),):
-                raise ValueError("value count must match the grid nodes")
-        else:
-            want = (len(self.grid.radii), self.grid.angle_count)
-            if v.shape != want:
-                raise ValueError(f"values must have shape {want}")
-            if np.ptp(v[0].real) > 0 or np.ptp(v[0].imag) > 0:
-                raise ValueError("center row must hold a single repeated value")
+        if v.shape != self.grid.nodes.shape:
+            raise ValueError(f"values must have shape {self.grid.nodes.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         v.setflags(write=False)
@@ -326,11 +332,12 @@ class GridFunction:
 
     @property
     def array(self):
-        return np.asarray(self.values)
+        return self.values
 
     @classmethod
     def sample(cls, grid, fn):
-        return cls(grid, grid.sample(fn))
+        """fn evaluated at the grid nodes."""
+        return cls(grid, fn(grid.nodes))
 
     @classmethod
     def constant(cls, grid, c=1.0):
@@ -342,30 +349,19 @@ class GridFunction:
         return cls.sample(grid, lambda z: np.asarray(z, dtype=complex))
 
     def interpolate(self, stencil):
-        """Evaluate at the points whose grid.stencil this is; the stencil raises off the grid."""
-        if not isinstance(stencil, tuple):
-            return np.interp(stencil, self.grid.array, self.array)
-        k00, k01, wi, wj = stencil
-        v = self.array.ravel()
-        na = self.grid.angle_count
-        return (
-            v[k00] * (1 - wi) * (1 - wj)
-            + v[k01] * (1 - wi) * wj
-            + v[k00 + na] * wi * (1 - wj)
-            + v[k01 + na] * wi * wj
-        )
+        """Evaluate at the points whose grid.stencil this is (raw points raise TypeError)."""
+        return stencil(self.values)
 
     def lipschitz_estimate(self) -> float:
         """Max finite-difference slope over grid edges (modulus of continuity)."""
-        v = self.array
-        if isinstance(self.grid, IntervalGrid):
-            return float(np.max(np.abs(np.diff(v)) / np.diff(self.grid.array)))
-        radii = self.grid.radii_array
-        dr = np.diff(radii)[:, None]
-        radial = np.max(np.abs(np.diff(v, axis=0)) / dr)
-        arc = radii[1:, None] * (2.0 * np.pi / self.grid.angle_count)
-        dv = np.abs(v[1:] - np.roll(v[1:], 1, axis=1))
-        angular = np.max(dv / arc)
+        v, grid = self.values, self.grid
+        if isinstance(grid, IntervalGrid):
+            return float(np.max(np.abs(np.diff(v)) / np.diff(grid.nodes)))
+        rings = v[1:].reshape(-1, grid.angle_count)
+        dr = np.diff(grid.radii)[:, None]
+        radial = np.max(np.abs(np.diff(rings, axis=0, prepend=v[0])) / dr)
+        arc = grid.radii[1:, None] * (2.0 * np.pi / grid.angle_count)
+        angular = np.max(np.abs(rings - np.roll(rings, 1, axis=1)) / arc)
         return float(max(radial, angular))
 
 
@@ -385,10 +381,10 @@ def check_resolution(grid, exh):
 
 def sup_seminorm_grid(f: GridFunction, level: int, exh) -> float:
     """Max of |f| over the grid nodes inside exhaustion level K_level."""
-    mask = exh.excess(f.grid.point_list(), level) <= _EDGE
+    mask = f.grid.level_of(exh) <= level
     if not np.any(mask):
         raise ValueError(f"grid does not resolve exhaustion level {level}")
-    return float(np.max(np.abs(f.grid.flatten_values(f.array))[mask]))
+    return float(np.max(np.abs(f.values)[mask]))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +605,7 @@ def weighted_composition_grid(h: GridFunction, phi, f: GridFunction) -> GridFunc
         raise ValueError("weight and argument must share one grid")
     grid, last_phi, stencil = _last_phi_stencil
     if last_phi is not phi or grid != f.grid:
-        stencil = f.grid.stencil(f.grid.sample(phi))
+        stencil = f.grid.stencil(phi(f.grid.nodes))
         _last_phi_stencil = (f.grid, phi, stencil)
     return GridFunction(f.grid, h.array * f.interpolate(stencil))
 
@@ -753,14 +749,15 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
     e1 = GridFunction.coordinate(grid)
     phi_gf = GridFunction(grid, np.conj(h.array) * T(e1).array)
 
-    pts = grid.point_list()
-    images = grid.flatten_values(phi_gf.array)
+    pts = grid.nodes
+    images = phi_gf.values
+    level_of = grid.level_of(exh)
 
     # (a) containment and grid-surjectivity, level by level
     worst_contain = 0.0
     worst_surj = 0.0
     for n in range(exh.levels):
-        mask = exh.excess(pts, n) <= _EDGE
+        mask = level_of <= n
         img = images[mask]
         worst_contain = max(worst_contain, float(np.max(exh.excess(img, n))))
         tree = cKDTree(_planar(img))
@@ -859,12 +856,8 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
         raise ValueError(f"T(1) must be unimodular (gap {unim:g})")
     budget = interpolation_budget(probes, cell)
 
-    # smallest containing level per flat node
-    pts = grid.point_list()
     n_levels = exh.levels
-    level_of = np.full(pts.size, n_levels, dtype=int)
-    for n in range(n_levels - 1, -1, -1):
-        level_of[exh.excess(pts, n) <= _EDGE] = n
+    level_of = grid.level_of(exh)
     if np.any(level_of == n_levels):
         raise ValueError("grid extends beyond the outermost level")
 
@@ -872,7 +865,7 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     dual_max = 0.0
     hconj = np.conj(h.array)
     for f in probes:
-        phi_vals = grid.flatten_values(hconj * T(f).array)
+        phi_vals = hconj * T(f).array
         sems = np.array([sup_seminorm_grid(f, n, exh) for n in range(n_levels)])
         bound = sems[level_of] + budget
         slack = bound - np.abs(phi_vals)

@@ -434,6 +434,7 @@ class IsometryReport:
     family: str
     max_gap: float
     tol: float
+    circle_samples: int  # the most circle samples any probe was compared on
 
     @property
     def passed(self) -> bool:
@@ -445,6 +446,7 @@ class IsometryReport:
             "max_gap": self.max_gap,
             "tol": self.tol,
             "passed": self.passed,
+            "circle_samples": self.circle_samples,
         }
 
 
@@ -464,13 +466,15 @@ def isometry_test(
         raise ValueError("probe set must be nonempty")
     apply = _as_apply(op)
     max_gap = 0.0
+    q_max = 0
     for f in probes:
         g = apply(f)
         q = max(_CIRCLE_SAMPLES, _require_samples(g, None), _require_samples(f, None))
+        q_max = max(q_max, q)
         for r in circles.radii:
             gap = abs(family.seminorm(f, r, q) - family.seminorm(g, r, q))
             max_gap = max(max_gap, gap)
-    return IsometryReport(family.label, float(max_gap), tol)
+    return IsometryReport(family.label, float(max_gap), tol, q_max)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +491,13 @@ class Characterization:
     scalar_alpha: complex
     scalar_beta: complex
     certificate: dict
+    circle_samples: int  # the most circle samples a certificate check used
 
     def as_record(self) -> dict:
         rec = {
             "alpha": self.scalar_alpha,
             "beta": self.scalar_beta,
+            "circle_samples": self.circle_samples,
         }
         rec.update({f"certificate.{k}": v for k, v in sorted(self.certificate.items())})
         return rec
@@ -588,7 +594,7 @@ def characterize_isometry(
         raise NotCharacterizable(
             "reconstruction", f"operator deviates from the rotation by {recon_gap:g}"
         )
-    return Characterization(alpha, beta, cert)
+    return Characterization(alpha, beta, cert, max(q, qphi))
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +609,7 @@ class ThreeCircleReport:
     slack: float
     rigidity_flag: bool
     monomial: bool
+    circle_samples: int  # grid samples per circle before the maxima are sharpened
 
     def as_record(self) -> dict:
         return {
@@ -611,6 +618,7 @@ class ThreeCircleReport:
             "slack": self.slack,
             "rigidity_flag": self.rigidity_flag,
             "monomial": self.monomial,
+            "circle_samples": self.circle_samples,
         }
 
 
@@ -627,7 +635,8 @@ def three_circle_check(f: TaylorFunction, r1: float, r2: float, r3: float) -> Th
     """
     if not 0 < r1 < r2 < r3 < 1:
         raise ValueError("radii must satisfy 0 < r1 < r2 < r3 < 1")
-    ms = [sup_seminorm(f, r) for r in (r1, r2, r3)]
+    q = _require_samples(f, None)
+    ms = [sup_seminorm(f, r, q) for r in (r1, r2, r3)]
     if min(ms) == 0.0:
         raise ValueError("function vanishes on a sampled circle (zero function?)")
     l1, l2, l3 = (np.log(m) for m in ms)
@@ -636,4 +645,4 @@ def three_circle_check(f: TaylorFunction, r1: float, r2: float, r3: float) -> Th
     slack = rhs - lhs
     mags = np.abs(f.array)
     monomial = int(np.sum(mags > 1e-10 * float(np.max(mags)))) == 1
-    return ThreeCircleReport(lhs, rhs, float(slack), bool(abs(slack) <= 1e-10), monomial)
+    return ThreeCircleReport(lhs, rhs, float(slack), bool(abs(slack) <= 1e-10), monomial, q)

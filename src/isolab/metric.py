@@ -153,9 +153,10 @@ class SeparationResult:
     verdict: str  # separated | not_separated | inconclusive
     t_star: float | None
     gap: float
+    t_grid_size: int  # dilations the search runs over
 
     def as_record(self) -> dict:
-        rec = {"verdict": self.verdict, "gap": self.gap}
+        rec = {"verdict": self.verdict, "gap": self.gap, "t_grid_size": self.t_grid_size}
         if self.t_star is not None:
             rec["t_star"] = self.t_star
         return rec
@@ -212,13 +213,13 @@ def separate(
         raise ValueError("separate requires strictly positive entries")
     t_grid = default_t_grid()
     if measures_from_vectors(weights, a).approx_equal(measures_from_vectors(weights, b)):
-        return SeparationResult("not_separated", None, 0.0)
+        return SeparationResult("not_separated", None, 0.0, t_grid.size)
     gaps = np.abs(moment_curve(g, weights, a, t_grid) - moment_curve(g, weights, b, t_grid))
     k = int(np.argmax(gaps))
     gap = float(gaps[k])
     if gap > 1e-12:
-        return SeparationResult("separated", float(t_grid[k]), gap)
-    return SeparationResult("inconclusive", None, gap)
+        return SeparationResult("separated", float(t_grid[k]), gap, t_grid.size)
+    return SeparationResult("inconclusive", None, gap, t_grid.size)
 
 
 def count_support_start(

@@ -73,9 +73,6 @@ class LogMeasure:
         object.__setattr__(self, "positions", tuple(float(x) for x in p))
         object.__setattr__(self, "masses", tuple(float(x) for x in m))
 
-    def shifted(self, c: float) -> "LogMeasure":
-        return LogMeasure(tuple(np.asarray(self.positions) + c), self.masses)
-
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
@@ -261,6 +258,9 @@ def _fit_jacobian(params, k, zs, g_hat, h_hat, scale):
     return np.vstack([jac.real, jac.imag])
 
 
+_RESIDUAL_TOL = 1e-5  # largest relative fit residual a recovery accepts and a roundtrip passes
+
+
 def recover_measure(
     g: Gauge,
     s_samples,
@@ -378,9 +378,9 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, counts):
     )
     candidate = _as_log_measure(pos, mass)
 
-    if residual > 1e-5:
+    if residual > _RESIDUAL_TOL:
         raise RecoveryFailed(
-            f"relative residual {residual:g} exceeds tolerance 1e-05",
+            f"relative residual {residual:g} exceeds tolerance {_RESIDUAL_TOL:g}",
             candidate=candidate,
             residual=residual,
         )
@@ -428,7 +428,8 @@ class RoundtripReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_position_error < 1e-3 and self.max_mass_error < 1e-3
+        matched = self.max_position_error < 1e-3 and self.max_mass_error < 1e-3
+        return matched and self.residual <= _RESIDUAL_TOL
 
     def as_record(self) -> dict:
         return {

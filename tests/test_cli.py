@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from isolab.cli import (
     _HANDLERS, _PARAMS, _READS_TOL, PASS, FINDING, INVALID, build_parser, main,
 )
-from isolab.io_formats import write_columns
+from isolab.io_formats import read_columns, write_columns
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +80,16 @@ def test_recover_measure_roundtrip(capsys):
     assert "passed=true" in out
 
 
+def test_recover_measure_fails_past_the_residual_tolerance(capsys):
+    # the clip gauge's defaults match the atoms within 1e-3 but leave a residual above 1e-5
+    code, out, _ = run_cli(capsys, "recover-measure", "--gauge", "clip")
+    rec = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert code == FINDING
+    assert rec["passed"] == "false"
+    assert float(rec["residual"]) > 1e-5
+    assert float(rec["max_position_error"]) < 1e-3 and float(rec["max_mass_error"]) < 1e-3
+
+
 def test_recover_measure_reports_what_it_used(capsys):
     code, out, _ = run_cli(
         capsys, "recover-measure", "--positions", "0.0,1.2", "--masses", "0.3,0.4"
@@ -95,6 +105,20 @@ def test_recover_measure_reports_what_it_used(capsys):
     assert code == FINDING
     for key in ("pencil_rank", "fit_nfev", "frequencies_used"):
         assert f"{key}=0\n" in out
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["hol-iso-test"], "circle_samples", "512"),
+    (["hol-iso-test", "--degree", "200"], "circle_samples", "1024"),
+    (["hol-characterize"], "circle_samples", "512"),
+    (["three-circle"], "circle_samples", "64"),
+    (["three-circle", "--monomial", "40"], "circle_samples", "256"),
+    (["separate"], "t_grid_size", "200"),
+])
+def test_reports_say_what_they_sampled(argv, key, value, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == PASS
+    assert f"\n{key}={value}\n" in "\n" + out
 
 
 def test_hol_characterize_scale_finding(capsys):
@@ -395,6 +419,17 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
         run_cli(capsys, "cu-recover", "--seed", "5", "--grid-count", "1024", "--out", str(d))
     assert (a / "cu-recover-report.txt").read_bytes() == (b / "cu-recover-report.txt").read_bytes()
     assert (a / "recovered-weight.txt").read_bytes() == (b / "recovered-weight.txt").read_bytes()
+
+
+def test_disc_recovered_files_hold_one_row_per_distinct_node(tmp_path, capsys):
+    argv = ["--domain", "disc", "--radial-count", "64", "--angle-count", "128", "--map", "twist"]
+    code, out, _ = run_cli(capsys, "cu-recover", *argv, "--out", str(tmp_path))
+    assert code == PASS
+    nodes = int(dict(line.split("=", 1) for line in out.strip().splitlines())["nodes"])
+    for name in ("recovered-weight.txt", "recovered-map.txt"):
+        x, y, re, im = read_columns(tmp_path / name)
+        assert x.size == nodes and (x[0], y[0]) == (0.0, 0.0)  # the centre, once
+        assert np.all(np.hypot(x[1:], y[1:]) > 0)
 
 
 def test_fig1_curves(tmp_path, capsys):

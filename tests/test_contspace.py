@@ -93,15 +93,37 @@ def test_interval_grid_contains_breakpoints():
     assert GRID.array[-1] == EXH.outer[1]
 
 
+def _polar_block(grid):
+    """The radial x angular node block of a disc grid, centre row included."""
+    angles = 2.0 * np.pi * np.arange(grid.angle_count) / grid.angle_count
+    return grid.radii[:, None] * np.exp(1j * angles)[None, :]
+
+
+def _block_values(f):
+    """A disc function's values over the polar block, the centre value repeated along its row."""
+    na = f.grid.angle_count
+    return np.vstack([np.full(na, f.array[0]), f.array[1:].reshape(-1, na)])
+
+
 def test_disc_grid_shape_and_center():
     nodes = DGRID.nodes
-    assert nodes.shape == (len(DGRID.radii), DGRID.angle_count)
-    assert np.all(nodes[0] == 0.0)
-    pts = DGRID.point_list()
-    # center collapsed to one point
-    assert pts.size == 1 + (len(DGRID.radii) - 1) * DGRID.angle_count
+    # the centre once, as +0 + 0j, then the rings of the polar block row by row
+    assert nodes.shape == (1 + (len(DGRID.radii) - 1) * DGRID.angle_count,)
+    assert nodes[0] == 0.0 and not np.any(np.signbit([nodes[0].real, nodes[0].imag]))
+    assert np.array_equal(nodes[1:], _polar_block(DGRID)[1:].ravel())
+    assert not nodes.flags.writeable and not DGRID.radii.flags.writeable
     for r in DEXH.radii:
-        assert np.min(np.abs(DGRID.radii_array - r)) == 0.0
+        assert np.min(np.abs(DGRID.radii - r)) == 0.0
+
+
+def test_grids_built_apart_compare_equal():
+    assert IntervalGrid.build(EXH, 2048) == GRID
+    assert DiscGrid.build(DEXH, 128, 256) == DGRID
+    assert DiscGrid(tuple(DGRID.radii), 256) == DGRID
+    assert DiscGrid.build(DEXH, 128, 128) != DGRID
+    assert DiscGrid.build(DEXH, 129, 256) != DGRID
+    assert IntervalGrid.build(EXH, 1024) != GRID
+    assert GRID != DGRID and GRID != GRID.nodes
 
 
 def test_grid_function_interpolation_exact_on_nodes():
@@ -118,11 +140,29 @@ def test_grid_function_interpolation_domain_guard():
         f.interpolate(GRID.stencil(np.array([EXH.outer[1] + 0.01])))
 
 
-def test_disc_function_center_must_be_constant():
-    vals = np.ones(DGRID.nodes.shape, dtype=complex)
-    vals[0, 3] = 2.0
-    with pytest.raises(ValueError):
-        GridFunction(DGRID, vals)
+@pytest.mark.parametrize("grid, raw", [
+    (GRID, [EXH.outer[1] + 0.01]),
+    (GRID, [0.5]),
+    (DGRID, [0.9j]),
+    (DGRID, [0.5 + 0j]),
+])
+def test_interpolate_refuses_raw_points(grid, raw):
+    # only a grid.stencil result interpolates; raw points, inside the domain or not, raise
+    f = GridFunction.constant(grid, 1.0)
+    for points in (np.array(raw), raw):
+        with pytest.raises(TypeError):
+            f.interpolate(points)
+
+
+def test_grid_function_values_must_match_the_nodes():
+    GridFunction(DGRID, np.ones(DGRID.nodes.shape))
+    for grid, shape in [
+        (DGRID, _polar_block(DGRID).shape),  # the centre row is one node, not a row
+        (DGRID, (DGRID.nodes.size - 1,)),
+        (GRID, (GRID.nodes.size + 1,)),
+    ]:
+        with pytest.raises(ValueError, match="values must have shape"):
+            GridFunction(grid, np.ones(shape, dtype=complex))
 
 
 def test_disc_interpolation_exact_on_grid_radii():
@@ -132,13 +172,16 @@ def test_disc_interpolation_exact_on_grid_radii():
 
 
 def _reference_interpolate(f, where):
-    """Linear (interval) and polar bilinear (disc) interpolation in one pass, the oracle."""
-    v = f.array
+    """Linear (interval) and polar bilinear (disc) interpolation in one pass, the oracle.
+
+    On the disc it reads the four corners in _block_values(f).
+    """
     if isinstance(f.grid, IntervalGrid):
         nodes = f.grid.array
-        return np.interp(np.clip(np.real(where), nodes[0], nodes[-1]), nodes, v)
+        return np.interp(np.clip(np.real(where), nodes[0], nodes[-1]), nodes, f.array)
+    v = _block_values(f)
     z = np.asarray(where, dtype=complex)
-    radii = f.grid.radii_array
+    radii = f.grid.radii
     r = np.minimum(np.abs(z), radii[-1])
     theta = np.mod(np.angle(z), 2.0 * np.pi)
     na = f.grid.angle_count
@@ -173,7 +216,7 @@ def test_stencil_interpolation_bit_exact_on_the_interval():
 def test_stencil_interpolation_bit_exact_on_the_disc():
     rng = np.random.default_rng(52)
     f = random_probe(DGRID, rng)
-    radii = DGRID.radii_array
+    radii = DGRID.radii
     outer = radii[-1]
     theta = rng.uniform(-np.pi, np.pi, radii.size)
     below_2pi = np.nextafter(2.0 * np.pi, 0.0)
@@ -184,7 +227,7 @@ def test_stencil_interpolation_bit_exact_on_the_disc():
         radii * np.exp(1j * below_2pi),
         radii + 0j,  # theta = 0
         radii - 1e-300j,  # theta just below 0, so just below 2 pi after the wrap
-        DGRID.nodes.ravel(),
+        DGRID.nodes,
     ])
     assert np.array_equal(f.interpolate(DGRID.stencil(z)), _reference_interpolate(f, z))
 
@@ -205,6 +248,18 @@ def test_lipschitz_estimate_linear_function():
     assert abs(f.lipschitz_estimate() - 3.0) < 1e-9
 
 
+def test_disc_lipschitz_estimate_matches_the_polar_block():
+    # the oracle: radial and angular slopes over the block with a repeated centre row
+    f = random_probe(DGRID, np.random.default_rng(53))
+    na = DGRID.angle_count
+    v = _block_values(f)
+    radii = DGRID.radii
+    radial = np.max(np.abs(np.diff(v, axis=0)) / np.diff(radii)[:, None])
+    arc = radii[1:, None] * (2.0 * np.pi / na)
+    angular = np.max(np.abs(v[1:] - np.roll(v[1:], 1, axis=1)) / arc)
+    assert f.lipschitz_estimate() == float(max(radial, angular))
+
+
 def test_sup_seminorm_grid_trivials():
     one = GridFunction.constant(GRID, 1.0)
     for n in range(EXH.levels):
@@ -218,6 +273,34 @@ def test_sup_seminorm_grid_nested_levels_monotone():
     f = GridFunction.sample(GRID, lambda x: np.sin(7 * x) + 0.3)
     vals = [sup_seminorm_grid(f, n, EXH) for n in range(EXH.levels)]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def _beyond_outer_grid():
+    """A disc grid reaching past the outer exhaustion radius."""
+    return DiscGrid(tuple(np.unique(np.concatenate([np.linspace(0.0, 0.9, 91), DEXH.radii]))), 128)
+
+
+@pytest.mark.parametrize("grid, exh", [
+    (GRID, EXH), (DGRID, DEXH), (_beyond_outer_grid(), DEXH),
+])
+def test_level_of_matches_the_excess_mask(grid, exh):
+    other = Exhaustion1D.default(2) if exh is EXH else ExhaustionDisc((0.5, 0.8))
+    for e in (exh, other, exh):  # switching exhaustions recomputes the cached index
+        level_of = grid.level_of(e)
+        assert level_of.shape == grid.nodes.shape
+        masks = [e.excess(grid.nodes, n) <= contspace._EDGE for n in range(e.levels)]
+        for n, mask in enumerate(masks):
+            assert np.array_equal(level_of <= n, mask)
+        assert np.array_equal(level_of == e.levels, ~masks[-1])
+
+
+@pytest.mark.parametrize("grid, exh", [(GRID, EXH), (DGRID, DEXH)])
+def test_sup_seminorm_grid_matches_the_mask_formula(grid, exh):
+    rng = np.random.default_rng(54)
+    for f in [random_probe(grid, rng) for _ in range(4)] + [unimodular_field(grid, rng)]:
+        for n in range(exh.levels):
+            mask = exh.excess(grid.nodes, n) <= contspace._EDGE
+            assert sup_seminorm_grid(f, n, exh) == float(np.max(np.abs(f.array)[mask]))
 
 
 def test_sup_seminorm_grid_unresolved_level():
@@ -443,18 +526,17 @@ def test_weighted_composition_grid_direct():
     assert np.max(np.abs(out.array - 1.0j * GRID.array)) < 1e-15
 
 
-def test_disc_center_row_collapsed_once():
-    # the nodes of the center row are +-0 with arg 0 or pi, so this map
-    # takes two values there unless sampling collapses the row
+def test_disc_centre_sampled_once():
+    # a map that depends on arg z at 0 takes one value there: the centre is one node, +0 + 0j
     def phi(z):
         return 0.5 * z + 0.1 * np.exp(1j * np.angle(z))
 
-    assert np.ptp(phi(DGRID.nodes[0]).real) > 0
-    mapped = GridFunction.sample(DGRID, phi)
-    assert np.all(mapped.array[0] == mapped.array[0, 0])
+    centre = np.array([0j])
+    assert GridFunction.sample(DGRID, phi).array[0] == phi(centre)[0] == 0.1
     rng = np.random.default_rng(4)
-    out = weighted_composition_grid(unimodular_field(DGRID, rng), phi, random_probe(DGRID, rng))
-    assert np.all(out.array[0] == out.array[0, 0])
+    h, f = unimodular_field(DGRID, rng), random_probe(DGRID, rng)
+    out = weighted_composition_grid(h, phi, f)
+    assert out.array[0] == h.array[0] * f.interpolate(DGRID.stencil(phi(centre)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +546,7 @@ def test_disc_center_row_collapsed_once():
 
 def _fresh_composition(h, phi, f):
     grid = f.grid
-    return h.array * f.interpolate(grid.stencil(grid.sample(phi)))
+    return h.array * f.interpolate(grid.stencil(phi(grid.nodes)))
 
 
 def test_composition_cache_alternating_maps_match_fresh_stencils():
@@ -567,16 +649,14 @@ def _reference_tree_certificate(exh, pts, images, cell):
 
 
 def test_grid_beyond_the_outer_level_builds_a_separate_injectivity_tree(monkeypatch):
-    radii = np.unique(np.concatenate([np.linspace(0.0, 0.9, 91), DEXH.radii]))
-    grid = DiscGrid(tuple(radii), 128)
+    grid = _beyond_outer_grid()
     rng = np.random.default_rng(66)
     T = make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
     counts = {}
     _count_calls(monkeypatch, contspace, "cKDTree", counts)
     sym = recover_weight_and_map(T, DEXH, grid, rng=rng)
     assert counts == {"cKDTree": DEXH.levels + 1}
-    images = grid.flatten_values(sym.point_map.array)
-    want, _ = _reference_tree_certificate(DEXH, grid.point_list(), images, grid.cell)
+    want, _ = _reference_tree_certificate(DEXH, grid.nodes, sym.point_map.array, grid.cell)
     assert {k: sym.certificate[k] for k in want} == want
 
 
@@ -589,8 +669,8 @@ def test_collapsed_pairs_counted_across_chunks():
     with pytest.raises(NotWeightedComposition) as exc_info:
         recover_weight_and_map(T, DEXH, DGRID)
     assert exc_info.value.check == "injectivity"
-    images = DGRID.flatten_values(T(GridFunction.coordinate(DGRID)).array)
-    want, pair_count = _reference_tree_certificate(DEXH, DGRID.point_list(), images, DGRID.cell)
+    images = T(GridFunction.coordinate(DGRID)).array
+    want, pair_count = _reference_tree_certificate(DEXH, DGRID.nodes, images, DGRID.cell)
     assert pair_count > 2 * contspace._PAIR_CHUNK
     assert want["collapsed_pairs"] > 0
     assert exc_info.value.certificate["collapsed_pairs"] == want["collapsed_pairs"]

@@ -1,14 +1,17 @@
-"""Every public name the package lists is importable and has a caller,
-every module uses what it imports, and importing the package loads no
-scipy: the three scipy names are shims that import on their first call."""
+"""Every public name the package lists is importable and has a caller, as
+has every public method and property of the classes it lists; every module
+uses what it imports, and importing the package loads no scipy: the three
+scipy names are shims that import on their first call."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -41,16 +44,20 @@ def test_package_exports_the_library_modules_all():
 
 def _read_names(source: str) -> set:
     """Names a source reads (loads of a name or an attribute), leaving out
-    reads inside the top-level def or class of the same name."""
+    reads inside a def or class of the same name, at any depth."""
     read = set()
-    for top in ast.parse(source).body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-        read.discard(owner)
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in owners:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(ast.parse(source), frozenset())
     return read
 
 
@@ -66,19 +73,88 @@ def test_uncalled_guard_sees_a_leftover():
     assert _uncalled(["f", "g"], [*sources, "from m import f, g\n\ng(f)\n"]) == []
 
 
-def test_every_public_name_has_a_caller():
+def _public_members(module) -> dict:
+    """Class.member -> member, for the public methods and properties of the
+    classes a module lists, inherited ones included (builtins left out)."""
+    members = {}
+    for name in getattr(module, "__all__", []):
+        cls = getattr(module, name)
+        if not isinstance(cls, type):
+            continue
+        for klass in cls.__mro__:
+            if klass.__module__ == "builtins":
+                continue
+            for attr, value in vars(klass).items():
+                routine = isinstance(value, (property, classmethod, staticmethod))
+                if not attr.startswith("_") and (routine or inspect.isfunction(value)):
+                    members[f"{name}.{attr}"] = attr
+    return members
+
+
+def test_uncalled_guard_sees_a_leftover_member():
+    class Base:
+        def shared(self):
+            pass
+
+    class Listed(Base, RuntimeError):
+        size = 3  # a field default, not a member
+
+        def used(self):
+            pass
+
+        def unused(self):
+            pass
+
+        @property
+        def prop(self):
+            pass
+
+        @classmethod
+        def build(cls):
+            pass
+
+        def _private(self):
+            pass
+
+        def __len__(self):
+            return 0
+
+    module = types.SimpleNamespace(__all__=["Listed", "helper"], Listed=Listed, helper=len)
+    members = _public_members(module)
+    assert sorted(members) == [f"Listed.{m}" for m in ("build", "prop", "shared", "unused", "used")]
+    sources = [
+        "class Listed:\n    def unused(self):\n        return self.unused()\n",
+        "def caller(x):\n    return x.used(), x.build(), x.prop, x.shared()\n",
+    ]
+    assert _uncalled(set(members.values()), sources) == ["unused"]
+
+
+def _caller_sources() -> list:
     files = [
         *Path(isolab.__path__[0]).glob("*.py"),
         *(ROOT / "demos").glob("*.py"),
         *(ROOT / "perfbench").rglob("*.py"),
         ROOT / "tests" / "test_acceptance.py",
     ]
-    sources = [f.read_text() for f in files]
+    return [f.read_text() for f in files]
+
+
+def test_every_public_name_has_a_caller():
+    sources = _caller_sources()
     names = [m.name for m in pkgutil.iter_modules(isolab.__path__) if m.name != "__main__"]
     for name in names:
         public = getattr(importlib.import_module(f"isolab.{name}"), "__all__", [])
         uncalled = _uncalled(public, sources)
         assert not uncalled, f"isolab.{name} lists {uncalled} but nothing outside tests calls them"
+
+
+def test_every_public_member_has_a_caller():
+    sources = _caller_sources()
+    for name in LIBRARY:
+        members = _public_members(importlib.import_module(f"isolab.{name}"))
+        uncalled = set(_uncalled(set(members.values()), sources))
+        leftover = sorted(q for q, attr in members.items() if attr in uncalled)
+        assert not leftover, f"isolab.{name} has {leftover} but nothing outside tests calls them"
 
 
 def _unused_imports(source: str) -> list:

@@ -9,6 +9,7 @@ from isolab.recovery import (
     LogMeasure,
     RecoveryFailed,
     RecoverySpec,
+    RoundtripReport,
     fourier_from_samples,
     recover_measure,
     roundtrip_check,
@@ -38,7 +39,7 @@ def test_smoothed_curve_shift_equivariance():
     nu = LogMeasure((-0.5, 1.25), (0.3, 0.4))
     s = np.linspace(-4, 4, 33)
     d = 0.7
-    a = smoothed_curve(EXP, nu.shifted(d), 1.0, s)
+    a = smoothed_curve(EXP, LogMeasure(tuple(np.add(nu.positions, d)), nu.masses), 1.0, s)
     b = smoothed_curve(EXP, nu, 1.0, s + d)
     assert np.allclose(a, b, rtol=0, atol=1e-15)
 
@@ -168,6 +169,14 @@ def test_roundtrip_report_counts_what_it_used():
     rep = roundtrip_check(EXP, LogMeasure((0.5,), (0.5,)), spec, 1)
     assert (rep.pencil_rank, rep.frequencies_used) == (1, 17)
     assert rep.fit_nfev >= 1
+
+
+def test_roundtrip_passes_only_within_the_residual_tolerance():
+    # matched atoms alone do not pass: the residual must meet recover_measure's tolerance
+    tol = recovery._RESIDUAL_TOL
+    assert RoundtripReport(0.0, 0.0, tol, None).passed
+    assert not RoundtripReport(0.0, 0.0, np.nextafter(tol, 1.0), None).passed
+    assert not RoundtripReport(0.0, 0.0, np.nan, None).passed
 
 
 def test_recover_measure_direct_api():
