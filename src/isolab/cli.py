@@ -340,7 +340,10 @@ def _run_hol_characterize(cfg: ExperimentConfig, params):
     try:
         ch = holodisc.characterize_isometry(op, exh, family, rng=rng)
     except holodisc.NotCharacterizable as exc:
-        return FINDING, {"characterizable": False, "failed_check": exc.check}
+        rec = {"characterizable": False, "failed_check": exc.check}
+        rec["circle_samples"] = exc.circle_samples
+        rec.update({f"certificate.{k}": v for k, v in sorted(exc.certificate.items())})
+        return FINDING, rec
     rec = {"characterizable": True}
     rec.update(ch.as_record())
     return PASS, rec
@@ -663,7 +666,7 @@ _PARAMS = {
     "weight": (str, "random", "weight field: random or constant"),
     "grid_count": (int, 4096, "interval grid node count"),
     "radial_count": (int, 256, "disc grid radius count"),
-    "angle_count": (int, 512, "disc grid angle count"),
+    "angle_count": (int, 512, "angles on the outer disc-grid ring"),
     "probes": (int, 20, "number of random probes"),
     "which": (str, "fig1", "figure to emit: fig1, fig2, or fig3"),
 }

@@ -10,9 +10,11 @@ nonsurjective case.
 Each exhaustion says how far points lie outside a level (excess); each
 grid holds its distinct nodes once as a flat vector (nodes), finds once
 per exhaustion the smallest level holding each node (level_of) and builds
-the interpolation stencil of a point set (stencil).  Grid function values
-line up with the nodes on both domains, so the analysis has no per-domain
-branches.
+the interpolation stencil of a point set (stencil).  The disc grid is
+built by rings: the centre once at flat index 0, then ring i from flat
+index offsets[i], its angle count growing with its radius up to
+angle_count on the outer ring.  Grid function values line up with the
+nodes on both domains, so the analysis has no per-domain branches.
 
 Grid surrogates replace the continuum notions: surjectivity means every
 target node lies within one grid cell of the image, injectivity means no
@@ -237,16 +239,21 @@ class IntervalGrid(_Grid):
 
 @dataclass(frozen=True, eq=False)
 class DiscGrid(_Grid):
-    """Polar grid: sorted radii (starting at 0) times equispaced angles.
+    """Ring grid: sorted radii (starting at 0); ring i >= 1 holds
+    max(8, ceil(angle_count * radii[i] / radii[-1])) equispaced angles, so the
+    outer ring holds angle_count and its arc step is the widest (cell).
 
-    radii is read-only; nodes, derived once and not compared, is the flat
-    read-only vector of distinct nodes: the centre 0j, then ring i >= 1 at
-    flat index 1 + (i - 1) * angle_count + j (angle 2 pi j / angle_count).
+    radii is read-only; derived once, read-only and not compared are counts
+    (angles per ring, 1 at the centre), offsets (each ring's first flat index)
+    and nodes, the distinct nodes: the centre 0j, then node j of ring i at
+    flat index offsets[i] + j, angle 2 pi j / counts[i].
     """
 
     radii: np.ndarray
     angle_count: int = 512
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.array(self.radii, dtype=float)
@@ -254,12 +261,15 @@ class DiscGrid(_Grid):
             raise ValueError("radii must start at 0, increase strictly, stay below 1")
         if self.angle_count < 8:
             raise ValueError("need at least 8 angles")
-        angles = 2.0 * np.pi * np.arange(self.angle_count) / self.angle_count
-        nodes = np.concatenate([[0j], (r[1:, None] * np.exp(1j * angles)[None, :]).ravel()])
-        for a in (r, nodes):
+        counts = np.maximum(8, np.ceil(self.angle_count * (r / r[-1]))).astype(int)
+        counts[0] = 1
+        offsets = np.cumsum(counts) - counts
+        ring = np.repeat(np.arange(r.size), counts)
+        j = np.arange(ring.size) - offsets[ring]
+        nodes = r[ring] * np.exp(2j * np.pi * j / counts[ring])
+        for name, a in (("radii", r), ("counts", counts), ("offsets", offsets), ("nodes", nodes)):
             a.setflags(write=False)
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "nodes", nodes)
+            object.__setattr__(self, name, a)
 
     @classmethod
     def build(cls, exh: ExhaustionDisc, radial_count: int = 256, angle_count: int = 512):
@@ -273,11 +283,10 @@ class DiscGrid(_Grid):
         return max(dr, arc)
 
     def stencil(self, points):
-        """The stencil of points: node values -> their polar bilinear interpolant there.
+        """The stencil of points: node values -> their ring interpolant there.
 
-        Linear in angle on the bracketing rings i0 and i0 + 1, then in r.  It keeps
-        the ring-(i0 + 1) corners; the ring-i0 ones lie angle_count flat indices
-        back, clamped at 0, so on i0 = 0 both are the centre.
+        Linear in angle on the bracketing rings i0 and i0 + 1, each with its own
+        count, then linear in r; on i0 = 0 both ring-i0 corners are the centre.
         """
         z = np.asarray(points, dtype=complex)
         r = np.abs(z)
@@ -285,25 +294,18 @@ class DiscGrid(_Grid):
         if np.any(r > radii[-1] + _EDGE):
             raise ValueError("interpolation point leaves the grid domain")
         r = np.minimum(r, radii[-1])
-        na = self.angle_count
-        ti = np.mod(np.angle(z), 2.0 * np.pi) * na / (2.0 * np.pi)
-        t0 = np.floor(ti)
-        j0 = t0.astype(int) % na
+        turn = np.mod(np.angle(z), 2.0 * np.pi) / (2.0 * np.pi)
         i0 = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1) - 1
         wi = (r - radii[i0]) / (radii[i0 + 1] - radii[i0])
-        wj = ti - t0
-        k1 = 1 + i0 * na
-        k10, k11 = k1 + j0, k1 + (j0 + 1) % na
-
-        def apply(v):
-            return (
-                v[np.maximum(k10 - na, 0)] * (1 - wi) * (1 - wj)
-                + v[np.maximum(k11 - na, 0)] * (1 - wi) * wj
-                + v[k10] * wi * (1 - wj)
-                + v[k11] * wi * wj
-            )
-
-        return apply
+        corners = []
+        for i, w in ((i0, 1 - wi), (i0 + 1, wi)):
+            n, k = self.counts[i], self.offsets[i]
+            t = turn * n
+            j = np.floor(t)
+            t -= j  # the weight of the corner after angle j
+            j = j.astype(int)
+            corners += [(k + j % n, w * (1 - t)), (k + (j + 1) % n, w * t)]
+        return lambda v: sum(v[k] * w for k, w in corners)
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,7 @@ class GridFunction:
     """Complex samples at the nodes of an interval or disc grid.
 
     values is a read-only vector aligned with grid.nodes; interpolation is
-    linear between nodes (bilinear in polar coordinates on the disc).
+    linear between nodes (on the disc linear in angle on each ring, then in r).
     """
 
     grid: IntervalGrid | DiscGrid
@@ -357,12 +359,14 @@ class GridFunction:
         v, grid = self.values, self.grid
         if isinstance(grid, IntervalGrid):
             return float(np.max(np.abs(np.diff(v)) / np.diff(grid.nodes)))
-        rings = v[1:].reshape(-1, grid.angle_count)
-        dr = np.diff(grid.radii)[:, None]
-        radial = np.max(np.abs(np.diff(rings, axis=0, prepend=v[0])) / dr)
-        arc = grid.radii[1:, None] * (2.0 * np.pi / grid.angle_count)
-        angular = np.max(np.abs(rings - np.roll(rings, 1, axis=1)) / arc)
-        return float(max(radial, angular))
+        counts, offsets, z = grid.counts, grid.offsets, grid.nodes
+        ring = np.repeat(np.arange(1, counts.size), counts[1:])
+        j, n, m = np.arange(1, z.size) - offsets[ring], counts[ring], counts[ring - 1]
+        # from each node to the next on its ring and to the angle-nearest node one ring in
+        ahead = offsets[ring] + (j + 1) % n
+        inward = offsets[ring - 1] + (2 * j * m + n) // (2 * n) % m
+        slopes = (np.max(np.abs(v[1:] - v[b]) / np.abs(z[1:] - z[b])) for b in (ahead, inward))
+        return float(max(slopes))
 
 
 def check_resolution(grid, exh):

@@ -193,6 +193,8 @@ class HypothesisCheck:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     gauge_name: str
+    value_samples: int  # gauge values sampled: 0 and the log-spaced grid
+    subadditive_pairs: int  # (s, t) pairs of the subadditivity check
     checks: tuple = field(default_factory=tuple)
 
     @property
@@ -207,6 +209,7 @@ class AdmissibilityReport:
 
     def as_record(self) -> dict:
         rec = {"gauge": self.gauge_name, "all_pass": self.all_pass}
+        rec.update(value_samples=self.value_samples, subadditive_pairs=self.subadditive_pairs)
         for c in self.checks:
             rec[f"{c.name}.passed"] = c.passed
             rec[f"{c.name}.worst_gap"] = c.worst_gap
@@ -279,7 +282,7 @@ def check_admissibility(g: Gauge) -> AdmissibilityReport:
 
     checks.append(HypothesisCheck("derivative_mass", deriv_gap <= 1e-6, deriv_gap))
 
-    return AdmissibilityReport(gauge_name=g.name, checks=tuple(checks))
+    return AdmissibilityReport(g.name, int(grid.size), int(ps.size), tuple(checks))
 
 
 def _derivative_mass_gap(g: Gauge):

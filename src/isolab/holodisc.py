@@ -43,13 +43,16 @@ class NotCharacterizable(RuntimeError):
     """The operator fails one of the characterization steps.
 
     The failing check's name is carried in .check; .details holds the
-    measured quantity that broke it.
+    measured quantity that broke it, .certificate the values measured up to
+    and including it, and .circle_samples the most circle samples used.
     """
 
-    def __init__(self, check: str, details: str = ""):
+    def __init__(self, check: str, details: str, certificate: dict, circle_samples: int):
         super().__init__(f"not characterizable: {check}" + (f" ({details})" if details else ""))
         self.check = check
         self.details = details
+        self.certificate = dict(certificate)
+        self.circle_samples = circle_samples
 
 
 @dataclass(frozen=True)
@@ -522,7 +525,8 @@ def characterize_isometry(
     Callers are expected to have run isometry_test; a non-isometry fails
     at whichever step first exposes it.
 
-    Raises NotCharacterizable naming the failing check.  For the p = 2
+    Raises NotCharacterizable naming the failing check, with the
+    certificate measured so far.  For the p = 2
     mean family the certificate carries no_theorem_guarantee = True: the
     computation runs identically but no uniqueness theorem backs it.
     """
@@ -540,7 +544,7 @@ def characterize_isometry(
         cert["mean_flatness_gap"] = abs(v1 - v2)
         if abs(v1 - v2) > 1e-10 * max(1.0, v1):
             raise NotCharacterizable(
-                "mean-flatness", f"means {v1:g} and {v2:g} differ across radii"
+                "mean-flatness", f"means {v1:g} and {v2:g} differ across radii", cert, q
             )
 
     c0 = g0.array
@@ -549,17 +553,18 @@ def characterize_isometry(
     cert["constancy_tail"] = tail / scale
     if tail / scale > 1e-10:
         raise NotCharacterizable(
-            "constancy", f"image of the constant has relative tail mass {tail / scale:g}"
+            "constancy", f"image of the constant has relative tail mass {tail / scale:g}", cert, q
         )
     alpha = complex(c0[0])
     cert["alpha_modulus_gap"] = abs(abs(alpha) - 1.0)
     if abs(abs(alpha) - 1.0) > 1e-10:
         raise NotCharacterizable(
-            "unimodularity", f"|alpha| = {abs(alpha):g} is not 1"
+            "unimodularity", f"|alpha| = {abs(alpha):g} is not 1", cert, q
         )
 
     phi = apply(TaylorFunction.identity()).scaled(np.conj(alpha))
     qphi = max(_CIRCLE_SAMPLES, _require_samples(phi, None))
+    q = max(q, qphi)  # the most circle samples used so far
     circle_gap = 0.0
     for r in circles.radii[:3]:
         vals = np.abs(_circle_values(phi, r, qphi))
@@ -567,7 +572,7 @@ def characterize_isometry(
     cert["circle_preservation_gap"] = circle_gap
     if circle_gap > 1e-9:
         raise NotCharacterizable(
-            "circle-preservation", f"sampled circles move by {circle_gap:g}"
+            "circle-preservation", f"sampled circles move by {circle_gap:g}", cert, q
         )
 
     cphi = phi.array
@@ -577,12 +582,12 @@ def characterize_isometry(
     cert["linearity_gap"] = linear_tail
     if cphi.size < 2 or linear_tail > 1e-10:
         raise NotCharacterizable(
-            "linearity", f"normalized identity image is not a multiple of z"
+            "linearity", f"normalized identity image is not a multiple of z", cert, q
         )
     beta = complex(cphi[1])
     cert["beta_modulus_gap"] = abs(abs(beta) - 1.0)
     if abs(abs(beta) - 1.0) > 1e-10:
-        raise NotCharacterizable("beta-unimodularity", f"|beta| = {abs(beta):g}")
+        raise NotCharacterizable("beta-unimodularity", f"|beta| = {abs(beta):g}", cert, q)
 
     rng = np.random.default_rng(0) if rng is None else rng
     model = RotationOperator(alpha / abs(alpha), beta / abs(beta))
@@ -592,9 +597,9 @@ def characterize_isometry(
     cert["reconstruction_gap"] = recon_gap
     if recon_gap > 1e-9:
         raise NotCharacterizable(
-            "reconstruction", f"operator deviates from the rotation by {recon_gap:g}"
+            "reconstruction", f"operator deviates from the rotation by {recon_gap:g}", cert, q
         )
-    return Characterization(alpha, beta, cert, max(q, qphi))
+    return Characterization(alpha, beta, cert, q)
 
 
 # ---------------------------------------------------------------------------

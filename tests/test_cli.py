@@ -114,6 +114,8 @@ def test_recover_measure_reports_what_it_used(capsys):
     (["three-circle"], "circle_samples", "64"),
     (["three-circle", "--monomial", "40"], "circle_samples", "256"),
     (["separate"], "t_grid_size", "200"),
+    (["theta-check"], "value_samples", "1202"),  # 0 and 1201 log-spaced points
+    (["theta-check"], "subadditive_pairs", "25281"),  # 159 base points, squared
 ])
 def test_reports_say_what_they_sampled(argv, key, value, capsys):
     code, out, _ = run_cli(capsys, *argv)
@@ -124,7 +126,16 @@ def test_reports_say_what_they_sampled(argv, key, value, capsys):
 def test_hol_characterize_scale_finding(capsys):
     code, out, _ = run_cli(capsys, "hol-characterize", "--op", "scale")
     assert code == FINDING
-    assert "failed_check=unimodularity" in out
+    rec = dict(line.split("=", 1) for line in out.strip().splitlines())
+    # the refusal carries what was measured up to the failing check, and against what
+    assert rec["failed_check"] == "unimodularity" and rec["characterizable"] == "false"
+    assert rec["circle_samples"] == "512"
+    measured = sorted(k for k in rec if k.startswith("certificate."))
+    assert measured == [
+        "certificate.alpha_modulus_gap", "certificate.constancy_tail",
+        "certificate.mean_flatness_gap",
+    ]
+    assert float(rec["certificate.alpha_modulus_gap"]) > 1e-10
 
 
 def test_three_circle_monomial(capsys):

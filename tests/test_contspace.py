@@ -1,5 +1,8 @@
+import bisect
 import gc
+import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,27 +96,35 @@ def test_interval_grid_contains_breakpoints():
     assert GRID.array[-1] == EXH.outer[1]
 
 
-def _polar_block(grid):
-    """The radial x angular node block of a disc grid, centre row included."""
-    angles = 2.0 * np.pi * np.arange(grid.angle_count) / grid.angle_count
-    return grid.radii[:, None] * np.exp(1j * angles)[None, :]
-
-
-def _block_values(f):
-    """A disc function's values over the polar block, the centre value repeated along its row."""
-    na = f.grid.angle_count
-    return np.vstack([np.full(na, f.array[0]), f.array[1:].reshape(-1, na)])
-
-
 def test_disc_grid_shape_and_center():
-    nodes = DGRID.nodes
-    # the centre once, as +0 + 0j, then the rings of the polar block row by row
-    assert nodes.shape == (1 + (len(DGRID.radii) - 1) * DGRID.angle_count,)
+    radii, na = DGRID.radii, DGRID.angle_count
+    counts, offsets, nodes = DGRID.counts, DGRID.offsets, DGRID.nodes
+    # the centre once, as +0 + 0j; ring i >= 1 holds max(8, ceil(na r_i / r_outer)) angles
+    assert counts[0] == 1 and offsets[0] == 0
     assert nodes[0] == 0.0 and not np.any(np.signbit([nodes[0].real, nodes[0].imag]))
-    assert np.array_equal(nodes[1:], _polar_block(DGRID)[1:].ravel())
-    assert not nodes.flags.writeable and not DGRID.radii.flags.writeable
+    for i in range(1, radii.size):
+        assert counts[i] == max(8, math.ceil(na * (radii[i] / radii[-1])))
+        assert offsets[i] == offsets[i - 1] + counts[i - 1]
+        ring = radii[i] * np.exp(2j * np.pi * np.arange(counts[i]) / counts[i])
+        assert np.array_equal(nodes[offsets[i] : offsets[i] + counts[i]], ring)
+    assert counts[-1] == na and nodes.size == offsets[-1] + na
+    for a in (nodes, radii, counts, offsets):
+        assert not a.flags.writeable
     for r in DEXH.radii:
         assert np.min(np.abs(DGRID.radii - r)) == 0.0
+
+
+@pytest.mark.parametrize("radial, angles, nodes, polar_nodes", [
+    (64, 128, 4_177, 8_193), (128, 256, 16_537, 32_769), (256, 512, 65_833, 131_073),
+])
+def test_ring_grid_keeps_the_polar_cell(radial, angles, nodes, polar_nodes):
+    # the same cell as the polar grid of angles x radii, with about half its nodes
+    grid = DiscGrid.build(DEXH, radial, angles)
+    radii = grid.radii
+    assert grid.cell == max(float(np.max(np.diff(radii))), radii[-1] * 2.0 * np.pi / angles)
+    assert np.all(radii[1:] * 2.0 * np.pi / grid.counts[1:] <= grid.cell)
+    assert grid.nodes.size == nodes
+    assert 1 + (radii.size - 1) * angles == polar_nodes
 
 
 def test_grids_built_apart_compare_equal():
@@ -157,7 +168,7 @@ def test_interpolate_refuses_raw_points(grid, raw):
 def test_grid_function_values_must_match_the_nodes():
     GridFunction(DGRID, np.ones(DGRID.nodes.shape))
     for grid, shape in [
-        (DGRID, _polar_block(DGRID).shape),  # the centre row is one node, not a row
+        (DGRID, (DGRID.radii.size, DGRID.angle_count)),  # a polar block is not the layout
         (DGRID, (DGRID.nodes.size - 1,)),
         (GRID, (GRID.nodes.size + 1,)),
     ]:
@@ -172,33 +183,31 @@ def test_disc_interpolation_exact_on_grid_radii():
 
 
 def _reference_interpolate(f, where):
-    """Linear (interval) and polar bilinear (disc) interpolation in one pass, the oracle.
+    """Linear interpolation on the interval, the oracle."""
+    nodes = f.grid.array
+    return np.interp(np.clip(np.real(where), nodes[0], nodes[-1]), nodes, f.array)
 
-    On the disc it reads the four corners in _block_values(f).
-    """
-    if isinstance(f.grid, IntervalGrid):
-        nodes = f.grid.array
-        return np.interp(np.clip(np.real(where), nodes[0], nodes[-1]), nodes, f.array)
-    v = _block_values(f)
-    z = np.asarray(where, dtype=complex)
-    radii = f.grid.radii
-    r = np.minimum(np.abs(z), radii[-1])
-    theta = np.mod(np.angle(z), 2.0 * np.pi)
-    na = f.grid.angle_count
-    ti = theta * na / (2.0 * np.pi)
-    j0 = np.floor(ti).astype(int) % na
-    wj = ti - np.floor(ti)
-    i1 = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1)
-    i0 = i1 - 1
-    denom = radii[i1] - radii[i0]
-    wi = (r - radii[i0]) / denom
-    j1 = (j0 + 1) % na
-    return (
-        v[i0, j0] * (1 - wi) * (1 - wj)
-        + v[i0, j1] * (1 - wi) * wj
-        + v[i1, j0] * wi * (1 - wj)
-        + v[i1, j1] * wi * wj
-    )
+
+def _reference_ring(f, where):
+    """The ring interpolant point by point: on the two rings bracketing |z|, linear in
+    angle between the ring's neighbouring nodes (its own count), then linear in r."""
+    grid, v = f.grid, f.array
+    radii = grid.radii.tolist()
+    out = []
+    for z in np.asarray(where, dtype=complex):
+        r = min(np.abs(z), radii[-1])
+        turn = np.mod(np.angle(z), 2.0 * np.pi) / (2.0 * np.pi)
+        i1 = min(max(bisect.bisect_right(radii, r), 1), len(radii) - 1)
+        wi = (r - radii[i1 - 1]) / (radii[i1] - radii[i1 - 1])
+        total = 0
+        for i, w in ((i1 - 1, 1 - wi), (i1, wi)):
+            n, k = int(grid.counts[i]), int(grid.offsets[i])
+            t = turn * n
+            j = math.floor(t)  # ring i's angle j below z, angle (j + 1) % n above
+            total += v[k + j % n] * (w * (1 - (t - j)))
+            total += v[k + (j + 1) % n] * (w * (t - j))
+        out.append(total)
+    return np.array(out)
 
 
 def test_stencil_interpolation_bit_exact_on_the_interval():
@@ -223,13 +232,14 @@ def test_stencil_interpolation_bit_exact_on_the_disc():
     z = np.concatenate([
         np.sqrt(rng.uniform(0, outer**2, 5000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000)),
         radii * np.exp(1j * theta),  # exactly on every ring radius
+        radii[1] * rng.uniform(0, 1, 64) * np.exp(1j * theta[:64]),  # inside ring 1: i0 = 0
         (outer + contspace._EDGE / 2) * np.exp(1j * theta),
         radii * np.exp(1j * below_2pi),
         radii + 0j,  # theta = 0
         radii - 1e-300j,  # theta just below 0, so just below 2 pi after the wrap
         DGRID.nodes,
     ])
-    assert np.array_equal(f.interpolate(DGRID.stencil(z)), _reference_interpolate(f, z))
+    assert np.array_equal(f.interpolate(DGRID.stencil(z)), _reference_ring(f, z))
 
 
 @pytest.mark.parametrize("grid, where", [
@@ -248,16 +258,56 @@ def test_lipschitz_estimate_linear_function():
     assert abs(f.lipschitz_estimate() - 3.0) < 1e-9
 
 
-def test_disc_lipschitz_estimate_matches_the_polar_block():
-    # the oracle: radial and angular slopes over the block with a repeated centre row
-    f = random_probe(DGRID, np.random.default_rng(53))
-    na = DGRID.angle_count
-    v = _block_values(f)
-    radii = DGRID.radii
-    radial = np.max(np.abs(np.diff(v, axis=0)) / np.diff(radii)[:, None])
-    arc = radii[1:, None] * (2.0 * np.pi / na)
-    angular = np.max(np.abs(v[1:] - np.roll(v[1:], 1, axis=1)) / arc)
-    assert f.lipschitz_estimate() == float(max(radial, angular))
+def _reference_ring_lipschitz(f):
+    """Max slope over each node's edge to the next node on its ring and to the node
+    one ring in nearest in angle (ties to the later angle), node by node."""
+    grid, v, z = f.grid, f.array, f.grid.nodes
+    counts, offsets = grid.counts.tolist(), grid.offsets.tolist()
+    best = 0.0
+    for i in range(1, len(counts)):
+        n, m = counts[i], counts[i - 1]
+        for j in range(n):
+            a = offsets[i] + j
+            nearest = math.floor(Fraction(j * m, n) + Fraction(1, 2)) % m
+            for b in (offsets[i] + (j + 1) % n, offsets[i - 1] + nearest):
+                best = max(best, np.abs(v[a] - v[b]) / np.abs(z[a] - z[b]))
+    return float(best)
+
+
+def test_disc_lipschitz_estimate_matches_the_ring_edges():
+    rng = np.random.default_rng(53)
+    for f in (random_probe(DGRID, rng), unimodular_field(DGRID, rng)):
+        assert f.lipschitz_estimate() == _reference_ring_lipschitz(f)
+    # noise on a small grid whose ring counts all differ (8, 9, 13): its
+    # steepest edge tells which inner node each node is paired with
+    small = DiscGrid((0.0, 0.3, 0.55, 0.8), 13)
+    for _ in range(20):
+        f = GridFunction(small, [1, 1j] @ rng.normal(size=(2, small.nodes.size)))
+        assert f.lipschitz_estimate() == _reference_ring_lipschitz(f)
+    # a linear function's slope is its modulus, on every edge
+    assert GridFunction.sample(DGRID, lambda z: 3.0 * z).lipschitz_estimate() == pytest.approx(3.0)
+
+
+def _probe_and_function(grid, seed):
+    """random_probe(grid, default_rng(seed)) and the polynomial it samples, drawn alike."""
+    f = random_probe(grid, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    c = (rng.normal(size=7) + 1j * rng.normal(size=7)) / (1.0 + np.arange(7))
+    assert np.array_equal(f.array, np.polyval(c[::-1], grid.nodes))
+    return f, lambda z: np.polyval(c[::-1], z)
+
+
+@pytest.mark.parametrize("radial, angles", [(64, 128), (128, 256), (256, 512)])
+def test_ring_interpolation_error_within_the_budget(radial, angles):
+    grid = DiscGrid.build(DEXH, radial, angles)
+    rng = np.random.default_rng(radial)
+    outer = grid.radii[-1]
+    z = np.sqrt(rng.uniform(0, outer**2, 20_000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 20_000))
+    stencil = grid.stencil(z)
+    for seed in range(3):
+        f, exact = _probe_and_function(grid, 100 * radial + seed)
+        err = float(np.max(np.abs(f.interpolate(stencil) - exact(z))))
+        assert err <= f.lipschitz_estimate() * grid.cell
 
 
 def test_sup_seminorm_grid_trivials():
@@ -662,15 +712,17 @@ def test_grid_beyond_the_outer_level_builds_a_separate_injectivity_tree(monkeypa
 
 def test_collapsed_pairs_counted_across_chunks():
     # angle doubling keeps every circle, so containment and surjectivity
-    # hold, but sends each pair of antipodal nodes to one point
+    # hold, but sends each pair of antipodal nodes to one point; the fine
+    # grid gives pairs enough for at least three blocks of the count
+    grid = DiscGrid.build(DEXH, 512, 1024)
     T = make_composition_operator(
-        GridFunction.constant(DGRID, 1.0), lambda z: np.abs(z) * np.exp(2j * np.angle(z))
+        GridFunction.constant(grid, 1.0), lambda z: np.abs(z) * np.exp(2j * np.angle(z))
     )
     with pytest.raises(NotWeightedComposition) as exc_info:
-        recover_weight_and_map(T, DEXH, DGRID)
+        recover_weight_and_map(T, DEXH, grid)
     assert exc_info.value.check == "injectivity"
-    images = T(GridFunction.coordinate(DGRID)).array
-    want, pair_count = _reference_tree_certificate(DEXH, DGRID.nodes, images, DGRID.cell)
+    images = T(GridFunction.coordinate(grid)).array
+    want, pair_count = _reference_tree_certificate(DEXH, grid.nodes, images, grid.cell)
     assert pair_count > 2 * contspace._PAIR_CHUNK
     assert want["collapsed_pairs"] > 0
     assert exc_info.value.certificate["collapsed_pairs"] == want["collapsed_pairs"]

@@ -328,6 +328,13 @@ def test_characterize_square_warp_names_circle_preservation():
     with pytest.raises(NotCharacterizable) as exc_info:
         characterize_isometry(warp, exh, SupFamily())
     assert exc_info.value.check == "circle-preservation"
+    # the certificate so far, up to and including the failing check
+    cert = exc_info.value.certificate
+    assert sorted(cert) == [
+        "alpha_modulus_gap", "circle_preservation_gap", "constancy_tail", "mean_flatness_gap",
+    ]
+    assert cert["circle_preservation_gap"] > 1e-9
+    assert exc_info.value.circle_samples == 512
 
 
 def test_characterize_hp2_flags_missing_theorem():
