@@ -251,7 +251,7 @@ def _taylor_from(params, rng) -> holodisc.TaylorFunction:
             cols = io_formats.read_columns(path)
             if len(cols) != 2:
                 raise ValueError(f"expected 2 columns (re im), got {len(cols)}")
-            return holodisc.TaylorFunction(tuple(cols[0] + 1j * cols[1]))
+            return holodisc.TaylorFunction(cols[0] + 1j * cols[1])
         except (OSError, ValueError) as exc:
             raise CliError(f"taylor_file: {exc}") from exc
     if params["monomial"] is not None:
@@ -308,7 +308,7 @@ def _disc_operator_from(params, degree):
             f"{short}: a {m.shape[0]}x{m.shape[0]} matrix cannot act on probes of "
             f"degree {need - 1}; it needs at least {need}x{need}"
         )
-    return holodisc.MatrixOperator(tuple(tuple(row) for row in m))
+    return holodisc.MatrixOperator(m)
 
 
 def _run_hol_iso_test(cfg: ExperimentConfig, params):
@@ -326,7 +326,7 @@ def _selftest_hol_iso_test(cfg: ExperimentConfig):
     probes = holodisc.standard_probes(np.random.default_rng(0))
     rot = holodisc.RotationOperator(1j, -1.0)
     r1 = holodisc.isometry_test(rot, holodisc.SupFamily(), exh, probes, tol=1e-12)
-    doubled = holodisc.MatrixOperator(tuple(tuple(2.0 * (i == j) for j in range(12)) for i in range(12)))
+    doubled = holodisc.MatrixOperator(2.0 * np.eye(12))
     r2 = holodisc.isometry_test(doubled, holodisc.SupFamily(), exh, probes)
     rec = {"rotation.max_gap": r1.max_gap, "rotation.passed": r1.passed, "doubled.passed": r2.passed}
     return (PASS if r1.passed and not r2.passed else FINDING), rec
@@ -670,9 +670,9 @@ _PARAMS = {
     "probes": (int, 20, "number of random probes"),
     "which": (str, "fig1", "figure to emit: fig1, fig2, or fig3"),
 }
-# count -> smallest valid value, checked with the type
+# count or tolerance -> smallest valid value, checked with the type
 _MINIMUM = {
-    "seed": 0, "atom_budget": 1, "levels": 1, "degree": 0, "monomial": 0,
+    "seed": 0, "tol": 0, "atom_budget": 1, "levels": 1, "degree": 0, "monomial": 0,
     "grid_count": 2, "radial_count": 2, "angle_count": 8, "probes": 1,
 }
 _GAUGE = ("gauge", "alpha")
@@ -740,8 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _checked(name: str, typ, value):
-    """value as typ; a bool, another type, a non-finite float or a count below
-    its _MINIMUM is invalid."""
+    """value as typ; a bool, another type, a non-finite float or a count or
+    tolerance below its _MINIMUM is invalid."""
     if typ is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, typ) or isinstance(value, bool):

@@ -170,11 +170,13 @@ _EDGE = 1e-12
 
 
 class _Grid:
-    """Equality and the level index, shared by both grids.
+    """Equality, read-only storage and the level index, shared by both grids.
 
     Grids are equal when their compared fields are equal element for element,
     so a grid built apart from the same inputs equals the original; arrays
-    derived from those fields are not compared.
+    derived from those fields are not compared.  Each grid derives its edges
+    once: node k >= 1 meets node partners[e, k - 1] at distance
+    lengths[e, k - 1], one row e per kind of edge.
     """
 
     _levels = (None, None)  # (exhaustion, level index) of the last level_of call
@@ -184,6 +186,12 @@ class _Grid:
             np.array_equal(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self) if f.compare
         )
+
+    def _store(self, **arrays):
+        """Store each array read-only under its name."""
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def level_of(self, exh):
         """Smallest level of exh holding each node, exh.levels past the outermost.
@@ -202,16 +210,19 @@ class _Grid:
 
 @dataclass(frozen=True, eq=False)
 class IntervalGrid(_Grid):
-    """Sorted sample nodes covering the outermost exhaustion interval (a read-only vector)."""
+    """Sorted sample nodes covering the outermost exhaustion interval (a read-only
+    vector); each node's one edge runs to the node before it."""
 
     nodes: np.ndarray
+    partners: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.array(self.nodes, dtype=float)
         if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
             raise ValueError("nodes must be strictly increasing, at least two")
-        x.setflags(write=False)
-        object.__setattr__(self, "nodes", x)
+        partners = np.arange(x.size - 1, dtype=np.min_scalar_type(x.size))[None]
+        self._store(nodes=x, partners=partners, lengths=np.diff(x)[None])
 
     @classmethod
     def build(cls, exh: Exhaustion1D, count: int = 4096):
@@ -244,9 +255,11 @@ class DiscGrid(_Grid):
     outer ring holds angle_count and its arc step is the widest (cell).
 
     radii is read-only; derived once, read-only and not compared are counts
-    (angles per ring, 1 at the centre), offsets (each ring's first flat index)
-    and nodes, the distinct nodes: the centre 0j, then node j of ring i at
-    flat index offsets[i] + j, angle 2 pi j / counts[i].
+    (angles per ring, 1 at the centre), offsets (each ring's first flat index),
+    nodes, the distinct nodes: the centre 0j, then node j of ring i at flat
+    index offsets[i] + j, angle 2 pi j / counts[i], and the edges from each
+    node to the next on its ring and to the node one ring in nearest in angle
+    (ties to the later angle).
     """
 
     radii: np.ndarray
@@ -254,6 +267,8 @@ class DiscGrid(_Grid):
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    partners: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.array(self.radii, dtype=float)
@@ -267,9 +282,13 @@ class DiscGrid(_Grid):
         ring = np.repeat(np.arange(r.size), counts)
         j = np.arange(ring.size) - offsets[ring]
         nodes = r[ring] * np.exp(2j * np.pi * j / counts[ring])
-        for name, a in (("radii", r), ("counts", counts), ("offsets", offsets), ("nodes", nodes)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        ring, j = ring[1:], j[1:]
+        n, m = counts[ring], counts[ring - 1]
+        ahead = offsets[ring] + (j + 1) % n
+        inward = offsets[ring - 1] + (2 * j * m + n) // (2 * n) % m
+        partners = np.stack([ahead, inward]).astype(np.min_scalar_type(nodes.size))
+        self._store(radii=r, counts=counts, offsets=offsets, nodes=nodes, partners=partners)
+        self._store(lengths=np.abs(nodes[1:] - nodes[partners]))
 
     @classmethod
     def build(cls, exh: ExhaustionDisc, radial_count: int = 256, angle_count: int = 512):
@@ -355,18 +374,9 @@ class GridFunction:
         return stencil(self.values)
 
     def lipschitz_estimate(self) -> float:
-        """Max finite-difference slope over grid edges (modulus of continuity)."""
+        """Max finite-difference slope over the grid's edges (modulus of continuity)."""
         v, grid = self.values, self.grid
-        if isinstance(grid, IntervalGrid):
-            return float(np.max(np.abs(np.diff(v)) / np.diff(grid.nodes)))
-        counts, offsets, z = grid.counts, grid.offsets, grid.nodes
-        ring = np.repeat(np.arange(1, counts.size), counts[1:])
-        j, n, m = np.arange(1, z.size) - offsets[ring], counts[ring], counts[ring - 1]
-        # from each node to the next on its ring and to the angle-nearest node one ring in
-        ahead = offsets[ring] + (j + 1) % n
-        inward = offsets[ring - 1] + (2 * j * m + n) // (2 * n) % m
-        slopes = (np.max(np.abs(v[1:] - v[b]) / np.abs(z[1:] - z[b])) for b in (ahead, inward))
-        return float(max(slopes))
+        return float(np.max(np.abs(v[1:] - v[grid.partners]) / grid.lengths))
 
 
 def check_resolution(grid, exh):

@@ -1,10 +1,11 @@
 """Truncated Taylor models on the unit disc and their circle seminorms.
 
-Functions are finite Taylor polynomials; seminorms are suprema or p-th
-power means over sampled circles of an increasing radius family.  The
-module tests candidate operators for isometry, characterizes isometries
-as coefficient rotations, and checks the three-circle log-convexity
-inequality with its equality rigidity.
+Functions are finite Taylor polynomials, each holding its coefficients as
+one read-only complex array (a matrix operator likewise holds its matrix);
+seminorms are suprema or p-th power means over sampled circles of an
+increasing radius family.  The module tests candidate operators for
+isometry, characterizes isometries as coefficient rotations, and checks
+the three-circle log-convexity inequality with its equality rigidity.
 """
 
 from __future__ import annotations
@@ -55,27 +56,29 @@ class NotCharacterizable(RuntimeError):
         self.circle_samples = circle_samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorFunction:
     """Finite Taylor polynomial with complex coefficients, ascending degree.
 
-    Equality compares canonical forms (exact trailing zeros trimmed).
-    Every operation is exact: products and compositions keep their full
-    degree, nothing is truncated.
+    coefficients is a read-only complex copy of the input, exact trailing zeros
+    trimmed, so equality compares canonical forms.  Every operation is exact:
+    products and compositions keep their full degree, nothing is truncated.
     """
 
-    coefficients: tuple
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
+        c = np.array(self.coefficients, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        trimmed = c
-        while trimmed.size > 1 and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        object.__setattr__(self, "coefficients", tuple(complex(x) for x in trimmed))
+        c = c[: np.flatnonzero(c)[-1] + 1] if c.any() else c[:1]
+        c.setflags(write=False)
+        object.__setattr__(self, "coefficients", c)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.coefficients, other.coefficients)
 
     @classmethod
     def one(cls):
@@ -93,11 +96,11 @@ class TaylorFunction:
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return self.coefficients.size - 1
 
     @property
     def array(self):
-        return np.asarray(self.coefficients)
+        return self.coefficients
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -112,16 +115,16 @@ class TaylorFunction:
         out = np.zeros(n, dtype=complex)
         out[: a.size] += a
         out[: b.size] += b
-        return TaylorFunction(tuple(out))
+        return TaylorFunction(out)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def scaled(self, c):
-        return TaylorFunction(tuple(np.asarray(self.array) * complex(c)))
+        return TaylorFunction(self.coefficients * complex(c))
 
     def __mul__(self, other):
-        return TaylorFunction(tuple(np.convolve(self.array, other.array)))
+        return TaylorFunction(np.convolve(self.coefficients, other.coefficients))
 
     def compose(self, inner: "TaylorFunction") -> "TaylorFunction":
         """Polynomial composition self(inner(z)), exact degree growth."""
@@ -129,7 +132,7 @@ class TaylorFunction:
         for c in reversed(self.coefficients[:-1]):
             out = np.convolve(out, inner.array)
             out[0] += c
-        return TaylorFunction(tuple(out))
+        return TaylorFunction(out)
 
 
 def random_taylor(rng, degree: int, min_significant: int = 1) -> TaylorFunction:
@@ -146,7 +149,7 @@ def random_taylor(rng, degree: int, min_significant: int = 1) -> TaylorFunction:
         if abs(c[-1]) < 0.1:
             c[-1] += 0.2 * (1 + 1j)
         if int(np.sum(np.abs(c) >= 0.1)) >= min_significant:
-            return TaylorFunction(tuple(c))
+            return TaylorFunction(c)
 
 
 # circle samples isometry_test and characterize_isometry start from; they
@@ -331,7 +334,7 @@ class RotationOperator:
 
     def apply(self, f: TaylorFunction) -> TaylorFunction:
         k = np.arange(f.degree + 1)
-        return TaylorFunction(tuple(self.alpha * self.beta**k * f.array))
+        return TaylorFunction(self.alpha * self.beta**k * f.array)
 
 
 @dataclass(frozen=True)
@@ -354,33 +357,32 @@ class WeightedCompositionOperator:
         return self.weight * f.compose(self.warp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixOperator:
-    """Linear action on the coefficient vector, given as a square matrix."""
+    """Linear action on the coefficient vector: a square matrix, held as a read-only copy."""
 
-    matrix: tuple  # tuple of row tuples, complex
+    matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        object.__setattr__(
-            self, "matrix", tuple(tuple(complex(x) for x in row) for row in m)
-        )
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def array(self):
-        return np.asarray(self.matrix)
+        return self.matrix
 
     def apply(self, f: TaylorFunction) -> TaylorFunction:
-        m = self.array
+        m = self.matrix
         n = m.shape[0]
         c = np.zeros(n, dtype=complex)
         src = f.array
         if src.size > n:
             raise ValueError("function degree exceeds the operator matrix size")
         c[: src.size] = src
-        return TaylorFunction(tuple(m @ c))
+        return TaylorFunction(m @ c)
 
 
 def _as_apply(op):
@@ -400,7 +402,7 @@ def operator_matrix(op, size: int) -> MatrixOperator:
         if out.size > size:
             raise ValueError("operator escapes the requested matrix size")
         cols[: out.size, k] = out
-    return MatrixOperator(tuple(tuple(row) for row in cols))
+    return MatrixOperator(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,7 @@ class RoundtripReport:
     pencil_rank: int = 0
     fit_nfev: int = 0
     frequencies_used: int = 0
+    kernel_transform: str = "closed_form"  # the gauge's mellin, or quadrature
 
     @property
     def passed(self) -> bool:
@@ -440,6 +441,7 @@ class RoundtripReport:
             "pencil_rank": self.pencil_rank,
             "fit_nfev": self.fit_nfev,
             "frequencies_used": self.frequencies_used,
+            "kernel_transform": self.kernel_transform,
         }
 
 
@@ -455,27 +457,28 @@ def roundtrip_check(
     reports infinite error rather than raising, so expected-failure cases
     stay inspectable.  RecoveryFailed propagates its candidate the same way.
     The pencil rank, the fit's evaluations and the frequencies used read 0
-    when recovery refused before the fit.
+    when recovery refused before the fit; kernel_transform names the kernel
+    transform on every report.
     """
     s, h = smoothed_curve_samples(g, measure, spec)
-    counts = {}
+    keys = {"kernel_transform": "closed_form" if g.mellin is not None else "quadrature"}
     try:
-        rec, residual = _recover_with_residual(g, s, h, spec, atom_budget, counts)
+        rec, residual = _recover_with_residual(g, s, h, spec, atom_budget, keys)
     except RecoveryFailed as err:
         rec = err.candidate
         residual = err.residual
         if rec is None:
-            return RoundtripReport(np.inf, np.inf, residual, None, **counts)
+            return RoundtripReport(np.inf, np.inf, residual, None, **keys)
     true_p = np.asarray(measure.positions)
     true_m = np.asarray(measure.masses)
     got_p = np.asarray(rec.positions)
     got_m = np.asarray(rec.masses)
     if got_p.size != true_p.size:
-        return RoundtripReport(np.inf, np.inf, residual, rec, **counts)
+        return RoundtripReport(np.inf, np.inf, residual, rec, **keys)
     return RoundtripReport(
         float(np.max(np.abs(got_p - true_p))),
         float(np.max(np.abs(got_m - true_m))),
         residual,
         rec,
-        **counts,
+        **keys,
     )

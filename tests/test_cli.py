@@ -98,13 +98,15 @@ def test_recover_measure_reports_what_it_used(capsys):
     assert "pencil_rank=2\n" in out
     assert "frequencies_used=257\n" in out
     assert "fit_nfev=" in out and "fit_nfev=0\n" not in out
-    # refused before the fit: the counts read 0
+    assert "kernel_transform=closed_form\n" in out
+    # refused before the fit: the counts read 0, the kernel transform is still named
     code, out, _ = run_cli(
         capsys, "recover-measure", "--positions", "0.0", "--masses", "0.3", "--atom-budget", "200"
     )
     assert code == FINDING
     for key in ("pencil_rank", "fit_nfev", "frequencies_used"):
         assert f"{key}=0\n" in out
+    assert "kernel_transform=closed_form\n" in out
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -242,6 +244,15 @@ def test_tol_echoed_and_rerun_where_a_verdict_reads_it(tmp_path, capsys):
     cfg = tmp_path / "echo.json"
     cfg.write_text(json.dumps(_echo(out)))
     assert run_cli(capsys, "frullani", "--config", str(cfg)) == (code, out, "")
+
+
+@pytest.mark.parametrize("name", _READS_TOL)
+def test_negative_tol_is_invalid(name, tmp_path, capsys):
+    want = (INVALID, "", "error=tol: must be at least 0, got -1.0\n")
+    assert run_cli(capsys, name, "--tol", "-1") == want
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": -1}))
+    assert run_cli(capsys, name, "--config", str(cfg)) == want
 
 
 @pytest.mark.parametrize("name", _NO_TOL)

@@ -288,6 +288,16 @@ def test_disc_lipschitz_estimate_matches_the_ring_edges():
     assert GridFunction.sample(DGRID, lambda z: 3.0 * z).lipschitz_estimate() == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("grid, kinds", [(GRID, 1), (DGRID, 2)])
+def test_grid_edges_are_stored_once_read_only_and_compact(grid, kinds):
+    n = grid.nodes.size
+    assert grid.partners.shape == grid.lengths.shape == (kinds, n - 1)
+    assert grid.partners.dtype == np.min_scalar_type(n)
+    assert not grid.partners.flags.writeable and not grid.lengths.flags.writeable
+    assert np.array_equal(grid.lengths, np.abs(grid.nodes[1:] - grid.nodes[grid.partners]))
+    assert grid.partners is grid.partners and grid.lengths is grid.lengths
+
+
 def _probe_and_function(grid, seed):
     """random_probe(grid, default_rng(seed)) and the polynomial it samples, drawn alike."""
     f = random_probe(grid, np.random.default_rng(seed))

@@ -38,12 +38,69 @@ def test_taylor_evaluation_horner():
 def test_taylor_algebra():
     f = TaylorFunction((1.0, 1.0))
     g = TaylorFunction((0.0, 0.0, 1.0))
-    assert (f + g).coefficients == (1.0, 1.0, 1.0)
-    assert (f - f).coefficients == (0.0,)
+    assert np.array_equal((f + g).coefficients, (1.0, 1.0, 1.0))
+    assert np.array_equal((f - f).coefficients, (0.0,))
     # (1+z) * z^2 = z^2 + z^3
-    assert (f * g).coefficients == (0.0, 0.0, 1.0, 1.0)
+    assert np.array_equal((f * g).coefficients, (0.0, 0.0, 1.0, 1.0))
     # (1+z) o z^2 = 1 + z^2
-    assert f.compose(g).coefficients == (1.0, 0.0, 1.0)
+    assert np.array_equal(f.compose(g).coefficients, (1.0, 0.0, 1.0))
+
+
+def test_taylor_coefficients_are_a_read_only_copy():
+    src = np.array([1.0, 2.0j, 0.0, 0.0])
+    f = TaylorFunction(src)
+    assert f.array is f.coefficients and f.array is f.array
+    assert not f.coefficients.flags.writeable
+    assert f.coefficients.dtype == complex
+    assert np.array_equal(f.coefficients, (1.0, 2.0j))
+    # the caller's array is neither aliased nor frozen
+    assert src.flags.writeable
+    assert not np.shares_memory(src, f.coefficients)
+    src[0] = 7.0
+    assert f.coefficients[0] == 1.0
+    with pytest.raises(ValueError):
+        f.coefficients[0] = 5.0
+
+
+def test_taylor_trims_to_the_constant_term():
+    for zeros in ((0.0,), (0.0, 0.0, 0.0), np.zeros(5, dtype=complex), (0.0, -0.0j)):
+        f = TaylorFunction(zeros)
+        assert f.degree == 0
+        assert np.array_equal(f.coefficients, (0,))
+        assert f.coefficients.shape == (1,)
+    assert TaylorFunction((3.0, 0.0, 1e-300, 0.0)).degree == 2
+
+
+def test_taylor_equality_compares_canonical_forms():
+    assert TaylorFunction((1, 0)) == TaylorFunction((1,))
+    assert TaylorFunction((1.0, 2.0)) == TaylorFunction(np.array([1.0, 2.0, 0.0]))
+    assert TaylorFunction((1.0, 2.0)) != TaylorFunction((1.0, 2.5))
+    assert TaylorFunction((1.0,)) != TaylorFunction((1.0, 1.0))
+    assert TaylorFunction((1.0,)) != (1.0,)
+    with pytest.raises(TypeError):
+        hash(TaylorFunction((1.0,)))
+
+
+def test_matrix_operator_stores_a_read_only_copy():
+    rng = np.random.default_rng(4)
+    src = rng.normal(size=(6, 6)).T  # column-major on purpose
+    op = MatrixOperator(src)
+    assert op.array is op.matrix and op.array is op.array
+    assert not op.matrix.flags.writeable
+    assert op.matrix.dtype == complex and op.matrix.flags.c_contiguous
+    assert np.array_equal(op.matrix, src)
+    # held row-major whatever the input layout, so apply gives the row-major product's bits
+    f = random_taylor(rng, 5)
+    want = np.ascontiguousarray(src, dtype=complex) @ f.array
+    assert np.array_equal(op.apply(f).array, TaylorFunction(want).array)
+    assert src.flags.writeable
+    assert not np.shares_memory(src, op.matrix)
+    src[0, 0] = 7.0
+    assert op.matrix[0, 0] != 7.0
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 5.0
+    with pytest.raises(ValueError, match="square"):
+        MatrixOperator(np.ones((2, 3)))
 
 
 def test_random_taylor_degree_and_significance():

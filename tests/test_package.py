@@ -1,7 +1,8 @@
 """Every public name the package lists is importable and has a caller, as
 has every public method and property of the classes it lists; every module
-uses what it imports, and importing the package loads no scipy: the three
-scipy names are shims that import on their first call."""
+uses what it imports, the disc and grid models store their arrays instead of
+converting on every .array access, and importing the package loads no scipy:
+the three scipy names are shims that import on their first call."""
 
 import ast
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import isolab
-from isolab import contspace, make_builtin_gauge
+from isolab import contspace, holodisc, make_builtin_gauge
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ("quadrature", "gauges", "metric", "recovery", "holodisc", "contspace")
@@ -187,6 +188,44 @@ def test_no_unused_imports():
         source = Path(isolab.__path__[0], f"{name}.py").read_text()
         unused = _unused_imports(source)
         assert not unused, f"isolab.{name} imports {unused} without using them"
+
+
+def _array_is_stored(obj) -> bool:
+    """obj.array is one read-only ndarray, the same object on every access."""
+    a = obj.array
+    return isinstance(a, np.ndarray) and not a.flags.writeable and obj.array is a
+
+
+def test_stored_array_guard_sees_a_conversion():
+    class Converting:
+        coefficients = (1.0, 2.0)
+
+        @property
+        def array(self):
+            a = np.asarray(self.coefficients)
+            a.setflags(write=False)
+            return a
+
+    class Writable:
+        array = np.ones(2)
+
+    assert not _array_is_stored(Converting())
+    assert not _array_is_stored(Writable())
+
+
+def test_models_return_their_stored_array():
+    grid = contspace.IntervalGrid.build(contspace.Exhaustion1D.default(), 64)
+    disc = contspace.DiscGrid.build(contspace.ExhaustionDisc.default(), 8, 16)
+    models = (
+        holodisc.TaylorFunction((1.0, 2.0j, 0.0)),
+        holodisc.operator_matrix(holodisc.RotationOperator(1j, -1.0), 4),
+        holodisc.MatrixOperator([[1.0, 2.0], [3.0, 4.0]]),
+        grid,
+        contspace.GridFunction.coordinate(grid),
+        contspace.GridFunction.coordinate(disc),
+    )
+    for model in models:
+        assert _array_is_stored(model), type(model).__name__
 
 
 def _scipy_after(*argvs) -> tuple:

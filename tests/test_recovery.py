@@ -130,6 +130,15 @@ def test_roundtrip_two_atoms(g):
     assert rep.max_mass_error < 1e-3
 
 
+def test_roundtrip_names_the_kernel_transform():
+    rep = roundtrip_check(RAT2, LogMeasure((0.4,), (0.6,)), RecoverySpec(), 1)
+    assert rep.as_record()["kernel_transform"] == "closed_form"
+    quad = dataclasses.replace(RAT2, mellin=None)
+    rep = roundtrip_check(quad, LogMeasure((0.4,), (0.6,)), RecoverySpec(), 1)
+    assert rep.as_record()["kernel_transform"] == "quadrature"
+    assert rep.passed
+
+
 def test_roundtrip_three_atoms_exp():
     nu = LogMeasure((-2.0, 0.0, 1.5), (0.2, 0.3, 0.25))
     rep = roundtrip_check(EXP, nu, RecoverySpec(), 3)
