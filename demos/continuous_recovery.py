@@ -44,7 +44,7 @@ def main():
 
     exh = Exhaustion1D.default(3)
     grid = IntervalGrid.build(exh, 2048)
-    print(f"interval exhaustion levels: {exh.intervals}")
+    print(f"interval exhaustion levels: {exh.intervals.tolist()}")
     print(f"grid: {len(grid.array)} nodes, cell {grid.cell:.2e}")
 
     section("hidden decreasing symbol on the interval")

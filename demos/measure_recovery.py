@@ -25,10 +25,11 @@ spec = RecoverySpec()
 
 print("== clean roundtrip ==")
 nu = LogMeasure((-1.2, 0.3), (0.35, 0.4))
-print("true atoms:     ", list(zip(nu.positions, nu.masses)))
+print("true atoms:     ", list(zip(nu.positions.tolist(), nu.masses.tolist())))
 s, h = smoothed_curve_samples(g, nu, spec)
 rec = recover_measure(g, s, h, spec, atom_budget=4)
-print("recovered atoms:", [(round(p, 10), round(m, 10)) for p, m in zip(rec.positions, rec.masses)])
+got = zip(rec.positions.tolist(), rec.masses.tolist())
+print("recovered atoms:", [(round(p, 10), round(m, 10)) for p, m in got])
 rep = roundtrip_check(g, nu, spec, 4)
 print(f"position error {rep.max_position_error:.2e}, mass error {rep.max_mass_error:.2e}, residual {rep.residual:.2e}")
 

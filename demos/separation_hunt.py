@@ -35,8 +35,8 @@ def main():
     a = SeminormVector((1.0, 2.0))
     b = SeminormVector((1.2445961625535962, 1.5))
 
-    print("vector a:", a.values)
-    print("vector b:", b.values)
+    print("vector a:", a.values.tolist())
+    print("vector b:", b.values.tolist())
     da = metric_value(g, w, a)
     db = metric_value(g, w, b)
     print(f"metric of a: [{da.lower:.16f}, {da.upper:.16f}]")
@@ -51,7 +51,7 @@ def main():
         print(f"  t = {t:8.4f}   a: {va:.6f}   b: {vb:.6f}   |gap| {abs(va - vb):.3e}")
 
     print("\nPermuting a vector leaves its measure unchanged:")
-    perm = SeminormVector(tuple(sorted(rng.permutation(a.values))))
+    perm = SeminormVector(np.sort(rng.permutation(a.values)))
     res = separate(g, w, a, perm)
     print(f"  a vs shuffled a -> {res.verdict}")
 
@@ -62,8 +62,8 @@ def main():
         for _ in range(200):
             n = int(rng.integers(1, 9))
             ww = WeightSequence.uniform(n)
-            va = SeminormVector(tuple(np.sort(rng.uniform(0.1, 10.0, n))))
-            vb = SeminormVector(tuple(np.sort(rng.uniform(0.1, 10.0, n))))
+            va = SeminormVector(np.sort(rng.uniform(0.1, 10.0, n)))
+            vb = SeminormVector(np.sort(rng.uniform(0.1, 10.0, n)))
             r = separate(gg, ww, va, vb)
             if r.verdict == "separated":
                 gaps.append(r.gap)
@@ -72,7 +72,7 @@ def main():
     print("\nCounting leading zeros from dilated sums alone:")
     a = SeminormVector((0.0, 0.0, 0.7, 3.0))
     k = count_support_start(make_builtin_gauge("exp"), WeightSequence.uniform(4), a, t_large=1e5)
-    print(f"  vector {a.values} -> support starts at index {k}")
+    print(f"  vector {a.values.tolist()} -> support starts at index {k}")
 
 
 if __name__ == "__main__":

@@ -128,6 +128,8 @@ def _run_frullani(cfg: ExperimentConfig, params):
     rho = params["rho"]
     if rho <= 1.0:
         raise CliError("rho: must exceed 1")
+    if not cfg.tol > 0:
+        raise CliError(f"tol: must be greater than 0 for frullani, got {cfg.tol!r}")
     spec = QuadratureSpec(tol=min(cfg.tol, 1e-7))
     value = frullani_integral(g, rho, spec)
     target = float(np.log(rho))
@@ -158,7 +160,7 @@ def _weights_from(params) -> metric.WeightSequence:
             raise CliError(f"weights: bad uniform count in {spec!r}") from exc
         build, arg = metric.WeightSequence.uniform, n
     else:
-        build, arg = metric.WeightSequence, tuple(_parse_floats(spec, "weights"))
+        build, arg = metric.WeightSequence, _parse_floats(spec, "weights")
     try:
         return build(arg, declared_tail=tail)
     except ValueError as exc:
@@ -166,7 +168,7 @@ def _weights_from(params) -> metric.WeightSequence:
 
 
 def _vector_from(params, key) -> metric.SeminormVector:
-    values = tuple(_parse_floats(params[key], key))
+    values = _parse_floats(params[key], key)
     try:
         return metric.SeminormVector(values)
     except ValueError as exc:
@@ -220,7 +222,7 @@ def _run_recover_measure(cfg: ExperimentConfig, params):
         raise CliError("masses: need one mass per position")
     order = np.argsort(positions)
     try:
-        nu = recovery.LogMeasure(tuple(positions[order]), tuple(masses[order]))
+        nu = recovery.LogMeasure(positions[order], masses[order])
     except ValueError as exc:
         raise CliError(f"positions/masses: {exc}") from exc
     budget = params["atom_budget"]
@@ -587,7 +589,7 @@ def _run_emit_figure(cfg: ExperimentConfig, params):
             io_formats.write_csv(
                 out / f"fig2-{name}.csv",
                 ["x", "y"],
-                [np.asarray(homeo.xs), np.asarray(homeo.ys)],
+                [homeo.xs, homeo.ys],
             )
         fixed = [0.2, 0.5, 0.8]
         gaps = [abs(float(inc(x)) - x) for x in fixed]
@@ -613,7 +615,7 @@ def _run_emit_figure(cfg: ExperimentConfig, params):
         io_formats.write_csv(
             out / "fig3-profile.csv",
             ["r", "twist"],
-            [np.asarray(tw.twist_breaks), np.asarray(tw.twist_values)],
+            [tw.twist_breaks, tw.twist_values],
         )
         gap = 0.0
         for r in exh.radii:

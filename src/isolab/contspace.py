@@ -27,10 +27,12 @@ cell of at most a quarter of the narrowest band between level boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+
+from ._frozen import Frozen, store
 
 __all__ = [
     "Exhaustion1D",
@@ -80,31 +82,30 @@ class NotWeightedComposition(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Exhaustion1D:
-    """Nested closed intervals [a_n, b_n] inside (0,1).
+@dataclass(frozen=True, eq=False)
+class Exhaustion1D(Frozen):
+    """Nested closed intervals [a_n, b_n] inside (0,1), one row (a_n, b_n) per level.
 
     a_n strictly decreases and b_n strictly increases with the level, so
     the intervals nest upward; the innermost may be a single point.
     """
 
-    intervals: tuple
+    intervals: np.ndarray
 
     def __post_init__(self):
-        iv = tuple((float(a), float(b)) for a, b in self.intervals)
-        if not iv:
+        (iv,) = store(self, float, intervals=self.intervals)
+        if iv.size == 0 or iv.shape[1:] != (2,):
             raise ValueError("need at least one interval")
-        a0, b0 = iv[0]
-        if not 0 < a0 <= b0 < 1:
+        a, b = iv.T
+        if not 0 < a[0] <= b[0] < 1:
             raise ValueError("innermost interval must satisfy 0 < a <= b < 1")
-        for (ap, bp), (an, bn) in zip(iv, iv[1:]):
-            if not (0 < an < ap and bp < bn < 1):
-                raise ValueError("intervals must nest strictly and stay inside (0,1)")
-        object.__setattr__(self, "intervals", iv)
+        if not (np.all(np.diff(a) < 0) and np.all(np.diff(b) > 0) and 0 < a[-1] and b[-1] < 1):
+            raise ValueError("intervals must nest strictly and stay inside (0,1)")
 
     @classmethod
     def default(cls, levels: int = 3):
-        return cls(tuple((1.0 / (n + 5), 1.0 - 1.0 / (n + 5)) for n in range(levels)))
+        a = 1.0 / np.arange(5, 5 + levels)
+        return cls(np.column_stack([a, 1.0 - a]))
 
     @property
     def levels(self) -> int:
@@ -116,8 +117,7 @@ class Exhaustion1D:
 
     def breakpoints(self):
         """All endpoints, ascending, duplicates removed (degenerate core)."""
-        pts = sorted({x for ab in self.intervals for x in ab})
-        return np.array(pts)
+        return np.unique(self.intervals)
 
     def excess(self, points, level: int):
         """How far each complex point lies outside [a_level, b_level]."""
@@ -126,19 +126,18 @@ class Exhaustion1D:
         return np.maximum(np.maximum(a - z.real, z.real - b), np.abs(z.imag))
 
 
-@dataclass(frozen=True)
-class ExhaustionDisc:
+@dataclass(frozen=True, eq=False)
+class ExhaustionDisc(Frozen):
     """Closed discs of strictly increasing radii inside the unit disc."""
 
-    radii: tuple
+    radii: np.ndarray
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.radii)
-        if not r:
+        (r,) = store(self, float, radii=self.radii)
+        if r.ndim != 1 or r.size == 0:
             raise ValueError("need at least one radius")
-        if r[0] < 0 or r[-1] >= 1 or any(y <= x for x, y in zip(r, r[1:])):
+        if not (r[0] >= 0 and r[-1] < 1 and np.all(np.diff(r) > 0)):
             raise ValueError("radii must be strictly increasing in [0, 1)")
-        object.__setattr__(self, "radii", r)
 
     @classmethod
     def default(cls):
@@ -150,7 +149,7 @@ class ExhaustionDisc:
 
     @property
     def outer(self) -> float:
-        return self.radii[-1]
+        return float(self.radii[-1])
 
     def breakpoints(self):
         """Level boundary radii, ascending, with the center 0 first."""
@@ -169,43 +168,29 @@ class ExhaustionDisc:
 _EDGE = 1e-12
 
 
-class _Grid:
-    """Equality, read-only storage and the level index, shared by both grids.
+class _Grid(Frozen):
+    """The level index, shared by both grids.
 
-    Grids are equal when their compared fields are equal element for element,
-    so a grid built apart from the same inputs equals the original; arrays
-    derived from those fields are not compared.  Each grid derives its edges
+    A grid built apart from the same inputs equals the original: the arrays
+    derived from them are not compared.  Each grid derives its edges
     once: node k >= 1 meets node partners[e, k - 1] at distance
     lengths[e, k - 1], one row e per kind of edge.
     """
 
-    _levels = (None, None)  # (exhaustion, level index) of the last level_of call
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self) if f.compare
-        )
-
-    def _store(self, **arrays):
-        """Store each array read-only under its name."""
-        for name, a in arrays.items():
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+    _level_exh = None  # the exhaustion of the stored _level_index
 
     def level_of(self, exh):
         """Smallest level of exh holding each node, exh.levels past the outermost.
 
         Levels nest, so level_of(exh) <= n is exactly excess(nodes, n) <= _EDGE.
         """
-        last, levels = self._levels
-        if last != exh:
+        if self._level_exh != exh:
             levels = np.full(self.nodes.size, exh.levels, np.min_scalar_type(exh.levels))
             for n in range(exh.levels - 1, -1, -1):
                 levels[exh.excess(self.nodes, n) <= _EDGE] = n
-            levels.setflags(write=False)
-            object.__setattr__(self, "_levels", (exh, levels))
-        return levels
+            store(self, copy=None, _level_index=levels)
+            object.__setattr__(self, "_level_exh", exh)
+        return self._level_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +203,11 @@ class IntervalGrid(_Grid):
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.array(self.nodes, dtype=float)
+        (x,) = store(self, float, nodes=self.nodes)
         if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
             raise ValueError("nodes must be strictly increasing, at least two")
         partners = np.arange(x.size - 1, dtype=np.min_scalar_type(x.size))[None]
-        self._store(nodes=x, partners=partners, lengths=np.diff(x)[None])
+        store(self, copy=None, partners=partners, lengths=np.diff(x)[None])
 
     @classmethod
     def build(cls, exh: Exhaustion1D, count: int = 4096):
@@ -271,7 +256,7 @@ class DiscGrid(_Grid):
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.array(self.radii, dtype=float)
+        (r,) = store(self, float, radii=self.radii)
         if r.ndim != 1 or r.size < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0) or r[-1] >= 1:
             raise ValueError("radii must start at 0, increase strictly, stay below 1")
         if self.angle_count < 8:
@@ -287,13 +272,14 @@ class DiscGrid(_Grid):
         ahead = offsets[ring] + (j + 1) % n
         inward = offsets[ring - 1] + (2 * j * m + n) // (2 * n) % m
         partners = np.stack([ahead, inward]).astype(np.min_scalar_type(nodes.size))
-        self._store(radii=r, counts=counts, offsets=offsets, nodes=nodes, partners=partners)
-        self._store(lengths=np.abs(nodes[1:] - nodes[partners]))
+        lengths = np.abs(nodes[1:] - nodes[partners])
+        store(self, copy=None, counts=counts, offsets=offsets, nodes=nodes, partners=partners,
+              lengths=lengths)
 
     @classmethod
     def build(cls, exh: ExhaustionDisc, radial_count: int = 256, angle_count: int = 512):
         base = np.linspace(0.0, exh.outer, radial_count)
-        return cls(np.unique(np.concatenate([base, np.asarray(exh.radii)])), angle_count)
+        return cls(np.unique(np.concatenate([base, exh.radii])), angle_count)
 
     @property
     def cell(self) -> float:
@@ -327,8 +313,8 @@ class DiscGrid(_Grid):
         return lambda v: sum(v[k] * w for k, w in corners)
 
 
-@dataclass(frozen=True)
-class GridFunction:
+@dataclass(frozen=True, eq=False)
+class GridFunction(Frozen):
     """Complex samples at the nodes of an interval or disc grid.
 
     values is a read-only vector aligned with grid.nodes; interpolation is
@@ -336,16 +322,14 @@ class GridFunction:
     """
 
     grid: IntervalGrid | DiscGrid
-    values: np.ndarray = field(compare=False)
+    values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
+        (v,) = store(self, complex, values=self.values)
         if v.shape != self.grid.nodes.shape:
             raise ValueError(f"values must have shape {self.grid.nodes.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def domain(self) -> str:
@@ -406,26 +390,23 @@ def sup_seminorm_grid(f: GridFunction, level: int, exh) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearMap:
+@dataclass(frozen=True, eq=False)
+class PiecewiseLinearMap(Frozen):
     """Piecewise-linear map of an interval, not necessarily injective."""
 
-    xs: tuple
-    ys: tuple
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.xs, dtype=float)
-        y = np.asarray(self.ys, dtype=float)
-        if x.size != y.size or x.size < 2 or np.any(np.diff(x) <= 0):
+        x, y = store(self, float, xs=self.xs, ys=self.ys)
+        if x.shape != y.shape or x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
             raise ValueError("breakpoints must be strictly increasing in x")
-        object.__setattr__(self, "xs", tuple(float(v) for v in x))
-        object.__setattr__(self, "ys", tuple(float(v) for v in y))
 
     def __call__(self, x):
-        return np.interp(x, np.asarray(self.xs), np.asarray(self.ys))
+        return np.interp(x, self.xs, self.ys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearHomeo(PiecewiseLinearMap):
     """Strictly monotone piecewise-linear bijection of an interval.
 
@@ -439,7 +420,7 @@ class PiecewiseLinearHomeo(PiecewiseLinearMap):
 
     def __post_init__(self):
         super().__post_init__()
-        dy = np.diff(np.asarray(self.ys))
+        dy = np.diff(self.ys)
         if self.orientation == "increasing":
             ok = np.all(dy > 0)
         elif self.orientation == "decreasing":
@@ -460,17 +441,11 @@ def build_interval_homeo(
     extra (x, y) pairs strictly inside the bands between consecutive
     endpoints; any pair breaking strict monotonicity is rejected.
     """
-    pts = exh.breakpoints()
-    if orientation == "increasing":
-        pairs = {float(x): float(x) for x in pts}
-    elif orientation == "decreasing":
-        images = {}
-        for a, b in exh.intervals:
-            images[float(a)] = float(b)
-            images[float(b)] = float(a)
-        pairs = images
-    else:
+    if orientation not in ("increasing", "decreasing"):
         raise ValueError("orientation must be 'increasing' or 'decreasing'")
+    ends = exh.intervals.ravel()
+    images = ends if orientation == "increasing" else exh.intervals[:, ::-1].ravel()
+    pairs = {float(x): float(y) for x, y in zip(ends, images)}
     for x, y in controls:
         x, y = float(x), float(y)
         if x in pairs and pairs[x] != y:
@@ -478,7 +453,7 @@ def build_interval_homeo(
         pairs[x] = y
     xs = np.array(sorted(pairs))
     ys = np.array([pairs[x] for x in xs])
-    return PiecewiseLinearHomeo(tuple(xs), tuple(ys), orientation=orientation)
+    return PiecewiseLinearHomeo(xs, ys, orientation=orientation)
 
 
 def random_interval_homeo(exh: Exhaustion1D, rng, orientation: str = "increasing"):
@@ -490,8 +465,7 @@ def random_interval_homeo(exh: Exhaustion1D, rng, orientation: str = "increasing
     rejected until every band satisfies the bounds.
     """
     base = build_interval_homeo(exh, orientation)
-    xs = np.asarray(base.xs)
-    ys = np.asarray(base.ys)
+    xs, ys = base.xs, base.ys
     controls = []
     for (x0, x1), (y0, y1) in zip(zip(xs, xs[1:]), zip(ys, ys[1:])):
         m = int(rng.integers(0, 3))
@@ -532,8 +506,8 @@ def build_zigzag_fold(exh: Exhaustion1D, grid: IntervalGrid) -> PiecewiseLinearM
     return PiecewiseLinearMap((a_out, b_prev, p, b_out), (a_out, b_prev, b_out, a_out))
 
 
-@dataclass(frozen=True)
-class AnnulusHomeo:
+@dataclass(frozen=True, eq=False)
+class AnnulusHomeo(Frozen):
     """Radial twist of the disc: z maps to |z| e^{i(arg z + twist(|z|))}.
 
     The twist angle is the piecewise-linear profile through the points
@@ -542,19 +516,16 @@ class AnnulusHomeo:
     each annulus between consecutive exhaustion radii is preserved.
     """
 
-    twist_breaks: tuple
-    twist_values: tuple
+    twist_breaks: np.ndarray
+    twist_values: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.twist_breaks, dtype=float)
-        v = np.asarray(self.twist_values, dtype=float)
-        if r.size != v.size or r.size < 2 or np.any(np.diff(r) <= 0) or r[0] < 0:
+        r, v = store(self, float, twist_breaks=self.twist_breaks, twist_values=self.twist_values)
+        if r.shape != v.shape or r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0) or r[0] < 0:
             raise ValueError("twist profile needs increasing radii from 0")
-        object.__setattr__(self, "twist_breaks", tuple(float(x) for x in r))
-        object.__setattr__(self, "twist_values", tuple(float(x) for x in v))
 
     def twist(self, r):
-        return np.interp(r, np.asarray(self.twist_breaks), np.asarray(self.twist_values))
+        return np.interp(r, self.twist_breaks, self.twist_values)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -587,7 +558,7 @@ def random_annulus_homeo(exh: ExhaustionDisc, rng):
                     values.append(base + rng.uniform(-0.3, 0.3))
             breaks.append(hi)
             values.append(edge_twist[i + 1])
-        homeo = AnnulusHomeo(tuple(breaks), tuple(values))
+        homeo = AnnulusHomeo(breaks, values)
         slopes = np.abs(np.diff(homeo.twist_values)) / np.diff(homeo.twist_breaks)
         if float(np.max(slopes)) <= 4.0:
             return homeo
@@ -615,7 +586,7 @@ def weighted_composition_grid(h: GridFunction, phi, f: GridFunction) -> GridFunc
     non-unimodular case is a deliberate counterexample input).
     """
     global _last_phi_stencil
-    if h.grid is not f.grid and h.grid != f.grid:
+    if h.grid != f.grid:
         raise ValueError("weight and argument must share one grid")
     grid, last_phi, stencil = _last_phi_stencil
     if last_phi is not phi or grid != f.grid:

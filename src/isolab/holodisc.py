@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen, store
+
 __all__ = [
     "CHARACTERIZE_DEGREE",
     "TaylorFunction",
@@ -57,7 +59,7 @@ class NotCharacterizable(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class TaylorFunction:
+class TaylorFunction(Frozen):
     """Finite Taylor polynomial with complex coefficients, ascending degree.
 
     coefficients is a read-only complex copy of the input, exact trailing zeros
@@ -68,17 +70,12 @@ class TaylorFunction:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coefficients, dtype=complex)
+        (c,) = store(self, complex, coefficients=self.coefficients)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        c = c[: np.flatnonzero(c)[-1] + 1] if c.any() else c[:1]
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and np.array_equal(self.coefficients, other.coefficients)
+        store(self, copy=None, coefficients=c[: np.flatnonzero(c)[-1] + 1] if c.any() else c[:1])
 
     @classmethod
     def one(cls):
@@ -157,29 +154,28 @@ def random_taylor(rng, degree: int, min_significant: int = 1) -> TaylorFunction:
 _CIRCLE_SAMPLES = 512
 
 
-@dataclass(frozen=True)
-class DiscExhaustion:
+@dataclass(frozen=True, eq=False)
+class DiscExhaustion(Frozen):
     """Strictly increasing circle radii in (0, 1).
 
     Default radii follow 1 - 1/n for n = 2, 3, ...; a subfamily is the
     exhaustion of a subset of the radii.
     """
 
-    radii: tuple
+    radii: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
+        (r,) = store(self, float, radii=self.radii)
         if r.ndim != 1 or r.size == 0:
             raise ValueError("radii must be a nonempty 1-D sequence")
         if np.any(r <= 0) or np.any(r >= 1):
             raise ValueError("radii must lie in (0, 1)")
         if np.any(np.diff(r) <= 0):
             raise ValueError("radii must be strictly increasing")
-        object.__setattr__(self, "radii", tuple(float(x) for x in r))
 
     @classmethod
     def default(cls, count: int = 3):
-        return cls(tuple(1.0 - 1.0 / n for n in range(2, 2 + count)))
+        return cls(1.0 - 1.0 / np.arange(2, 2 + count))
 
 
 def _require_samples(f: TaylorFunction, samples: int | None) -> int:
@@ -358,17 +354,15 @@ class WeightedCompositionOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixOperator:
+class MatrixOperator(Frozen):
     """Linear action on the coefficient vector: a square matrix, held as a read-only copy."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex, order="C")
+        (m,) = store(self, complex, matrix=self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     @property
     def array(self):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen, store
 from .gauges import Gauge
 
 __all__ = [
@@ -37,19 +38,19 @@ class AmbiguousSupport(RuntimeError):
     """The asymptotic moment value does not single out one support start."""
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+@dataclass(frozen=True, eq=False)
+class WeightSequence(Frozen):
     """Positive weights r_0..r_N plus the declared mass of the dropped tail.
 
     The stored weights and the declared tail must sum to 1 within 1e-12;
     the tail stands for every weight beyond the truncation point.
     """
 
-    weights: tuple
+    weights: np.ndarray
     declared_tail: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        (w,) = store(self, float, weights=self.weights)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-D sequence")
         if not (np.all(np.isfinite(w)) and np.isfinite(self.declared_tail)):
@@ -61,54 +62,51 @@ class WeightSequence:
         total = float(np.sum(w)) + self.declared_tail
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"weights plus tail must sum to 1 (got {total!r})")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
     @classmethod
     def uniform(cls, n: int, declared_tail: float = 0.0):
-        return cls(tuple((1.0 - declared_tail) / n for _ in range(n)), declared_tail)
+        return cls([(1.0 - declared_tail) / n for _ in range(n)], declared_tail)
 
     @property
     def array(self):
-        return np.asarray(self.weights)
+        return self.weights
 
     def __len__(self):
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class SeminormVector:
+@dataclass(frozen=True, eq=False)
+class SeminormVector(Frozen):
     """Finite nondecreasing vector of nonnegative seminorm values."""
 
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        (v,) = store(self, float, values=self.values)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a nonempty 1-D sequence")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("values must be finite and nonnegative")
         if np.any(np.diff(v) < -1e-12):
             raise ValueError("values must be nondecreasing")
-        object.__setattr__(self, "values", tuple(float(x) for x in v))
 
     @property
     def array(self):
-        return np.asarray(self.values)
+        return self.values
 
     def __len__(self):
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+@dataclass(frozen=True, eq=False)
+class AtomicMeasure(Frozen):
     """Finitely many positive atoms with positive masses, sorted by atom."""
 
-    atoms: tuple
-    masses: tuple
+    atoms: np.ndarray
+    masses: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float)
-        m = np.asarray(self.masses, dtype=float)
+        a, m = store(self, float, atoms=self.atoms, masses=self.masses)
         if a.shape != m.shape or a.ndim != 1:
             raise ValueError("atoms and masses must be matching 1-D sequences")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(m))):
@@ -119,8 +117,6 @@ class AtomicMeasure:
             raise ValueError("atoms must be strictly increasing (merge duplicates)")
         if float(np.sum(m)) > 1.0 + _SUM_TOL:
             raise ValueError("total mass must not exceed 1")
-        object.__setattr__(self, "atoms", tuple(float(x) for x in a))
-        object.__setattr__(self, "masses", tuple(float(x) for x in m))
 
     @property
     def total_mass(self) -> float:
@@ -281,7 +277,7 @@ def measures_from_vectors(weights: WeightSequence, a: SeminormVector) -> AtomicM
     atoms, index = np.unique(av, return_inverse=True)
     masses = np.zeros_like(atoms)
     np.add.at(masses, index, weights.array)
-    return AtomicMeasure(tuple(atoms), tuple(masses))
+    return AtomicMeasure(atoms, masses)
 
 
 def _check_lengths(weights: WeightSequence, a: SeminormVector):

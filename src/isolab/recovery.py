@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import Frozen, store
 from .gauges import Gauge, shift_kernel, shift_kernel_fourier_grid
 from .quadrature import QuadratureSpec
 
@@ -50,16 +51,15 @@ class RecoveryFailed(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class LogMeasure:
+@dataclass(frozen=True, eq=False)
+class LogMeasure(Frozen):
     """Atoms on the log line (any sign) with positive masses, sorted."""
 
-    positions: tuple
-    masses: tuple
+    positions: np.ndarray
+    masses: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        m = np.asarray(self.masses, dtype=float)
+        p, m = store(self, float, positions=self.positions, masses=self.masses)
         if p.shape != m.shape or p.ndim != 1 or p.size == 0:
             raise ValueError("positions and masses must be matching nonempty 1-D")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(m))):
@@ -70,8 +70,6 @@ class LogMeasure:
             raise ValueError("masses must be strictly positive")
         if float(np.sum(m)) > 1.0 + 1e-12:
             raise ValueError("total mass must not exceed 1")
-        object.__setattr__(self, "positions", tuple(float(x) for x in p))
-        object.__setattr__(self, "masses", tuple(float(x) for x in m))
 
     @property
     def total_mass(self) -> float:
@@ -83,8 +81,9 @@ class RecoverySpec:
     """Frequency grid of the division step, over a fixed observation model.
 
     frequency_grid is the only setting: uniform real frequencies, at least
-    8 of them (default 257 on [-8, 8]).  Every spec shares one observation
-    model:
+    8 of them (default 257 on [-8, 8]).  It stays a tuple, so specs compare
+    and hash by it as plain dataclasses do; freq_array holds it once as a
+    read-only array.  Every spec shares one observation model:
 
     shift              kernel shift of the observation, 1
     window             observations live on [-32, 32]
@@ -95,6 +94,7 @@ class RecoverySpec:
     """
 
     frequency_grid: tuple = field(default_factory=lambda: tuple(np.linspace(-8.0, 8.0, 257)))
+    freq_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     shift = 1.0
     window = 32.0
@@ -103,7 +103,7 @@ class RecoverySpec:
     quadrature = QuadratureSpec(tol=1e-10)
 
     def __post_init__(self):
-        zs = np.asarray(self.frequency_grid, dtype=float)
+        (zs,) = store(self, float, freq_array=self.frequency_grid)
         if zs.ndim != 1 or zs.size < 8:
             raise ValueError("frequency_grid must hold at least 8 frequencies")
         if not np.all(np.isfinite(zs)):
@@ -111,10 +111,6 @@ class RecoverySpec:
         if not _uniform_step(zs, "frequency_grid") > 0:
             raise ValueError("frequency_grid must be increasing")
         object.__setattr__(self, "frequency_grid", tuple(float(z) for z in zs))
-
-    @property
-    def freq_array(self):
-        return np.asarray(self.frequency_grid)
 
 
 def smoothed_curve(g: Gauge, measure: LogMeasure, shift: float, s):
@@ -125,8 +121,7 @@ def smoothed_curve(g: Gauge, measure: LogMeasure, shift: float, s):
     s = np.asarray(s, dtype=float)
     scal = s.ndim == 0
     ss = np.atleast_1d(s)
-    pos = np.asarray(measure.positions)
-    mass = np.asarray(measure.masses)
+    pos, mass = measure.positions, measure.masses
     vals = shift_kernel(g, shift, pos[:, None] + ss[None, :]).T @ mass
     return float(vals[0]) if scal else vals
 
@@ -398,7 +393,7 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, counts):
 
 def _as_log_measure(pos, mass):
     try:
-        return LogMeasure(tuple(pos), tuple(np.minimum(mass, 1.0)))
+        return LogMeasure(pos, np.minimum(mass, 1.0))
     except ValueError:
         return None
 
@@ -469,15 +464,11 @@ def roundtrip_check(
         residual = err.residual
         if rec is None:
             return RoundtripReport(np.inf, np.inf, residual, None, **keys)
-    true_p = np.asarray(measure.positions)
-    true_m = np.asarray(measure.masses)
-    got_p = np.asarray(rec.positions)
-    got_m = np.asarray(rec.masses)
-    if got_p.size != true_p.size:
+    if rec.positions.size != measure.positions.size:
         return RoundtripReport(np.inf, np.inf, residual, rec, **keys)
     return RoundtripReport(
-        float(np.max(np.abs(got_p - true_p))),
-        float(np.max(np.abs(got_m - true_m))),
+        float(np.max(np.abs(rec.positions - measure.positions))),
+        float(np.max(np.abs(rec.masses - measure.masses))),
         residual,
         rec,
         **keys,

@@ -255,6 +255,22 @@ def test_negative_tol_is_invalid(name, tmp_path, capsys):
     assert run_cli(capsys, name, "--config", str(cfg)) == want
 
 
+def test_zero_tol_is_invalid_for_frullani(tmp_path, capsys):
+    # the quadrature budget must be positive; the other tol readers accept 0
+    want = (INVALID, "", "error=tol: must be greater than 0 for frullani, got 0.0\n")
+    assert run_cli(capsys, "frullani", "--tol", "0") == want
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 0}))
+    assert run_cli(capsys, "frullani", "--config", str(cfg)) == want
+    assert run_cli(capsys, "cu-iso-test", "--tol", "0")[0] == PASS
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_uniform_weights_need_a_positive_count(count, capsys):
+    want = (INVALID, "", "error=weights/tail: weights must be a nonempty 1-D sequence\n")
+    assert run_cli(capsys, "separate", "--weights", f"uniform:{count}") == want
+
+
 @pytest.mark.parametrize("name", _NO_TOL)
 def test_tol_refused_where_no_verdict_reads_it(name, tmp_path, capsys):
     out_dir = ["--out", str(tmp_path)] if name == "emit-figure" else []

@@ -137,6 +137,14 @@ def test_grids_built_apart_compare_equal():
     assert GRID != DGRID and GRID != GRID.nodes
 
 
+def test_grid_function_equality_compares_values():
+    grid = IntervalGrid.build(Exhaustion1D.default(2), 64)
+    one = GridFunction.constant(grid, 1.0)
+    assert one == GridFunction.constant(IntervalGrid.build(Exhaustion1D.default(2), 64), 1.0)
+    assert one != GridFunction.constant(grid, 5.0)
+    assert one != GridFunction.constant(IntervalGrid.build(Exhaustion1D.default(2), 65), 1.0)
+
+
 def test_grid_function_interpolation_exact_on_nodes():
     f = GridFunction.sample(GRID, lambda x: np.sin(3 * x))
     assert np.max(np.abs(f.interpolate(GRID.stencil(GRID.array)) - f.array)) == 0.0
@@ -572,7 +580,7 @@ def test_disc_twist_on_exhaustion_from_the_centre():
     exh = ExhaustionDisc((0.0, 0.8))
     rng = np.random.default_rng(0)
     phi = random_annulus_homeo(exh, rng)
-    assert phi.twist_breaks[:1] == (0.0,) and phi.twist_breaks[-1] == 0.8
+    assert phi.twist_breaks[0] == 0.0 and phi.twist_breaks[-1] == 0.8
     grid = DiscGrid.build(exh, 256, 512)
     h = unimodular_field(grid, rng)
     sym = recover_weight_and_map(make_composition_operator(h, phi), exh, grid, rng=rng)

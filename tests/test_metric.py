@@ -170,7 +170,7 @@ def test_separate_random_distinct_pairs(data):
 def test_measures_from_vectors_merges_coincident():
     w = WeightSequence.uniform(3)
     m = measures_from_vectors(w, SeminormVector((1.0, 1.0, 2.0)))
-    assert m.atoms == (1.0, 2.0)
+    assert np.array_equal(m.atoms, (1.0, 2.0))
     assert np.allclose(m.masses, (2.0 / 3.0, 1.0 / 3.0))
 
 

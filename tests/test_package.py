@@ -1,10 +1,11 @@
 """Every public name the package lists is importable and has a caller, as
 has every public method and property of the classes it lists; every module
-uses what it imports, the disc and grid models store their arrays instead of
-converting on every .array access, and importing the package loads no scipy:
+uses what it imports, every validated model class stores read-only copies of
+its arrays through one shared base, and importing the package loads no scipy:
 the three scipy names are shims that import on their first call."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -16,9 +17,11 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import isolab
-from isolab import contspace, holodisc, make_builtin_gauge
+from isolab import contspace, holodisc, make_builtin_gauge, metric, recovery
+from isolab._frozen import Frozen, store
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ("quadrature", "gauges", "metric", "recovery", "holodisc", "contspace")
@@ -213,19 +216,121 @@ def test_stored_array_guard_sees_a_conversion():
     assert not _array_is_stored(Writable())
 
 
+# module -> the validated model classes that store read-only arrays through _frozen.Frozen
+VALUE_CLASSES = {
+    "metric": ("WeightSequence", "SeminormVector", "AtomicMeasure"),
+    "recovery": ("LogMeasure",),
+    "holodisc": ("TaylorFunction", "DiscExhaustion", "MatrixOperator"),
+    "contspace": (
+        "Exhaustion1D", "ExhaustionDisc", "_Grid", "IntervalGrid", "DiscGrid", "GridFunction",
+        "PiecewiseLinearMap", "PiecewiseLinearHomeo", "AnnulusHomeo",
+    ),
+}
+
+
+def _value_models() -> list:
+    """(class, the caller's arguments) for every value class; array arguments are fresh."""
+    grid = contspace.IntervalGrid(np.linspace(0.2, 0.8, 7))
+    return [
+        (metric.WeightSequence, (np.array([0.25, 0.75]),)),
+        (metric.SeminormVector, (np.array([1.0, 2.0]),)),
+        (metric.AtomicMeasure, (np.array([1.0, 2.0]), np.array([0.25, 0.5]))),
+        (recovery.LogMeasure, (np.array([-1.0, 1.0]), np.array([0.25, 0.5]))),
+        (holodisc.TaylorFunction, (np.array([1.0, 2.0j]),)),
+        (holodisc.DiscExhaustion, (np.array([0.5, 0.75]),)),
+        (holodisc.MatrixOperator, (np.array([[1.0, 2.0], [3.0, 4.0j]]),)),
+        (contspace.Exhaustion1D, (np.array([[0.4, 0.6], [0.2, 0.8]]),)),
+        (contspace.ExhaustionDisc, (np.array([0.25, 0.8]),)),
+        (contspace.IntervalGrid, (np.linspace(0.2, 0.8, 7),)),
+        (contspace.DiscGrid, (np.linspace(0.0, 0.8, 5), 16)),
+        (contspace.GridFunction, (grid, np.arange(7) + 1j)),
+        (contspace.PiecewiseLinearMap, (np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))),
+        (contspace.PiecewiseLinearHomeo, (np.array([0.0, 1.0]), np.array([1.0, 0.0]), "decreasing")),
+        (contspace.AnnulusHomeo, (np.array([0.0, 0.8]), np.array([0.0, 1.0]))),
+    ]
+
+
+def test_value_models_cover_every_value_class():
+    listed = {n for names in VALUE_CLASSES.values() for n in names if not n.startswith("_")}
+    assert {cls.__name__ for cls, _ in _value_models()} == listed
+
+
 def test_models_return_their_stored_array():
-    grid = contspace.IntervalGrid.build(contspace.Exhaustion1D.default(), 64)
+    for cls, args in _value_models():
+        model = cls(*args)
+        name = cls.__name__
+        for f, given in zip(dataclasses.fields(cls), args):
+            if not isinstance(given, np.ndarray):
+                continue
+            stored = getattr(model, f.name)
+            assert isinstance(stored, np.ndarray) and not stored.flags.writeable, name
+            assert getattr(model, f.name) is stored, f"{name}.{f.name} is rebuilt on access"
+            assert not np.shares_memory(stored, given) and given.flags.writeable, name
+        if hasattr(model, "array"):
+            assert _array_is_stored(model), name
+        assert model == cls(*args), name
+        with pytest.raises(TypeError):
+            hash(model)
     disc = contspace.DiscGrid.build(contspace.ExhaustionDisc.default(), 8, 16)
-    models = (
-        holodisc.TaylorFunction((1.0, 2.0j, 0.0)),
-        holodisc.operator_matrix(holodisc.RotationOperator(1j, -1.0), 4),
-        holodisc.MatrixOperator([[1.0, 2.0], [3.0, 4.0]]),
-        grid,
-        contspace.GridFunction.coordinate(grid),
+    built = (
         contspace.GridFunction.coordinate(disc),
+        holodisc.operator_matrix(holodisc.RotationOperator(1j, -1.0), 4),
     )
-    for model in models:
+    for model in built:
         assert _array_is_stored(model), type(model).__name__
+
+
+def test_store_copies_an_input_once_and_keeps_a_built_array():
+    class Holder:
+        pass
+
+    obj, given, built = Holder(), [1, 2], np.arange(3.0)
+    x, y = store(obj, float, x=given, y=built)
+    assert obj.x is x and obj.y is y and x.dtype == float and y is not built
+    assert not (x.flags.writeable or y.flags.writeable) and built.flags.writeable
+    (z,) = store(obj, copy=None, z=built)
+    assert z is built and not built.flags.writeable
+
+
+def _layout_breaches(sources: dict, classes) -> list:
+    """Modules other than the shared base that call setflags, and listed classes
+    that convert to a tuple or declare a tuple field."""
+    found = []
+    for module, source in sorted(sources.items()):
+        if module != "_frozen" and "setflags(" in source:
+            found.append(f"{module}: setflags(")
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.ClassDef) and node.name in classes):
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "tuple":
+                    found.append(f"{module}.{node.name}: tuple(")
+                elif isinstance(sub, ast.AnnAssign) and ast.unparse(sub.annotation) == "tuple":
+                    found.append(f"{module}.{node.name}: tuple field")
+    return found
+
+
+def test_layout_guard_sees_a_planted_spelling():
+    planted = {
+        "_frozen": "a.setflags(write=False)\n",
+        "m": (
+            "class Kept:\n    x: tuple\n\n    def f(self):\n        return tuple(self.x)\n\n\n"
+            "class Other:\n    def g(self, a):\n        a.setflags(write=False)\n"
+            "        return tuple(a)\n"
+        ),
+    }
+    assert sorted(_layout_breaches(planted, {"Kept"})) == [
+        "m.Kept: tuple field", "m.Kept: tuple(", "m: setflags(",
+    ]
+
+
+def test_value_classes_store_arrays_through_the_shared_base():
+    sources = {p.stem: p.read_text() for p in Path(isolab.__path__[0]).glob("*.py")}
+    classes = {n for names in VALUE_CLASSES.values() for n in names}
+    assert _layout_breaches(sources, classes) == []
+    for module, names in VALUE_CLASSES.items():
+        for name in names:
+            assert issubclass(getattr(importlib.import_module(f"isolab.{module}"), name), Frozen)
 
 
 def _scipy_after(*argvs) -> tuple:

@@ -220,8 +220,16 @@ def test_recover_measure_residual_rejection_keeps_candidate():
     assert err.candidate is not None
 
 
+def test_recovery_spec_stores_its_frequency_array_once():
+    spec, again = RecoverySpec(), RecoverySpec()
+    assert spec == again and hash(spec) == hash(again)
+    zs = spec.freq_array
+    assert spec.freq_array is zs and not zs.flags.writeable
+    assert np.array_equal(zs, spec.frequency_grid) and isinstance(spec.frequency_grid, tuple)
+
+
 def test_recovery_spec_has_one_setting():
-    assert [f.name for f in dataclasses.fields(RecoverySpec)] == ["frequency_grid"]
+    assert [f.name for f in dataclasses.fields(RecoverySpec) if f.init] == ["frequency_grid"]
     spec = RecoverySpec()
     assert (spec.shift, spec.window, spec.sample_count) == (1.0, 32.0, 4097)
     with pytest.raises(TypeError):
