@@ -9,6 +9,7 @@ input was invalid.
 
 One parameter table, _PARAMS, with the keys each subcommand takes, drives
 the flags, the checking of config files and the defaults handlers read.
+--selftest runs the cases of _SELFTESTS through those same handlers.
 """
 
 from __future__ import annotations
@@ -109,20 +110,6 @@ def _run_theta_check(cfg: ExperimentConfig, params):
     return (PASS if rep.all_pass else FINDING), rec
 
 
-def _selftest_theta_check(cfg: ExperimentConfig):
-    rec = {}
-    ok = True
-    for name in ("clip", "rational", "exp"):
-        rep = check_admissibility(make_builtin_gauge(name))
-        rec[f"{name}.all_pass"] = rep.all_pass
-        ok = ok and rep.all_pass
-    counter = check_admissibility(clipped_square_gauge())
-    rec["clipsq.subadditive"] = counter.check("subadditive").passed
-    rec["clipsq.all_pass"] = counter.all_pass
-    ok = ok and not counter.check("subadditive").passed
-    return (PASS if ok else FINDING), rec
-
-
 def _run_frullani(cfg: ExperimentConfig, params):
     g = _gauge_from(params)
     rho = params["rho"]
@@ -136,18 +123,6 @@ def _run_frullani(cfg: ExperimentConfig, params):
     err = abs(value - target)
     rec = {"gauge": g.name, "rho": rho, "value": value, "target": target, "error": err}
     return (PASS if err < max(cfg.tol, 1e-6) else FINDING), rec
-
-
-def _selftest_frullani(cfg: ExperimentConfig):
-    rec = {}
-    ok = True
-    for name in ("clip", "exp"):
-        g = make_builtin_gauge(name)
-        v = frullani_integral(g, 2.0, QuadratureSpec(tol=1e-8))
-        e = abs(v - float(np.log(2.0)))
-        rec[f"{name}.error"] = e
-        ok = ok and e < 1e-6
-    return (PASS if ok else FINDING), rec
 
 
 def _weights_from(params) -> metric.WeightSequence:
@@ -190,30 +165,6 @@ def _run_separate(cfg: ExperimentConfig, params):
     return (PASS if res.verdict == "separated" else FINDING), rec
 
 
-def _selftest_separate(cfg: ExperimentConfig):
-    g = make_builtin_gauge("clip")
-    r = metric.WeightSequence.uniform(2)
-    a = metric.SeminormVector((1.0, 2.0))
-    b = metric.SeminormVector((1.0, 3.0))
-    res = metric.separate(g, r, a, b)
-    curve_gap = abs(
-        metric.moment_curve(g, r, a, 0.25) - metric.moment_curve(g, r, b, 0.25)
-    )
-    same = metric.separate(g, r, a, a)
-    rec = {
-        "distinct.verdict": res.verdict,
-        "distinct.gap": res.gap,
-        "gap_at_quarter": curve_gap,
-        "equal.verdict": same.verdict,
-    }
-    ok = (
-        res.verdict == "separated"
-        and curve_gap >= 0.125 - 1e-12
-        and same.verdict == "not_separated"
-    )
-    return (PASS if ok else FINDING), rec
-
-
 def _run_recover_measure(cfg: ExperimentConfig, params):
     g = _gauge_from(params)
     positions = _parse_floats(params["positions"], "positions")
@@ -231,18 +182,6 @@ def _run_recover_measure(cfg: ExperimentConfig, params):
     rep = recovery.roundtrip_check(g, nu, recovery.RecoverySpec(), budget)
     rec = rep.as_record()
     rec["gauge"] = g.name
-    return (PASS if rep.passed else FINDING), rec
-
-
-def _selftest_recover_measure(cfg: ExperimentConfig):
-    g = make_builtin_gauge("exp")
-    nu = recovery.LogMeasure((0.0,), (0.5,))
-    rep = recovery.roundtrip_check(g, nu, recovery.RecoverySpec(), 1)
-    rec = {
-        "single_atom.position_error": rep.max_position_error,
-        "single_atom.mass_error": rep.max_mass_error,
-        "single_atom.passed": rep.passed,
-    }
     return (PASS if rep.passed else FINDING), rec
 
 
@@ -323,17 +262,6 @@ def _run_hol_iso_test(cfg: ExperimentConfig, params):
     return (PASS if rep.passed else FINDING), rep.as_record()
 
 
-def _selftest_hol_iso_test(cfg: ExperimentConfig):
-    exh = holodisc.DiscExhaustion.default(3)
-    probes = holodisc.standard_probes(np.random.default_rng(0))
-    rot = holodisc.RotationOperator(1j, -1.0)
-    r1 = holodisc.isometry_test(rot, holodisc.SupFamily(), exh, probes, tol=1e-12)
-    doubled = holodisc.MatrixOperator(2.0 * np.eye(12))
-    r2 = holodisc.isometry_test(doubled, holodisc.SupFamily(), exh, probes)
-    rec = {"rotation.max_gap": r1.max_gap, "rotation.passed": r1.passed, "doubled.passed": r2.passed}
-    return (PASS if r1.passed and not r2.passed else FINDING), rec
-
-
 def _run_hol_characterize(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
     op = _disc_operator_from(params, holodisc.CHARACTERIZE_DEGREE)
@@ -351,31 +279,6 @@ def _run_hol_characterize(cfg: ExperimentConfig, params):
     return PASS, rec
 
 
-def _selftest_hol_characterize(cfg: ExperimentConfig):
-    exh = holodisc.DiscExhaustion.default(3)
-    ident = holodisc.characterize_isometry(
-        lambda f: f, exh, holodisc.SupFamily(), rng=np.random.default_rng(0)
-    )
-    try:
-        holodisc.characterize_isometry(
-            lambda f: f.scaled(2.0), exh, holodisc.SupFamily(), rng=np.random.default_rng(0)
-        )
-        doubled_check = "none"
-    except holodisc.NotCharacterizable as exc:
-        doubled_check = exc.check
-    rec = {
-        "identity.alpha": ident.scalar_alpha,
-        "identity.beta": ident.scalar_beta,
-        "doubled.failed_check": doubled_check,
-    }
-    ok = (
-        abs(ident.scalar_alpha - 1) < 1e-12
-        and abs(ident.scalar_beta - 1) < 1e-12
-        and doubled_check == "unimodularity"
-    )
-    return (PASS if ok else FINDING), rec
-
-
 def _run_three_circle(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
     f = _taylor_from(params, rng)
@@ -389,26 +292,6 @@ def _run_three_circle(cfg: ExperimentConfig, params):
     rec = rep.as_record()
     rec["degree"] = f.degree
     return (PASS if rep.slack >= -1e-12 else FINDING), rec
-
-
-def _selftest_three_circle(cfg: ExperimentConfig):
-    mono = holodisc.three_circle_check(holodisc.TaylorFunction.monomial(3, 5.0), 0.25, 0.5, 0.75)
-    strict = holodisc.three_circle_check(holodisc.TaylorFunction((1.0, 1.0)), 0.25, 0.5, 0.75)
-    ones = holodisc.three_circle_check(holodisc.TaylorFunction.one(), 0.25, 0.5, 0.75)
-    rec = {
-        "monomial.slack": mono.slack,
-        "monomial.rigidity": mono.rigidity_flag,
-        "binomial.slack": strict.slack,
-        "binomial.rigidity": strict.rigidity_flag,
-        "constant.rigidity": ones.rigidity_flag,
-    }
-    ok = (
-        mono.rigidity_flag
-        and ones.rigidity_flag
-        and not strict.rigidity_flag
-        and strict.slack > 0
-    )
-    return (PASS if ok else FINDING), rec
 
 
 def _grid_setup(params):
@@ -472,12 +355,13 @@ def _grid_operator(params, domain, exh, grid, rng):
     return contspace.make_composition_operator(h, phi), h, phi
 
 
-def _grid_probes(grid, rng, count=4):
+def _grid_probes(grid, rng):
+    """The constant 1, the coordinate and four random probes."""
     probes = [
         contspace.GridFunction.constant(grid, 1.0),
         contspace.GridFunction.coordinate(grid),
     ]
-    probes += [contspace.random_probe(grid, rng) for _ in range(count)]
+    probes += [contspace.random_probe(grid, rng) for _ in range(4)]
     return probes
 
 
@@ -488,18 +372,6 @@ def _run_cu_iso_test(cfg: ExperimentConfig, params):
     rep = contspace.isometry_test_grid(T, exh, _grid_probes(grid, rng), tol=cfg.tol)
     rec = {**rep.as_record(), "domain": domain, **_grid_keys(grid)}
     return (PASS if rep.passed else FINDING), rec
-
-
-def _selftest_cu_iso_test(cfg: ExperimentConfig):
-    exh = contspace.Exhaustion1D.default(2)
-    grid = contspace.IntervalGrid.build(exh, 1024)
-    probes = _grid_probes(grid, np.random.default_rng(0), count=2)
-    ident = contspace.isometry_test_grid(lambda f: f, exh, probes)
-    zero = contspace.isometry_test_grid(
-        lambda f: contspace.GridFunction.constant(grid, 0.0), exh, probes
-    )
-    rec = {"identity.passed": ident.passed, "zero.passed": zero.passed, **_grid_keys(grid)}
-    return (PASS if ident.passed and not zero.passed else FINDING), rec
 
 
 def _run_cu_recover(cfg: ExperimentConfig, params):
@@ -522,16 +394,6 @@ def _run_cu_recover(cfg: ExperimentConfig, params):
     return PASS, rec
 
 
-def _selftest_cu_recover(cfg: ExperimentConfig):
-    exh = contspace.Exhaustion1D.default(2)
-    grid = contspace.IntervalGrid.build(exh, 1024)
-    rec_sym = contspace.recover_weight_and_map(lambda f: f, exh, grid)
-    h_gap = float(np.max(np.abs(rec_sym.weight.array - 1.0)))
-    phi_gap = float(np.max(np.abs(rec_sym.point_map.array - grid.array)))
-    rec = {"identity.h_gap": h_gap, "identity.phi_gap": phi_gap, **_grid_keys(grid)}
-    return (PASS if h_gap < 1e-12 and phi_gap < 1e-12 else FINDING), rec
-
-
 def _run_cu_decomp_bound(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
     domain, exh, grid = _grid_setup(params)
@@ -539,16 +401,6 @@ def _run_cu_decomp_bound(cfg: ExperimentConfig, params):
     probes = [contspace.random_probe(grid, rng) for _ in range(params["probes"])]
     rep = contspace.decomposition_bound_check(T, exh, probes, tol=cfg.tol)
     rec = {**rep.as_record(), "domain": domain, **_grid_keys(grid)}
-    return (PASS if rep.passed else FINDING), rec
-
-
-def _selftest_cu_decomp_bound(cfg: ExperimentConfig):
-    exh = contspace.Exhaustion1D.default(2)
-    grid = contspace.IntervalGrid.build(exh, 1024)
-    probes = [contspace.random_probe(grid, np.random.default_rng(0)) for _ in range(3)]
-    rep = contspace.decomposition_bound_check(lambda f: f, exh, probes)
-    rec = {"identity.worst_slack": rep.worst_slack, "identity.dual_norm_max": rep.dual_norm_max}
-    rec.update(_grid_keys(grid))
     return (PASS if rep.passed else FINDING), rec
 
 
@@ -626,18 +478,6 @@ def _run_emit_figure(cfg: ExperimentConfig, params):
     raise CliError(f"which: unknown figure {which!r}")
 
 
-def _selftest_emit_figure(cfg: ExperimentConfig):
-    if cfg.out is None:
-        cfg = ExperimentConfig(cfg.subcommand, cfg.seed, cfg.tol, ".", cfg.params)
-    codes = []
-    rec = {}
-    for which in ("fig1", "fig2", "fig3"):
-        code, sub_rec = _run_emit_figure(cfg, {"which": which})
-        codes.append(code)
-        rec.update({f"{which}.{k}": v for k, v in sub_rec.items() if k != "which"})
-    return (PASS if all(c == PASS for c in codes) else FINDING), rec
-
-
 # key -> (type, default, help); flags and config files pass the same check
 _PARAMS = {
     "gauge": (str, "clip", "builtin gauge: clip, rational, exp, or clipsq"),
@@ -684,26 +524,64 @@ _GRID = (
     "map", "weight", "orientation",
 )
 
-# subcommand -> (run, selftest, parameter keys)
+# subcommand -> (run, parameter keys)
 _HANDLERS = {
-    "theta-check": (_run_theta_check, _selftest_theta_check, _GAUGE),
-    "frullani": (_run_frullani, _selftest_frullani, _GAUGE + ("rho",)),
+    "theta-check": (_run_theta_check, _GAUGE),
+    "frullani": (_run_frullani, _GAUGE + ("rho",)),
+    "separate": (_run_separate, _GAUGE + ("weights", "tail", "vec_a", "vec_b")),
+    "recover-measure": (_run_recover_measure, _GAUGE + ("positions", "masses", "atom_budget")),
+    "hol-iso-test": (_run_hol_iso_test, _DISC + ("degree",)),
+    "hol-characterize": (_run_hol_characterize, _DISC),
+    "three-circle": (_run_three_circle, ("taylor_file", "monomial", "degree", "radii")),
+    "cu-iso-test": (_run_cu_iso_test, _GRID),
+    "cu-recover": (_run_cu_recover, _GRID),
+    "cu-decomp-bound": (_run_cu_decomp_bound, _GRID + ("probes",)),
+    "emit-figure": (_run_emit_figure, ("which",)),
+}
+_IDENTITY_GRID = {"map": "identity", "grid_count": 1024}
+# subcommand -> ((case, params, expected report items), ...); every case
+# expects an exit_code, and a selftest passes when every case gives its items
+_SELFTESTS = {
+    "theta-check": (
+        ("clip", {}, {"exit_code": PASS}),
+        ("rational", {"gauge": "rational"}, {"exit_code": PASS}),
+        ("exp", {"gauge": "exp"}, {"exit_code": PASS}),
+        ("clipsq", {"gauge": "clipsq"}, {"exit_code": FINDING, "subadditive.passed": False}),
+    ),
+    "frullani": (
+        ("clip", {}, {"exit_code": PASS}),
+        ("exp", {"gauge": "exp"}, {"exit_code": PASS}),
+    ),
     "separate": (
-        _run_separate, _selftest_separate, _GAUGE + ("weights", "tail", "vec_a", "vec_b")
+        ("distinct", {}, {"exit_code": PASS, "verdict": "separated"}),
+        ("equal", {"vec_b": "1,2"}, {"exit_code": FINDING, "verdict": "not_separated"}),
     ),
-    "recover-measure": (
-        _run_recover_measure, _selftest_recover_measure,
-        _GAUGE + ("positions", "masses", "atom_budget"),
+    "recover-measure": (("single_atom", {"gauge": "exp"}, {"exit_code": PASS}),),
+    "hol-iso-test": (
+        ("rotation", {}, {"exit_code": PASS}),
+        ("doubled", {"op": "scale", "factor": 2.0}, {"exit_code": FINDING}),
     ),
-    "hol-iso-test": (_run_hol_iso_test, _selftest_hol_iso_test, _DISC + ("degree",)),
-    "hol-characterize": (_run_hol_characterize, _selftest_hol_characterize, _DISC),
+    "hol-characterize": (
+        ("rotation", {}, {"exit_code": PASS}),
+        (
+            "doubled", {"op": "scale", "factor": 2.0},
+            {"exit_code": FINDING, "failed_check": "unimodularity"},
+        ),
+    ),
     "three-circle": (
-        _run_three_circle, _selftest_three_circle, ("taylor_file", "monomial", "degree", "radii")
+        ("monomial", {"monomial": 3}, {"exit_code": PASS, "rigidity_flag": True}),
+        ("constant", {"monomial": 0}, {"exit_code": PASS, "rigidity_flag": True}),
     ),
-    "cu-iso-test": (_run_cu_iso_test, _selftest_cu_iso_test, _GRID),
-    "cu-recover": (_run_cu_recover, _selftest_cu_recover, _GRID),
-    "cu-decomp-bound": (_run_cu_decomp_bound, _selftest_cu_decomp_bound, _GRID + ("probes",)),
-    "emit-figure": (_run_emit_figure, _selftest_emit_figure, ("which",)),
+    "cu-iso-test": (("identity", _IDENTITY_GRID, {"exit_code": PASS}),),
+    "cu-recover": (
+        ("identity", _IDENTITY_GRID, {"exit_code": PASS}),
+        (
+            "zigzag", {"map": "zigzag", "grid_count": 1024},
+            {"exit_code": FINDING, "failed_check": "injectivity"},
+        ),
+    ),
+    "cu-decomp-bound": (("identity", {**_IDENTITY_GRID, "probes": 3}, {"exit_code": PASS}),),
+    "emit-figure": tuple((w, {"which": w}, {"exit_code": PASS}) for w in ("fig1", "fig2", "fig3")),
 }
 # the subcommands whose verdict reads cfg.tol; only they take --tol
 _READS_TOL = ("frullani", "hol-iso-test", "cu-iso-test", "cu-recover", "cu-decomp-bound")
@@ -714,7 +592,7 @@ _DEFAULT_OVERRIDES = {
 
 
 def _defaults(subcommand: str) -> dict:
-    values = {key: _PARAMS[key][1] for key in _HANDLERS[subcommand][2]}
+    values = {key: _PARAMS[key][1] for key in _HANDLERS[subcommand][1]}
     values.update(_DEFAULT_OVERRIDES.get(subcommand, {}))
     return values
 
@@ -776,7 +654,7 @@ def _resolve_config(args) -> ExperimentConfig:
     top.update({k: getattr(args, k) for k in top if getattr(args, k) is not None})
     seed = _checked("seed", int, top["seed"])
     out = top["out"] if top["out"] is None else _checked("out", str, top["out"])
-    takes = _HANDLERS[args.subcommand][2]
+    takes = _HANDLERS[args.subcommand][1]
     given = dict(_checked("params", dict, loaded.get("params", {})))
     given.update({k: getattr(args, k) for k in takes if getattr(args, k) is not None})
     params = {}
@@ -796,13 +674,20 @@ def main(argv=None) -> int:
         return exc.code
     try:
         cfg = _resolve_config(args)
-        run, selftest, _ = _HANDLERS[cfg.subcommand]
-        if args.selftest:
-            if cfg.params:
-                raise CliError(f"selftest: takes no parameters, got {', '.join(sorted(cfg.params))}")
-            code, record = selftest(cfg)
+        run, _ = _HANDLERS[cfg.subcommand]
+        defaults = _defaults(cfg.subcommand)
+        if not args.selftest:
+            code, record = run(cfg, {**defaults, **cfg.params})
+        elif cfg.params:
+            raise CliError(f"selftest: takes no parameters, got {', '.join(sorted(cfg.params))}")
         else:
-            code, record = run(cfg, {**_defaults(cfg.subcommand), **cfg.params})
+            code, record = PASS, {}
+            for case, params, expect in _SELFTESTS[cfg.subcommand]:
+                case_code, got = run(cfg, {**defaults, **params})
+                got["exit_code"] = case_code
+                record.update({f"{case}.{k}": v for k, v in got.items()})
+                if any(got.get(k) != v for k, v in expect.items()):
+                    code = FINDING
     except (QuadratureError, ValueError) as exc:
         sys.stderr.write(f"error={exc}\n")
         return INVALID

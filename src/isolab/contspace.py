@@ -204,7 +204,7 @@ class IntervalGrid(_Grid):
 
     def __post_init__(self):
         (x,) = store(self, float, nodes=self.nodes)
-        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
+        if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0):
             raise ValueError("nodes must be strictly increasing, at least two")
         partners = np.arange(x.size - 1, dtype=np.min_scalar_type(x.size))[None]
         store(self, copy=None, partners=partners, lengths=np.diff(x)[None])
@@ -257,7 +257,7 @@ class DiscGrid(_Grid):
 
     def __post_init__(self):
         (r,) = store(self, float, radii=self.radii)
-        if r.ndim != 1 or r.size < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0) or r[-1] >= 1:
+        if r.ndim != 1 or r.size < 2 or r[0] != 0.0 or not np.all(np.diff(r) > 0) or r[-1] >= 1:
             raise ValueError("radii must start at 0, increase strictly, stay below 1")
         if self.angle_count < 8:
             raise ValueError("need at least 8 angles")
@@ -399,6 +399,8 @@ class PiecewiseLinearMap(Frozen):
 
     def __post_init__(self):
         x, y = store(self, float, xs=self.xs, ys=self.ys)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("xs and ys must be finite")
         if x.shape != y.shape or x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
             raise ValueError("breakpoints must be strictly increasing in x")
 
@@ -521,6 +523,8 @@ class AnnulusHomeo(Frozen):
 
     def __post_init__(self):
         r, v = store(self, float, twist_breaks=self.twist_breaks, twist_values=self.twist_values)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+            raise ValueError("twist_breaks and twist_values must be finite")
         if r.shape != v.shape or r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0) or r[0] < 0:
             raise ValueError("twist profile needs increasing radii from 0")
 

@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isolab.cli import (
-    _HANDLERS, _PARAMS, _READS_TOL, PASS, FINDING, INVALID, build_parser, main,
+    _HANDLERS, _PARAMS, _READS_TOL, _SELFTESTS, PASS, FINDING, INVALID,
+    _checked, build_parser, main,
 )
 from isolab.io_formats import read_columns, write_columns
 
@@ -392,7 +393,7 @@ def _nonfinite(value):
 @st.composite
 def _argvs(draw):
     name = draw(st.sampled_from(sorted(_HANDLERS)))
-    takes = _HANDLERS[name][2]
+    takes = _HANDLERS[name][1]
     keys = draw(st.lists(st.sampled_from(takes), unique=True, max_size=4))
     # keep disc grids small even when the counts are not drawn
     keys += [k for k in takes if k in _COUNTS and k not in keys]
@@ -440,6 +441,58 @@ def test_emit_figure_selftest(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "emit-figure", "--selftest", "--out", str(tmp_path))
     assert code == PASS
     assert (tmp_path / "fig1-gauges.csv").exists()
+
+
+def test_emit_figure_selftest_needs_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "emit-figure", "--selftest")
+    assert (code, out) == (INVALID, "")
+    assert err.startswith("error=out: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _selftest(capsys, tmp_path, name, *argv):
+    out_dir = ["--out", str(tmp_path)] if name == "emit-figure" else []
+    return run_cli(capsys, name, "--selftest", *argv, *out_dir)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("name", sorted(_HANDLERS))
+def test_selftests_pass_at_the_run_seed(name, seed, tmp_path, capsys):
+    code, out, _ = _selftest(capsys, tmp_path, name, "--seed", str(seed))
+    assert code == PASS
+    assert _echo(out)["seed"] == seed
+    keys = {line.split("=", 1)[0] for line in out.splitlines()}
+    assert {f"{case}.exit_code" for case, _, _ in _SELFTESTS[name]} <= keys
+
+
+def test_selftest_body_follows_the_seed(tmp_path, capsys):
+    bodies = []
+    for seed in ("1", "2"):
+        _, out, _ = _selftest(capsys, tmp_path, "hol-iso-test", "--seed", seed)
+        bodies.append([line for line in out.splitlines() if not line.startswith("config=")])
+    assert bodies[0] != bodies[1]
+
+
+def test_selftest_cases_cover_every_subcommand_with_valid_params():
+    assert sorted(_SELFTESTS) == sorted(_HANDLERS)
+    for name, cases in _SELFTESTS.items():
+        assert cases, name
+        for case, params, expect in cases:
+            assert "exit_code" in expect, (name, case)
+            for key, value in params.items():
+                assert key in _HANDLERS[name][1], (name, case, key)
+                assert _checked(key, _PARAMS[key][0], value) == value
+
+
+@pytest.mark.parametrize("name", sorted(_HANDLERS))
+def test_planted_wrong_expectation_fails_the_selftest(name, tmp_path, monkeypatch, capsys):
+    *kept, (case, params, expect) = _SELFTESTS[name]
+    wrong = {**expect, "exit_code": FINDING if expect["exit_code"] == PASS else PASS}
+    monkeypatch.setitem(_SELFTESTS, name, (*kept, (case, params, wrong)))
+    code, out, _ = _selftest(capsys, tmp_path, name)
+    assert code == FINDING
+    assert f"{case}.exit_code={expect['exit_code']}" in out.splitlines()
 
 
 def test_report_written_to_out_matches_stdout(tmp_path, capsys):

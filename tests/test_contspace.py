@@ -479,6 +479,8 @@ def test_nonunimodular_weight_rejected():
     with pytest.raises(NotWeightedComposition) as exc_info:
         recover_weight_and_map(T, EXH, GRID, rng=rng)
     assert exc_info.value.check == "unimodularity"
+    zero = lambda f: GridFunction.constant(GRID, 0.0)
+    assert not isometry_test_grid(zero, EXH, _probes(GRID, rng)).passed
 
 
 def test_zero_map_rejected():
@@ -559,6 +561,27 @@ def test_random_annulus_homeo_slope_cap():
 def test_annulus_homeo_validation():
     with pytest.raises(ValueError):
         AnnulusHomeo((0.5, 0.2), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: contspace.PiecewiseLinearMap((0.0, 1.0), (0.0, np.nan)), "ys"),
+        (lambda: contspace.PiecewiseLinearMap((0.0, np.nan), (0.0, 1.0)), "xs"),
+        (lambda: AnnulusHomeo((0.0, 0.8), (0.0, np.nan)), "twist_values"),
+        (lambda: AnnulusHomeo((0.0, np.inf), (0.0, 1.0)), "twist_breaks"),
+        (lambda: DiscGrid((0.0, np.nan, 0.5), 16), "radii"),
+        (lambda: IntervalGrid((0.0, np.nan, 1.0)), "nodes"),
+        (lambda: ExhaustionDisc((np.nan,)), "radii"),
+    ],
+    ids=[
+        "map-ys", "map-xs", "twist-values", "twist-breaks", "disc-grid", "interval-grid",
+        "exhaustion-disc",
+    ],
+)
+def test_models_refuse_non_finite_inputs(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_disc_roundtrip():

@@ -358,8 +358,9 @@ def test_import_loads_no_scipy():
 
 
 def test_scipy_free_subcommands_load_no_scipy():
-    argvs = (["theta-check"], ["hol-characterize"], ["cu-iso-test"])
-    assert _scipy_after(*argvs) == ([0, 0, 0], [])
+    names = ("theta-check", "hol-characterize", "cu-iso-test")
+    argvs = [[name] for name in names] + [[name, "--selftest"] for name in names]
+    assert _scipy_after(*argvs) == ([0] * 6, [])
 
 
 def test_recover_measure_loads_scipy_through_the_shim():
