@@ -3,7 +3,8 @@
 The package has five working parts:
 
 - gauges: bounded compressing gauges, admissibility checks, dilation
-  integrals, and the shift kernel with its Fourier transform;
+  integrals, the shift kernel with its Fourier transform, and the panel
+  mesh and refinement loop behind every integral;
 - metric: weighted seminorm metrics, moment curves, separation searches,
   and support-start counting for truncated weight representations;
 - recovery: reconstruction of an atomic measure from its kernel-smoothed
@@ -14,24 +15,22 @@ The package has five working parts:
   weighted composition operators, recovery of their parts, and the
   pointwise decomposition bound for nonsurjective isometries.
 
-`isolab.__all__` concatenates the `__all__` of quadrature (the panel mesh
-the others share) and of those five modules, and the package exports
-nothing else; each module's `__all__` is the one export list.
+`isolab.__all__` concatenates the `__all__` of those five modules, and the
+package exports nothing else; each module's `__all__` is the one export
+list.
 
 A CLI (`isolab`, or `python -m isolab`) exposes every capability with
 deterministic flat-text reports.
 """
 
-from . import contspace, gauges, holodisc, metric, quadrature, recovery
+from . import contspace, gauges, holodisc, metric, recovery
 from .contspace import *
 from .gauges import *
 from .holodisc import *
 from .metric import *
-from .quadrature import *
 from .recovery import *
 
 __all__ = [
-    *quadrature.__all__,
     *gauges.__all__,
     *metric.__all__,
     *recovery.__all__,

@@ -24,12 +24,12 @@ import numpy as np
 
 from . import contspace, holodisc, io_formats, metric, recovery
 from .gauges import (
+    QuadratureError,
     check_admissibility,
     clipped_square_gauge,
     frullani_integral,
     make_builtin_gauge,
 )
-from .quadrature import QuadratureError, QuadratureSpec
 
 __all__ = ["ExperimentConfig", "main", "build_parser"]
 
@@ -117,8 +117,7 @@ def _run_frullani(cfg: ExperimentConfig, params):
         raise CliError("rho: must exceed 1")
     if not cfg.tol > 0:
         raise CliError(f"tol: must be greater than 0 for frullani, got {cfg.tol!r}")
-    spec = QuadratureSpec(tol=min(cfg.tol, 1e-7))
-    value = frullani_integral(g, rho, spec)
+    value = frullani_integral(g, rho, min(cfg.tol, 1e-7))
     target = float(np.log(rho))
     err = abs(value - target)
     rec = {"gauge": g.name, "rho": rho, "value": value, "target": target, "error": err}
@@ -315,11 +314,6 @@ def _grid_setup(params):
     return domain, exh, grid
 
 
-def _grid_keys(grid) -> dict:
-    """The resolution a grid report is relative to."""
-    return {"cell": grid.cell, "nodes": int(grid.nodes.size)}
-
-
 def _grid_operator(params, domain, exh, grid, rng):
     kind = params["map"]
     weight = params["weight"]
@@ -352,7 +346,7 @@ def _grid_operator(params, domain, exh, grid, rng):
         phi = contspace.AnnulusHomeo((0.0, *exh.radii), (0.0, 0.0, np.pi))
     else:
         raise CliError(f"map: unknown map {kind!r}")
-    return contspace.make_composition_operator(h, phi), h, phi
+    return contspace.make_composition_operator(h, phi), h
 
 
 def _grid_probes(grid, rng):
@@ -365,26 +359,36 @@ def _grid_probes(grid, rng):
     return probes
 
 
-def _run_cu_iso_test(cfg: ExperimentConfig, params):
-    rng = np.random.default_rng(cfg.seed)
-    domain, exh, grid = _grid_setup(params)
-    T, _, _ = _grid_operator(params, domain, exh, grid, rng)
+def _grid_handler(check):
+    """A cu-* handler: build the grid and the operator, run check, and stamp
+    every record it returns, a refusal too, with the domain and the
+    resolution the report is relative to."""
+
+    def run(cfg: ExperimentConfig, params):
+        rng = np.random.default_rng(cfg.seed)
+        domain, exh, grid = _grid_setup(params)
+        T, h = _grid_operator(params, domain, exh, grid, rng)
+        code, rec = check(cfg, params, exh, grid, T, h, rng)
+        return code, {**rec, "domain": domain, "cell": grid.cell, "nodes": int(grid.nodes.size)}
+
+    return run
+
+
+@_grid_handler
+def _run_cu_iso_test(cfg, params, exh, grid, T, h, rng):
     rep = contspace.isometry_test_grid(T, exh, _grid_probes(grid, rng), tol=cfg.tol)
-    rec = {**rep.as_record(), "domain": domain, **_grid_keys(grid)}
-    return (PASS if rep.passed else FINDING), rec
+    return (PASS if rep.passed else FINDING), rep.as_record()
 
 
-def _run_cu_recover(cfg: ExperimentConfig, params):
-    rng = np.random.default_rng(cfg.seed)
-    domain, exh, grid = _grid_setup(params)
-    T, h, phi = _grid_operator(params, domain, exh, grid, rng)
+@_grid_handler
+def _run_cu_recover(cfg, params, exh, grid, T, h, rng):
     try:
         rec_sym = contspace.recover_weight_and_map(T, exh, grid, tol=cfg.tol, rng=rng)
     except contspace.NotWeightedComposition as exc:
-        rec = {"recovered": False, "failed_check": exc.check, **_grid_keys(grid)}
+        rec = {"recovered": False, "failed_check": exc.check}
         rec.update({f"certificate.{k}": v for k, v in sorted(exc.certificate.items())})
         return FINDING, rec
-    rec = {"recovered": True, "domain": domain, **_grid_keys(grid)}
+    rec = {"recovered": True}
     rec["weight_error"] = float(np.max(np.abs(rec_sym.weight.array - h.array)))
     rec.update(rec_sym.as_record())
     out = _out_dir(cfg)
@@ -394,14 +398,11 @@ def _run_cu_recover(cfg: ExperimentConfig, params):
     return PASS, rec
 
 
-def _run_cu_decomp_bound(cfg: ExperimentConfig, params):
-    rng = np.random.default_rng(cfg.seed)
-    domain, exh, grid = _grid_setup(params)
-    T, _, _ = _grid_operator(params, domain, exh, grid, rng)
+@_grid_handler
+def _run_cu_decomp_bound(cfg, params, exh, grid, T, h, rng):
     probes = [contspace.random_probe(grid, rng) for _ in range(params["probes"])]
     rep = contspace.decomposition_bound_check(T, exh, probes, tol=cfg.tol)
-    rec = {**rep.as_record(), "domain": domain, **_grid_keys(grid)}
-    return (PASS if rep.passed else FINDING), rec
+    return (PASS if rep.passed else FINDING), rep.as_record()
 
 
 def _write_grid_function(path: Path, gf: contspace.GridFunction):

@@ -4,29 +4,22 @@ A gauge is an increasing subadditive map theta: [0, inf) -> [0, 1) with
 theta(0) = 0 and theta(t) -> 1, carrying a two-sided power growth
 certificate: theta(t) <= c_small * t^alpha below a small threshold and
 1 - theta(t) <= c_large * t^(-alpha) above a large one.  The certificate
-drives every truncation bound in this module, so the numbers reported by
-frullani_integral and the quadrature path of shift_kernel_fourier_grid come
-with an explicit budget; the builtin gauges' kernel transforms are closed
-forms.  Every panel integral here (the dilation integral, the kernel
-transform of a user-built gauge, the derivative-mass check) runs the one
-refinement loop, _integrate_refined, on a mesh from the quadrature module.
+drives every truncation bound in this module, so a panel integral of the
+shift kernel comes with an explicit budget; the builtin gauges' kernel
+transforms are closed forms.  The dilation (Frullani) integral is the
+kernel transform at z = 0, always taken on panels, so it checks the gauge
+rather than a closed form.  Every panel integral here (that transform and
+the derivative-mass check) runs the one refinement loop,
+_integrate_refined, on a composite Gauss-Legendre mesh built below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-
-from .quadrature import (
-    QuadratureError,
-    QuadratureSpec,
-    StripViolationError,
-    graded_breaks,
-    panel_nodes,
-    refine_breaks,
-)
 
 __all__ = [
     "Gauge",
@@ -40,6 +33,8 @@ __all__ = [
     "log_gauge",
     "shift_kernel",
     "shift_kernel_fourier_grid",
+    "QuadratureError",
+    "StripViolationError",
 ]
 
 BUILTIN_GAUGE_NAMES = ("clip", "rational", "exp")
@@ -312,13 +307,80 @@ def _derivative_mass_gap(g: Gauge):
 
 
 # ---------------------------------------------------------------------------
-# panel refinement
+# the panel mesh and its refinement
 # ---------------------------------------------------------------------------
+
+
+class QuadratureError(RuntimeError):
+    """Panel refinement reached the mesh bound before it converged."""
+
+
+class StripViolationError(ValueError):
+    """A transform was requested outside the certified analyticity strip."""
+
+
+# largest mesh panel_nodes builds; refinement past it would exhaust memory,
+# so this bound is what ends a refinement that never converges
+_MAX_NODES = 2**18
 
 # Gauss-Legendre nodes per panel, and the fraction of the decay exponent a
 # complex frequency keeps clear of the certified strip's edge
 _POINTS = 24
 _STRIP_MARGIN = 0.05
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(points: int):
+    x, w = np.polynomial.legendre.leggauss(points)
+    return x, w
+
+
+def panel_nodes(breaks, points):
+    """Nodes and weights for composite Gauss-Legendre over a panel mesh.
+
+    breaks is a sorted 1-D array of panel edges; returns flat arrays of
+    nodes and weights covering [breaks[0], breaks[-1]].  Raises
+    QuadratureError rather than build more than _MAX_NODES nodes.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    count = (breaks.size - 1) * points
+    if count > _MAX_NODES:
+        raise QuadratureError(f"panel mesh of {count} nodes exceeds the limit of {_MAX_NODES}")
+    a = breaks[:-1]
+    b = breaks[1:]
+    x, w = _gauss_legendre(points)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = mid[:, None] + half[:, None] * x[None, :]
+    weights = half[:, None] * w[None, :]
+    return nodes.ravel(), weights.ravel()
+
+
+def refine_breaks(breaks):
+    """Split every panel of the mesh in two."""
+    breaks = np.asarray(breaks, dtype=float)
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    return np.sort(np.concatenate([breaks, mid]))
+
+
+def graded_breaks(lo, hi, interior=(), max_step=1.0):
+    """Panel edges on [lo, hi] with the given interior split points.
+
+    Splits are inserted exactly (useful for kink points), then every
+    segment is subdivided so no panel exceeds max_step.
+    """
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+    pts = [lo, hi]
+    for p in interior:
+        if lo < p < hi:
+            pts.append(float(p))
+    pts = np.array(sorted(set(pts)))
+    out = [pts[0]]
+    for a, b in zip(pts[:-1], pts[1:]):
+        n = max(1, int(np.ceil((b - a) / max_step)))
+        out.extend(np.linspace(a, b, n + 1)[1:])
+    return np.array(out)
 
 
 def _integrate_refined(rule, breaks, budget):
@@ -363,9 +425,17 @@ def shift_kernel(g: Gauge, shift: float, y):
     return log_gauge(g, y + shift) - log_gauge(g, y)
 
 
-def _kernel_cutoffs(g: Gauge, shift: float, decay: float, budget: float):
-    """Window [-W_lo, W_hi] outside which the kernel tail is below budget."""
+def _kernel_panels(g: Gauge, shift: float, zs, tol: float):
+    """Panel integral of the shift kernel's transform at every z in zs.
+
+    The window [-W_lo, W_hi] cuts each certified tail below tol/4 at the
+    decay rate left by the largest |Im z|; the mesh splits at the kinks
+    and their shifted copies, its step shrinks with the largest |Re z|, and
+    every panel halves until the worst entry moves by at most tol/2.
+    """
     a = g.growth_exponent
+    decay = a - float(np.max(np.abs(zs.imag)))
+    budget = tol / 4.0
     # left tail: G(y) <= c_small * e^(a*(y+shift)) valid while e^(y+shift) < m
     w_lo = max(
         shift - np.log(g.small_threshold),
@@ -381,40 +451,39 @@ def _kernel_cutoffs(g: Gauge, shift: float, decay: float, budget: float):
         raise StripViolationError(
             "tail bound exceeds the tolerance budget for this gauge/argument"
         )
-    return w_lo, w_hi
+    zmax = float(np.max(np.abs(zs.real)))
+    interior = [p for k in g.kinks for p in (np.log(k), np.log(k) - shift)]
+    breaks = graded_breaks(-w_lo, w_hi, interior, max_step=min(0.75, 8.0 / max(1.0, zmax)))
+
+    def rule(nodes, weights):
+        kern = shift_kernel(g, shift, nodes) * weights
+        vals = np.empty(zs.shape, dtype=complex)
+        for start in range(0, zs.size, 64):
+            block = zs[start : start + 64]
+            vals[start : start + 64] = np.exp(-1j * block[:, None] * nodes[None, :]) @ kern
+        return vals
+
+    return _integrate_refined(rule, breaks, tol / 2.0)
 
 
-def _kernel_breaks(g: Gauge, shift: float, w_lo: float, w_hi: float, max_step: float):
-    interior = []
-    for k in g.kinks:
-        interior.append(np.log(k))
-        interior.append(np.log(k) - shift)
-    return graded_breaks(-w_lo, w_hi, interior=interior, max_step=max_step)
-
-
-def frullani_integral(g: Gauge, rho: float, quadrature: QuadratureSpec | None = None) -> float:
+def frullani_integral(g: Gauge, rho: float, tol: float = 1e-9) -> float:
     """Numerical value of the dilation integral of the gauge.
 
     Computes integral over (0, inf) of (theta(rho*x) - theta(x))/x dx,
-    which equals log(rho) for every admissible gauge.  Evaluated in log
-    coordinates, where the integrand is the shift kernel with shift
-    log(rho); head and tail are bounded through the growth certificate
-    and the bulk is integrated on a kink-split refined panel mesh.
+    which equals log(rho) for every admissible gauge, within tol.  In log
+    coordinates the integrand is the shift kernel with shift log(rho), so
+    this is the kernel transform at z = 0, integrated on panels even when
+    the gauge carries a closed form: head and tail are bounded through the
+    growth certificate and the bulk runs on a kink-split refined mesh.
     """
     if not rho > 1:
         raise ValueError("rho must exceed 1")
-    spec = quadrature or QuadratureSpec()
-    u = float(np.log(rho))
-    a = g.growth_exponent
-    w_lo, w_hi = _kernel_cutoffs(g, u, a, spec.tol / 4.0)
-    breaks = _kernel_breaks(g, u, w_lo, w_hi, max_step=1.0)
-    val = _integrate_refined(
-        lambda y, w: np.dot(w, shift_kernel(g, u, y)), breaks, spec.tol / 2.0
-    )
-    return float(val)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return float(_kernel_panels(g, float(np.log(rho)), np.zeros(1, dtype=complex), tol)[0].real)
 
 
-def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = None):
+def shift_kernel_fourier_grid(g, shift, zs, tol: float = 1e-9):
     """Fourier transform of the shift kernel on a batch of frequencies.
 
     Returns integral of G(w) e^(-i w z) dw for every z in zs.  Arguments
@@ -424,9 +493,10 @@ def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = 
     the gauge's derivative, with the limit shift * mellin(0) at z = 0; that
     closed form is used whenever the gauge carries one.  Other gauges are
     integrated on panels shared across the batch, refined until the worst
-    entry is stable.
+    entry is stable within tol.
     """
-    spec = quadrature or QuadratureSpec()
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if not np.all(np.isfinite(zs)):
         raise ValueError("frequencies must be finite")
@@ -441,19 +511,4 @@ def shift_kernel_fourier_grid(g, shift, zs, quadrature: QuadratureSpec | None = 
         zero = zs == 0
         iz = 1j * np.where(zero, 1.0, zs)
         return np.where(zero, shift, np.expm1(shift * iz) / iz) * g.mellin(zs)
-
-    decay = a - sigma
-    w_lo, w_hi = _kernel_cutoffs(g, shift, decay, spec.tol / 4.0)
-    zmax = float(np.max(np.abs(zs.real))) if zs.size else 0.0
-    step = min(0.75, 8.0 / max(1.0, zmax))
-    breaks = _kernel_breaks(g, shift, w_lo, w_hi, max_step=step)
-
-    def rule(nodes, weights):
-        kern = shift_kernel(g, shift, nodes) * weights
-        vals = np.empty(zs.shape, dtype=complex)
-        for start in range(0, zs.size, 64):
-            block = zs[start : start + 64]
-            vals[start : start + 64] = np.exp(-1j * block[:, None] * nodes[None, :]) @ kern
-        return vals
-
-    return _integrate_refined(rule, breaks, spec.tol / 2.0)
+    return _kernel_panels(g, shift, zs, tol)

@@ -23,7 +23,6 @@ import numpy as np
 
 from ._frozen import Frozen, store
 from .gauges import Gauge, shift_kernel, shift_kernel_fourier_grid
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "LogMeasure",
@@ -90,7 +89,7 @@ class RecoverySpec:
     sample_count       forward samples drawn by roundtrip_check, 4097
     regularization_floor  frequencies where |kernel transform| falls below
                        1e-8 * max|kernel transform| are skipped
-    quadrature         kernel transforms without a closed form, tol 1e-10
+    quadrature         tol of kernel transforms without a closed form, 1e-10
     """
 
     frequency_grid: tuple = field(default_factory=lambda: tuple(np.linspace(-8.0, 8.0, 257)))
@@ -100,7 +99,7 @@ class RecoverySpec:
     window = 32.0
     regularization_floor = 1e-8
     sample_count = 4097
-    quadrature = QuadratureSpec(tol=1e-10)
+    quadrature = 1e-10
 
     def __post_init__(self):
         (zs,) = store(self, float, freq_array=self.frequency_grid)

@@ -188,8 +188,16 @@ def test_cu_reports_carry_cell_and_nodes(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code in (PASS, FINDING)
         rec = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert rec["domain"] == "interval", argv
         assert float(rec["cell"]) > 0, argv
         assert int(rec["nodes"]) == 1028, argv  # 1024 plus the inner endpoints
+
+
+def test_cu_recover_refusal_names_its_domain(capsys):
+    code, out, _ = run_cli(capsys, "cu-recover", "--selftest")
+    assert code == PASS
+    assert "zigzag.failed_check=injectivity" in out.splitlines()
+    assert "zigzag.domain=interval" in out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from isolab.gauges import (
     shift_kernel,
     shift_kernel_fourier_grid,
 )
-from isolab.quadrature import QuadratureSpec
 
 
 def test_builtin_names():
@@ -167,7 +166,7 @@ def test_shift_kernel_nonnegative_and_decaying():
 @pytest.mark.parametrize("rho", [1.5, 2.0, np.e, 10.0])
 def test_frullani_equals_log_rho(name, rho):
     g = make_builtin_gauge(name)
-    val = frullani_integral(g, rho, QuadratureSpec(tol=1e-9))
+    val = frullani_integral(g, rho, 1e-9)
     assert abs(val - np.log(rho)) < 1e-6
 
 
@@ -182,8 +181,19 @@ def test_frullani_against_x_space_oracle():
 
     oracle, err = quad(integrand, 0.0, np.inf, limit=200)
     assert err < 1e-9
-    val = frullani_integral(g, rho, QuadratureSpec(tol=1e-10))
+    val = frullani_integral(g, rho, 1e-10)
     assert abs(val - oracle) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["clip", "rational", "exp"])
+@pytest.mark.parametrize("rho", [1.5, 2.0, 10.0])
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+def test_frullani_is_the_kernel_transform_at_zero(name, rho, tol):
+    # one panel path: the dilation integral is the kernel transform at z = 0,
+    # taken on panels even for a gauge that carries a closed form
+    g = make_builtin_gauge(name)
+    at_zero = shift_kernel_fourier_grid(dataclasses.replace(g, mellin=None), np.log(rho), [0], tol)
+    assert frullani_integral(g, rho, tol) == at_zero[0].real
 
 
 def test_frullani_rejects_rho_at_most_one():
@@ -252,7 +262,7 @@ def test_kernel_transform_against_mpmath(name, alpha, path):
     g = _kernel_gauge(name, alpha, path)
     shift = 1.0
     zs = np.array([-3.0, -1.0, -0.25, 0.0, 0.5, 2.0])
-    got = shift_kernel_fourier_grid(g, shift, zs, QuadratureSpec(tol=1e-11))
+    got = shift_kernel_fourier_grid(g, shift, zs, 1e-11)
     for z, gv in zip(zs, got):
         want = _mpmath_kernel_transform(name, shift, float(z), alpha)
         assert abs(gv - want) < 1e-8, (name, z)
@@ -262,16 +272,16 @@ def test_kernel_transform_against_mpmath(name, alpha, path):
 def test_kernel_transform_closed_form_matches_quadrature(name, alpha):
     closed = _kernel_gauge(name, alpha, "closed")
     quad = _kernel_gauge(name, alpha, "quadrature")
-    spec = QuadratureSpec(tol=1e-11)
+    tol = 1e-11
     grid = np.linspace(-8.0, 8.0, 257)
-    diff = shift_kernel_fourier_grid(closed, 0.75, grid, spec) - shift_kernel_fourier_grid(
-        quad, 0.75, grid, spec
+    diff = shift_kernel_fourier_grid(closed, 0.75, grid, tol) - shift_kernel_fourier_grid(
+        quad, 0.75, grid, tol
     )
     assert np.max(np.abs(diff)) < 1e-9
     a = closed.growth_exponent
     inside = np.array([0.3 + 0.2j * a, -1.5 - 0.4j * a])
-    diff = shift_kernel_fourier_grid(closed, 0.75, inside, spec) - shift_kernel_fourier_grid(
-        quad, 0.75, inside, spec
+    diff = shift_kernel_fourier_grid(closed, 0.75, inside, tol) - shift_kernel_fourier_grid(
+        quad, 0.75, inside, tol
     )
     assert np.max(np.abs(diff)) < 1e-9
 
@@ -282,7 +292,7 @@ def test_kernel_transform_at_zero_equals_shift():
         assert shift_kernel_fourier_grid(_kernel_gauge(name, alpha, "closed"), 0.75, [0.0])[0] == 0.75
     for name in ("clip", "exp"):
         g = _kernel_gauge(name, None, "quadrature")
-        v = shift_kernel_fourier_grid(g, 0.75, [0.0], QuadratureSpec(tol=1e-11))[0]
+        v = shift_kernel_fourier_grid(g, 0.75, [0.0], 1e-11)[0]
         assert abs(v - 0.75) < 1e-9, name
 
 
@@ -314,5 +324,5 @@ def test_kernel_transform_complex_inside_strip():
     want = _mpmath_kernel_transform("rational", 1.0, 0.3 + 0.2j)
     for path in ("closed", "quadrature"):
         g = _kernel_gauge("rational", 1.0, path)
-        v = shift_kernel_fourier_grid(g, 1.0, [0.3 + 0.2j], QuadratureSpec(tol=1e-10))[0]
+        v = shift_kernel_fourier_grid(g, 1.0, [0.3 + 0.2j], 1e-10)[0]
         assert abs(v - want) < 1e-8, path

@@ -24,7 +24,7 @@ from isolab import contspace, holodisc, make_builtin_gauge, metric, recovery
 from isolab._frozen import Frozen, store
 
 ROOT = Path(__file__).resolve().parents[1]
-LIBRARY = ("quadrature", "gauges", "metric", "recovery", "holodisc", "contspace")
+LIBRARY = ("gauges", "metric", "recovery", "holodisc", "contspace")
 
 
 def test_every_module_all_resolves():

@@ -4,13 +4,16 @@ import time
 import numpy as np
 import pytest
 
-from isolab.gauges import _integrate_refined, make_builtin_gauge, shift_kernel_fourier_grid
-from isolab.quadrature import (
+from isolab import gauges
+from isolab.gauges import (
     QuadratureError,
-    QuadratureSpec,
+    _integrate_refined,
+    frullani_integral,
     graded_breaks,
+    make_builtin_gauge,
     panel_nodes,
     refine_breaks,
+    shift_kernel_fourier_grid,
 )
 
 
@@ -70,9 +73,17 @@ def test_integrate_refined_raises_when_budget_unreachable():
 
 
 def test_spec_validation():
+    # the budget is checked on both paths of the transform, closed form too
+    g = make_builtin_gauge("exp")
+    quad = dataclasses.replace(g, mellin=None)
     for tol in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            QuadratureSpec(tol=tol)
+        for call in (
+            lambda: frullani_integral(g, 2.0, tol),
+            lambda: shift_kernel_fourier_grid(g, 1.0, [0.5], tol),
+            lambda: shift_kernel_fourier_grid(quad, 1.0, [0.5], tol),
+        ):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                call()
 
 
 def test_kernel_mesh_bounded_near_strip_edge():
@@ -81,12 +92,42 @@ def test_kernel_mesh_bounded_near_strip_edge():
     g = dataclasses.replace(make_builtin_gauge("rational", alpha=2.0), mellin=None)
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match="exceeds the limit"):
-        shift_kernel_fourier_grid(g, 1.0, [2.0 + 1.8j], QuadratureSpec(tol=1e-10))
+        shift_kernel_fourier_grid(g, 1.0, [2.0 + 1.8j], 1e-10)
     assert time.perf_counter() - start < 1.0
 
 
 def test_kernel_mesh_bound_leaves_room_for_tight_tolerances():
     g = make_builtin_gauge("rational", alpha=0.5)
     quad = dataclasses.replace(g, mellin=None)
-    got = shift_kernel_fourier_grid(quad, 1.0, [0.2j], QuadratureSpec(tol=1e-11))
+    got = shift_kernel_fourier_grid(quad, 1.0, [0.2j], 1e-11)
     assert abs(got[0] - shift_kernel_fourier_grid(g, 1.0, [0.2j])[0]) < 1e-9
+
+
+def test_every_panel_pass_goes_through_the_module_panel_nodes(monkeypatch):
+    # perfbench/tracer.py counts kernel nodes and passes by rebinding
+    # gauges.panel_nodes, so the refinement loop must look it up there
+    g = make_builtin_gauge("clip")
+    quad = dataclasses.replace(g, mellin=None)
+    calls = {
+        "frullani": lambda: frullani_integral(g, 2.0),
+        "panels": lambda: shift_kernel_fourier_grid(quad, 1.0, [0.0, 1.5], 1e-10),
+        "closed": lambda: shift_kernel_fourier_grid(g, 1.0, [0.0, 1.5], 1e-10),
+    }
+    plain = {name: call() for name, call in calls.items()}
+    sizes = []
+
+    def counted(breaks, points):
+        nodes, weights = panel_nodes(breaks, points)
+        sizes.append(nodes.size)
+        return nodes, weights
+
+    monkeypatch.setattr(gauges, "panel_nodes", counted)
+    for name, call in calls.items():
+        sizes.clear()
+        assert np.array_equal(call(), plain[name]), name
+        if name == "closed":
+            assert sizes == []
+        else:
+            # a converged refinement takes two passes at least, each halving every panel
+            assert len(sizes) >= 2, name
+            assert all(b == 2 * a for a, b in zip(sizes, sizes[1:])), (name, sizes)
