@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from isolab import recovery
 from isolab.gauges import BUILTIN_GAUGE_NAMES, make_builtin_gauge
@@ -107,6 +110,66 @@ def test_fourier_from_samples_matches_direct_sum(s, values, zs):
     got = fourier_from_samples(s, values, zs)
     want = _direct_trapezoid(s, values, zs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _chirp_z_formula(s, values, zs):
+    """fourier_from_samples without its plan: every factor rebuilt from the nodes."""
+    h = (s[-1] - s[0]) / (s.size - 1)
+    dz = (zs[-1] - zs[0]) / (zs.size - 1) if zs.size > 1 else 0.0
+    n, m = s.size, zs.size
+    beta = dz * h
+    wv = h * values
+    wv[[0, -1]] *= 0.5
+    a = wv * np.exp(-1j * zs[0] * (s - s[0])) / recovery._chirp(beta, np.arange(n))
+    lags = np.arange(1 - n, m)
+    b = np.zeros(1 << (n + m - 2).bit_length(), dtype=complex)
+    b[lags] = recovery._chirp(beta, lags)
+    conv = np.fft.ifft(np.fft.fft(a, b.size) * np.fft.fft(b))
+    return np.exp(-1j * zs * s[0]) / recovery._chirp(beta, np.arange(m)) * conv[:m]
+
+
+_ALIAS_ZS = RecoverySpec(frequency_grid=tuple(np.linspace(-8.0, 8.0, 17))).freq_array
+
+
+def test_fourier_plan_is_bit_identical_to_the_formula(monkeypatch):
+    grids = [RecoverySpec().freq_array, _ALIAS_ZS]
+    fresh = []
+    for zs in grids:
+        monkeypatch.setattr(recovery, "_last_plan", (None,) * 6)  # as in a fresh process
+        fresh.append(fourier_from_samples(_S_DEFAULT, _H_DEFAULT, zs))
+        assert np.array_equal(fresh[-1], _chirp_z_formula(_S_DEFAULT, _H_DEFAULT, zs))
+    # alternating the two grids rebuilds or reuses the plan; the bits never move
+    for i in range(5):
+        got = fourier_from_samples(_S_DEFAULT, _H_DEFAULT, grids[i % 2])
+        assert np.array_equal(got, fresh[i % 2])
+
+
+def test_fourier_plan_keys_on_every_node():
+    zs = RecoverySpec().freq_array
+    s = _S_DEFAULT.copy()
+    fourier_from_samples(s, _H_DEFAULT, zs)
+    # same count, step and start, one interior node moved in the caller's own
+    # array: still uniform within 1e-9, so the plan must be rebuilt from it
+    s[1000] += 1e-12
+    want = _chirp_z_formula(s, _H_DEFAULT, zs)
+    assert not np.array_equal(want, _chirp_z_formula(_S_DEFAULT, _H_DEFAULT, zs))
+    assert np.array_equal(fourier_from_samples(s, _H_DEFAULT, zs), want)
+
+
+def test_fourier_plan_keeps_the_input_checks_and_inputs():
+    zs = RecoverySpec().freq_array
+    values = _H_DEFAULT.copy()
+    s = _S_DEFAULT.copy()
+    fourier_from_samples(s, values, zs)
+    fourier_from_samples(s, values, zs)  # a cache hit
+    assert np.array_equal(values, _H_DEFAULT) and np.array_equal(s, _S_DEFAULT)
+    bent = s.copy()
+    bent[2000] += 1e-3
+    with pytest.raises(ValueError, match="uniform"):
+        fourier_from_samples(bent, values, zs)
+    with pytest.raises(ValueError, match="finite nonempty"):
+        fourier_from_samples(s, values, np.where(np.arange(zs.size) == 7, np.nan, zs))
+    assert np.array_equal(fourier_from_samples(s, values, zs), _chirp_z_formula(s, values, zs))
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +396,108 @@ def test_fit_jacobian_matches_central_differences(name):
         fd[:, j] = (plus - minus) / (2 * step)
     assert jac.shape == (2 * zs.size, params.size)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+# ---------------------------------------------------------------------------
+# the fit against scipy's bounded least squares
+# ---------------------------------------------------------------------------
+
+def _fit_problem(name, pos, mass, sampled=True):
+    """_fit_residual data for a measure: from forward samples, or straight from
+    the model (which allows a mass or position outside the fit's box)."""
+    g, spec = make_builtin_gauge(name, alpha=2.0), RecoverySpec()
+    zs = spec.freq_array
+    g_hat = recovery.shift_kernel_fourier_grid(g, spec.shift, zs, spec.quadrature)
+    if sampled:
+        s, h = smoothed_curve_samples(g, LogMeasure(pos, mass), spec)
+        h_hat = fourier_from_samples(s, h, zs)
+    else:
+        h_hat = g_hat * (np.exp(1j * zs[:, None] * np.array(pos)[None, :]) @ np.array(mass))
+    return (len(pos), zs, g_hat, h_hat, float(np.max(np.abs(h_hat))))
+
+
+def _both_fits(data, x0, max_nfev=400):
+    """(ours, scipy's) from one start, with recover_measure's box and tolerances."""
+    k = data[0]
+    lo = np.concatenate([np.full(k, -32.0), np.zeros(k)])
+    hi = np.concatenate([np.full(k, 32.0), np.full(k, 1.5)])
+    x0 = np.clip(x0, lo + 1e-12, hi - 1e-12)
+    kw = dict(jac=recovery._fit_jacobian, args=data, bounds=(lo, hi), max_nfev=max_nfev)
+    kw.update(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    ref = optimize.least_squares(recovery._fit_residual, x0, **kw)
+    return recovery.least_squares(recovery._fit_residual, x0, **kw), ref
+
+
+def _assert_fit_matches_scipy(data, ours, ref, x_tol):
+    # no worse than scipy beyond roundoff: 1e-9 relative, or 1e-14 on a residual
+    # vector of about 514 unit-scale entries
+    ours_norm = np.linalg.norm(recovery._fit_residual(ours.x, *data))
+    ref_norm = np.linalg.norm(recovery._fit_residual(ref.x, *data))
+    assert ours_norm <= ref_norm * (1 + 1e-9) + 1e-14
+    assert np.max(np.abs(ours.x - ref.x)) <= x_tol
+    assert 1 <= ours.nfev <= 400
+
+
+_FIT_MEASURES = [((0.4,), (0.6,)), ((-1.2, 0.3), (0.35, 0.4)), ((-2.0, 0.0, 1.5), (0.2, 0.3, 0.25))]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
+def test_fit_matches_scipy_from_perturbed_starts(name):
+    rng = np.random.default_rng(5)
+    for pos, mass in _FIT_MEASURES:
+        data = _fit_problem(name, pos, mass)
+        for _ in range(3):
+            shift, factor = rng.uniform(-0.05, 0.05, len(pos)), rng.uniform(0.8, 1.2, len(pos))
+            x0 = np.concatenate([np.add(pos, shift), np.multiply(mass, factor)])
+            _assert_fit_matches_scipy(data, *_both_fits(data, x0), x_tol=1e-10)
+
+
+@pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
+def test_fit_matches_scipy_on_an_active_bound(name):
+    # an atom beyond the window pins its position at +32; a mass of 2 pins it at 1.5
+    cases = (((0.4, 33.0), (0.3, 0.4), (1, 32.0)), ((-0.5, 1.0), (0.3, 2.0), (3, 1.5)))
+    for pos, mass, pinned in cases:
+        data = _fit_problem(name, pos, mass, sampled=False)
+        x0 = np.concatenate([np.add(pos, 0.02), np.minimum(mass, 1.4)])
+        ours, ref = _both_fits(data, x0)
+        _assert_fit_matches_scipy(data, ours, ref, x_tol=1e-8)
+        assert ours.x[pinned[0]] == pinned[1]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
+def test_fit_stops_at_exactly_max_nfev_residual_evaluations(name):
+    data = _fit_problem(name, (-0.5, 1.0), (0.3, 2.0), sampled=False)
+    x0 = np.array([-0.48, 1.02, 0.3, 1.4])
+    assert _both_fits(data, x0)[0].nfev > 5
+    assert _both_fits(data, x0, max_nfev=5)[0].nfev == 5
+
+
+# ---------------------------------------------------------------------------
+# the pencil's frequency run
+# ---------------------------------------------------------------------------
+
+
+def _longest_run_loop(mask):
+    """The first longest run of True, one entry at a time."""
+    best_lo = best_len = 0
+    lo = None
+    for i, m in enumerate(np.concatenate([mask, [False]])):
+        if m and lo is None:
+            lo = i
+        elif not m and lo is not None:
+            if i - lo > best_len:
+                best_lo, best_len = lo, i - lo
+            lo = None
+    return best_lo, best_lo + best_len
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=300))
+@example([])
+@example([True] * 258)
+@example([False] * 258)
+@example([True, True, False, True, True, False, False, True, True])  # a three-way tie
+@example([False, True, False, True, True, True, False, True, True, True])
+def test_longest_run_matches_the_loop(mask):
+    mask = np.array(mask, dtype=bool)
+    assert recovery._longest_run(mask) == _longest_run_loop(mask)
