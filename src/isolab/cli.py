@@ -261,6 +261,12 @@ def _run_hol_iso_test(cfg: ExperimentConfig, params):
     return (PASS if rep.passed else FINDING), rep.as_record()
 
 
+def _refusal(exc):
+    """A refusal's failing check and the certificate measured up to and including it."""
+    cert = {f"certificate.{k}": v for k, v in sorted(exc.certificate.items())}
+    return {"failed_check": exc.check, **cert}
+
+
 def _run_hol_characterize(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
     op = _disc_operator_from(params, holodisc.CHARACTERIZE_DEGREE)
@@ -269,13 +275,9 @@ def _run_hol_characterize(cfg: ExperimentConfig, params):
     try:
         ch = holodisc.characterize_isometry(op, exh, family, rng=rng)
     except holodisc.NotCharacterizable as exc:
-        rec = {"characterizable": False, "failed_check": exc.check}
-        rec["circle_samples"] = exc.circle_samples
-        rec.update({f"certificate.{k}": v for k, v in sorted(exc.certificate.items())})
-        return FINDING, rec
-    rec = {"characterizable": True}
-    rec.update(ch.as_record())
-    return PASS, rec
+        rec = {"characterizable": False, "circle_samples": exc.circle_samples}
+        return FINDING, {**rec, **_refusal(exc)}
+    return PASS, {"characterizable": True, **ch.as_record()}
 
 
 def _run_three_circle(cfg: ExperimentConfig, params):
@@ -385,12 +387,9 @@ def _run_cu_recover(cfg, params, exh, grid, T, h, rng):
     try:
         rec_sym = contspace.recover_weight_and_map(T, exh, grid, tol=cfg.tol, rng=rng)
     except contspace.NotWeightedComposition as exc:
-        rec = {"recovered": False, "failed_check": exc.check}
-        rec.update({f"certificate.{k}": v for k, v in sorted(exc.certificate.items())})
-        return FINDING, rec
-    rec = {"recovered": True}
-    rec["weight_error"] = float(np.max(np.abs(rec_sym.weight.array - h.array)))
-    rec.update(rec_sym.as_record())
+        return FINDING, {"recovered": False, **_refusal(exc)}
+    weight_error = float(np.max(np.abs(rec_sym.weight.array - h.array)))
+    rec = {"recovered": True, "weight_error": weight_error, **rec_sym.as_record()}
     out = _out_dir(cfg)
     if out is not None:
         _write_grid_function(out / "recovered-weight.txt", rec_sym.weight)

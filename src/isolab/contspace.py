@@ -67,14 +67,14 @@ __all__ = [
 class NotWeightedComposition(RuntimeError):
     """Recovery refused: the operator fails the named certificate check."""
 
-    def __init__(self, check: str, details: str = "", certificate: dict | None = None):
+    def __init__(self, check: str, details: str, certificate: dict):
         super().__init__(
             f"not a weighted composition at grid scale: {check}"
             + (f" ({details})" if details else "")
         )
         self.check = check
         self.details = details
-        self.certificate = dict(certificate or {})
+        self.certificate = dict(certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +725,19 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
     """
     check_resolution(grid, exh)
     cert: dict = {}
+
+    def refuse_if(bad, check, details):
+        if bad:
+            raise NotWeightedComposition(check, details, cert)
+
     cell = grid.cell
     one = GridFunction.constant(grid, 1.0)
     h = T(one)
     unim_gap = float(np.max(np.abs(np.abs(h.array) - 1.0)))
     cert["unimodularity_gap"] = unim_gap
-    if unim_gap > max(tol, 1e-9):
-        raise NotWeightedComposition(
-            "unimodularity", f"|T(1)| deviates from 1 by {unim_gap:g}", cert
-        )
+    refuse_if(
+        unim_gap > max(tol, 1e-9), "unimodularity", f"|T(1)| deviates from 1 by {unim_gap:g}"
+    )
 
     e1 = GridFunction.coordinate(grid)
     phi_gf = GridFunction(grid, np.conj(h.array) * T(e1).array)
@@ -754,14 +758,14 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
         worst_surj = max(worst_surj, float(np.max(dists)))
     cert["containment_breach"] = worst_contain
     cert["surjectivity_gap"] = worst_surj
-    if worst_contain > 0.5 * cell:
-        raise NotWeightedComposition(
-            "containment", f"mapped nodes leave their level by {worst_contain:g}", cert
-        )
-    if worst_surj > cell * (1 + 1e-9):
-        raise NotWeightedComposition(
-            "surjectivity", f"image misses level nodes by {worst_surj:g}", cert
-        )
+    refuse_if(
+        worst_contain > 0.5 * cell,
+        "containment", f"mapped nodes leave their level by {worst_contain:g}",
+    )
+    refuse_if(
+        worst_surj > cell * (1 + 1e-9),
+        "surjectivity", f"image misses level nodes by {worst_surj:g}",
+    )
 
     # (b) grid-injectivity over every node; when the outermost level holds
     # them all, its surjectivity tree is already the tree of every image
@@ -773,10 +777,9 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
         a, b = pairs[lo : lo + _PAIR_CHUNK].T
         collapsed += int(np.sum(np.abs(pts[a] - pts[b]) > 2.0 * cell))
     cert["collapsed_pairs"] = collapsed
-    if collapsed > 0:
-        raise NotWeightedComposition(
-            "injectivity", f"{collapsed} distant node pairs land within half a cell", cert
-        )
+    refuse_if(
+        collapsed > 0, "injectivity", f"{collapsed} distant node pairs land within half a cell"
+    )
 
     # (c) reconstruction on random probes
     rng = np.random.default_rng(0) if rng is None else rng
@@ -790,10 +793,9 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
         recon = max(recon, float(np.max(np.abs(direct - rebuilt))))
     cert["reconstruction_gap"] = recon
     cert["reconstruction_budget"] = budget
-    if recon > budget + tol:
-        raise NotWeightedComposition(
-            "reconstruction", f"T deviates from the rebuilt form by {recon:g}", cert
-        )
+    refuse_if(
+        recon > budget + tol, "reconstruction", f"T deviates from the rebuilt form by {recon:g}"
+    )
     return RecoveredSymbol(h, phi_gf, cert)
 
 

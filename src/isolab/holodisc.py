@@ -379,20 +379,11 @@ class MatrixOperator(Frozen):
         return TaylorFunction(m @ c)
 
 
-def _as_apply(op):
-    if hasattr(op, "apply"):
-        return op.apply
-    if callable(op):
-        return op
-    raise TypeError("operator must expose .apply or be callable")
-
-
 def operator_matrix(op, size: int) -> MatrixOperator:
-    """Materialize an operator as its matrix on monomials up to the size."""
-    apply = _as_apply(op)
+    """Materialize an operator (an object with .apply) as its matrix on monomials up to size."""
     cols = np.zeros((size, size), dtype=complex)
     for k in range(size):
-        out = apply(TaylorFunction.monomial(k)).array
+        out = op.apply(TaylorFunction.monomial(k)).array
         if out.size > size:
             raise ValueError("operator escapes the requested matrix size")
         cols[: out.size, k] = out
@@ -449,25 +440,22 @@ class IsometryReport:
         }
 
 
-def standard_probes(rng=None, degree: int = 8):
+def standard_probes(rng, degree: int = 8):
     """The constant, the identity, a square, plus three seeded random draws."""
-    probes = [TaylorFunction.one(), TaylorFunction.identity(), TaylorFunction.monomial(2)]
-    if rng is not None:
-        probes.extend(random_taylor(rng, degree) for _ in range(3))
-    return probes
+    fixed = [TaylorFunction.one(), TaylorFunction.identity(), TaylorFunction.monomial(2)]
+    return fixed + [random_taylor(rng, degree) for _ in range(3)]
 
 
 def isometry_test(
     op, family, circles: DiscExhaustion, probes, tol: float = 1e-9
 ) -> IsometryReport:
-    """Compare seminorms of probes and their images on every circle."""
+    """Compare seminorms of probes and their images under op.apply on every circle."""
     if not probes:
         raise ValueError("probe set must be nonempty")
-    apply = _as_apply(op)
     max_gap = 0.0
     q_max = 0
     for f in probes:
-        g = apply(f)
+        g = op.apply(f)
         q = max(_CIRCLE_SAMPLES, _require_samples(g, None), _require_samples(f, None))
         q_max = max(q_max, q)
         for r in circles.radii:
@@ -502,13 +490,8 @@ class Characterization:
         return rec
 
 
-def characterize_isometry(
-    op,
-    circles: DiscExhaustion,
-    family,
-    rng=None,
-) -> Characterization:
-    """Identify an isometry as a coefficient rotation and certify it.
+def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Characterization:
+    """Identify an isometry, an operator with .apply, as a coefficient rotation and certify it.
 
     Mirrors the uniqueness argument: the image of the constant must have
     a flat mean curve across the first two radii (gap at most 1e-10 times
@@ -526,39 +509,40 @@ def characterize_isometry(
     mean family the certificate carries no_theorem_guarantee = True: the
     computation runs identically but no uniqueness theorem backs it.
     """
-    apply = _as_apply(op)
     cert: dict = {}
+
+    def refuse_if(bad, check, details):
+        if bad:  # q is read when the check refuses
+            raise NotCharacterizable(check, details, cert, q)
+
     if isinstance(family, HpFamily) and family.p == 2:
         cert["no_theorem_guarantee"] = True
 
-    g0 = apply(TaylorFunction.one())
+    g0 = op.apply(TaylorFunction.one())
     q = max(_CIRCLE_SAMPLES, _require_samples(g0, None))
 
     if len(circles.radii) >= 2:
         v1 = family.seminorm(g0, circles.radii[0], q)
         v2 = family.seminorm(g0, circles.radii[1], q)
         cert["mean_flatness_gap"] = abs(v1 - v2)
-        if abs(v1 - v2) > 1e-10 * max(1.0, v1):
-            raise NotCharacterizable(
-                "mean-flatness", f"means {v1:g} and {v2:g} differ across radii", cert, q
-            )
+        refuse_if(
+            abs(v1 - v2) > 1e-10 * max(1.0, v1),
+            "mean-flatness", f"means {v1:g} and {v2:g} differ across radii",
+        )
 
     c0 = g0.array
     tail = float(np.linalg.norm(c0[1:])) if c0.size > 1 else 0.0
     scale = max(float(np.abs(c0[0])), 1e-300)
     cert["constancy_tail"] = tail / scale
-    if tail / scale > 1e-10:
-        raise NotCharacterizable(
-            "constancy", f"image of the constant has relative tail mass {tail / scale:g}", cert, q
-        )
+    refuse_if(
+        tail / scale > 1e-10,
+        "constancy", f"image of the constant has relative tail mass {tail / scale:g}",
+    )
     alpha = complex(c0[0])
     cert["alpha_modulus_gap"] = abs(abs(alpha) - 1.0)
-    if abs(abs(alpha) - 1.0) > 1e-10:
-        raise NotCharacterizable(
-            "unimodularity", f"|alpha| = {abs(alpha):g} is not 1", cert, q
-        )
+    refuse_if(abs(abs(alpha) - 1.0) > 1e-10, "unimodularity", f"|alpha| = {abs(alpha):g} is not 1")
 
-    phi = apply(TaylorFunction.identity()).scaled(np.conj(alpha))
+    phi = op.apply(TaylorFunction.identity()).scaled(np.conj(alpha))
     qphi = max(_CIRCLE_SAMPLES, _require_samples(phi, None))
     q = max(q, qphi)  # the most circle samples used so far
     circle_gap = 0.0
@@ -566,35 +550,30 @@ def characterize_isometry(
         vals = np.abs(_circle_values(phi, r, qphi))
         circle_gap = max(circle_gap, float(np.max(np.abs(vals - r))))
     cert["circle_preservation_gap"] = circle_gap
-    if circle_gap > 1e-9:
-        raise NotCharacterizable(
-            "circle-preservation", f"sampled circles move by {circle_gap:g}", cert, q
-        )
+    refuse_if(circle_gap > 1e-9, "circle-preservation", f"sampled circles move by {circle_gap:g}")
 
     cphi = phi.array
     linear_tail = float(
         np.sqrt(abs(cphi[0]) ** 2 + float(np.sum(np.abs(cphi[2:]) ** 2)))
     ) if cphi.size > 1 else float(np.abs(cphi[0]))
     cert["linearity_gap"] = linear_tail
-    if cphi.size < 2 or linear_tail > 1e-10:
-        raise NotCharacterizable(
-            "linearity", f"normalized identity image is not a multiple of z", cert, q
-        )
+    refuse_if(
+        cphi.size < 2 or linear_tail > 1e-10,
+        "linearity", "normalized identity image is not a multiple of z",
+    )
     beta = complex(cphi[1])
     cert["beta_modulus_gap"] = abs(abs(beta) - 1.0)
-    if abs(abs(beta) - 1.0) > 1e-10:
-        raise NotCharacterizable("beta-unimodularity", f"|beta| = {abs(beta):g}", cert, q)
+    refuse_if(abs(abs(beta) - 1.0) > 1e-10, "beta-unimodularity", f"|beta| = {abs(beta):g}")
 
     rng = np.random.default_rng(0) if rng is None else rng
     model = RotationOperator(alpha / abs(alpha), beta / abs(beta))
     recon_gap = 0.0
     for f in standard_probes(rng, CHARACTERIZE_DEGREE):
-        recon_gap = max(recon_gap, float(np.max(np.abs((apply(f) - model.apply(f)).array))))
+        recon_gap = max(recon_gap, float(np.max(np.abs((op.apply(f) - model.apply(f)).array))))
     cert["reconstruction_gap"] = recon_gap
-    if recon_gap > 1e-9:
-        raise NotCharacterizable(
-            "reconstruction", f"operator deviates from the rotation by {recon_gap:g}", cert, q
-        )
+    refuse_if(
+        recon_gap > 1e-9, "reconstruction", f"operator deviates from the rotation by {recon_gap:g}"
+    )
     return Characterization(alpha, beta, cert, q)
 
 

@@ -161,11 +161,11 @@ class SeparationResult:
 def metric_value(g: Gauge, weights: WeightSequence, a: SeminormVector) -> MetricInterval:
     """Weighted gauge sum of the vector, as an interval.
 
-    The lower end sums the stored entries; the upper end adds the declared
-    tail, since each dropped term contributes at most its weight.
+    The lower end sums the stored entries, the moment curve at t = 1; the
+    upper end adds the declared tail, since each dropped term contributes at
+    most its weight.
     """
-    _check_lengths(weights, a)
-    lo = float(np.dot(weights.array, g(a.array)))
+    lo = moment_curve(g, weights, a, 1.0)
     return MetricInterval(lo, lo + weights.declared_tail)
 
 

@@ -11,7 +11,8 @@ column space and the singular values the rank rule reads (a full SVD
 would cost as much as the rest of a recovery).  The estimate initializes
 a bounded Levenberg-Marquardt fit (More 1978) of (position, mass) pairs
 with a closed-form Jacobian, carried out in the undivided domain, where
-the noise floor is flat.
+the noise floor is flat, to one tolerance _FIT_TOL = 1e-15 on step, cost
+and gradient, within _MAX_NFEV = 400 residual evaluations.
 """
 
 from __future__ import annotations
@@ -114,16 +115,13 @@ class RecoverySpec:
 
 
 def smoothed_curve(g: Gauge, measure: LogMeasure, shift: float, s):
-    """Kernel-smoothed observation of the measure at offsets s.
+    """Kernel-smoothed observation of the measure at the 1-D array of offsets s.
 
     H(s) = sum_j mass_j * G(position_j + s) with G the shift kernel.
     """
     s = np.asarray(s, dtype=float)
-    scal = s.ndim == 0
-    ss = np.atleast_1d(s)
     pos, mass = measure.positions, measure.masses
-    vals = shift_kernel(g, shift, pos[:, None] + ss[None, :]).T @ mass
-    return float(vals[0]) if scal else vals
+    return shift_kernel(g, shift, pos[:, None] + s[None, :]).T @ mass
 
 
 def smoothed_curve_samples(g: Gauge, measure: LogMeasure, spec: RecoverySpec):
@@ -239,38 +237,41 @@ def _pencil_estimate(quotient, dz, budget):
     return np.sort(np.angle(nodes) / dz), rank
 
 
-def least_squares(fun, x0, *, jac, args, bounds, xtol, ftol, gtol, max_nfev):
-    """Bounded Levenberg-Marquardt (More 1978), called like scipy.optimize.least_squares.
+_FIT_TOL = 1e-15  # the fit's step, cost-reduction and projected-gradient tolerance
+_MAX_NFEV = 400  # most residual evaluations of one fit
 
-    A step solves [J; sqrt(lam) D] delta = [-r; 0] by least squares, with D
-    the running maximum of J's column norms and J's column zeroed for each
-    parameter at a bound that descent pushes against; it is clipped into
-    the box.  lam falls tenfold on an accepted step, rises tenfold on a
-    rejected one.  The fit stops on a projected gradient below gtol, an
-    accepted step that gains less than ftol of the cost, a step (accepted or
-    not) that moves x by less than xtol (xtol + |x|), or max_nfev calls of fun.
-    Returns .x and .nfev.
+
+def least_squares(x0, lo, hi, data):
+    """Bounded Levenberg-Marquardt (More 1978) of _fit_residual(x, *data) on the box [lo, hi].
+
+    A step solves [J; sqrt(lam) D] delta = [-r; 0] by least squares, with J
+    from _fit_jacobian, D the running maximum of J's column norms and J's
+    column zeroed for each parameter at a bound that descent pushes against;
+    it is clipped into the box.  lam falls tenfold on an accepted step,
+    rises tenfold on a rejected one.  With tol = _FIT_TOL, the fit stops on a
+    projected gradient below tol, an accepted step that gains less than tol
+    of the cost, a step (accepted or not) that moves x by less than
+    tol (tol + |x|), or _MAX_NFEV residual evaluations.  Returns .x and .nfev.
     """
-    lo, hi = bounds
     x = np.clip(x0, lo, hi)
-    r = fun(x, *args)
+    r = _fit_residual(x, *data)
     cost, nfev, lam, d, jx, done = r @ r, 1, 1e-4, 0.0, None, False
-    while nfev < max_nfev and not done:
+    while nfev < _MAX_NFEV and not done:
         if jx is None:
-            jx = jac(x, *args)
+            jx = _fit_jacobian(x, *data)
             d = np.maximum(d, np.linalg.norm(jx, axis=0))
             grad = jx.T @ r
-            if np.max(np.abs(x - np.clip(x - grad, lo, hi))) < gtol:
+            if np.max(np.abs(x - np.clip(x - grad, lo, hi))) < _FIT_TOL:
                 break
             free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
         damped = np.vstack([jx * free, np.diag(np.sqrt(lam) * np.where(d > 0, d, 1.0))])
         step = np.linalg.lstsq(damped, np.concatenate([-r, np.zeros_like(x)]), rcond=None)[0]
         x_new = np.clip(x + step, lo, hi)
-        r_new = fun(x_new, *args)
+        r_new = _fit_residual(x_new, *data)
         nfev, cost_new = nfev + 1, r_new @ r_new
-        done = np.linalg.norm(x_new - x) < xtol * (xtol + np.linalg.norm(x))
+        done = np.linalg.norm(x_new - x) < _FIT_TOL * (_FIT_TOL + np.linalg.norm(x))
         if cost_new < cost:
-            done |= cost - cost_new < ftol * cost
+            done |= cost - cost_new < _FIT_TOL * cost
             x, r, cost, jx, lam = x_new, r_new, cost_new, None, lam / 10
         else:
             lam *= 10
@@ -279,8 +280,7 @@ def least_squares(fun, x0, *, jac, args, bounds, xtol, ftol, gtol, max_nfev):
 
 def _fit_residual(params, k, zs, g_hat, h_hat, scale):
     """Stacked re/im residuals of the undivided model."""
-    pos = params[:k]
-    mass = params[k:]
+    pos, mass = params[:k], params[k:]
     model = g_hat * (np.exp(1j * zs[:, None] * pos[None, :]) @ mass)
     diff = (model - h_hat) / scale
     return np.concatenate([diff.real, diff.imag])
@@ -300,11 +300,7 @@ _RESIDUAL_TOL = 1e-5  # largest relative fit residual a recovery accepts and a r
 
 
 def recover_measure(
-    g: Gauge,
-    s_samples,
-    h_samples,
-    spec: RecoverySpec,
-    atom_budget: int,
+    g: Gauge, s_samples, h_samples, spec: RecoverySpec, atom_budget: int
 ) -> LogMeasure:
     """Reconstruct a log measure from smoothed observation samples.
 
@@ -378,19 +374,10 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, counts):
     bound_lo = np.concatenate([np.full(k, -spec.window), np.zeros(k)])
     bound_hi = np.concatenate([np.full(k, spec.window), np.ones(k) * 1.5])
     fit = least_squares(
-        _fit_residual,
-        np.clip(x0, bound_lo + 1e-12, bound_hi - 1e-12),
-        jac=_fit_jacobian,
-        args=(k, *data),
-        bounds=(bound_lo, bound_hi),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-        max_nfev=400,
+        np.clip(x0, bound_lo + 1e-12, bound_hi - 1e-12), bound_lo, bound_hi, (k, *data)
     )
     counts.update(pencil_rank=rank, fit_nfev=int(fit.nfev), frequencies_used=int(np.sum(usable)))
-    pos = fit.x[:k]
-    mass = fit.x[k:]
+    pos, mass = fit.x[:k], fit.x[k:]
     order = np.argsort(pos)
     pos, mass = pos[order], mass[order]
 
@@ -480,10 +467,7 @@ class RoundtripReport:
 
 
 def roundtrip_check(
-    g: Gauge,
-    measure: LogMeasure,
-    spec: RecoverySpec,
-    atom_budget: int,
+    g: Gauge, measure: LogMeasure, spec: RecoverySpec, atom_budget: int
 ) -> RoundtripReport:
     """Sample the forward model and recover; report matched-atom errors.
 

@@ -45,6 +45,7 @@ from isolab.holodisc import (
     RotationOperator,
     SupFamily,
     TaylorFunction,
+    WeightedCompositionOperator,
     characterize_isometry,
     hp_seminorm,
     operator_matrix,
@@ -321,3 +322,51 @@ def test_12_cli_reports_are_deterministic(tmp_path, capsys):
         assert proc.returncode == 0
         texts.append(proc.stdout)
     assert texts[0] == texts[1]
+
+
+def test_13_certificates_keep_the_check_order():
+    # a certificate holds every value measured up to and including the deciding
+    # check, in check order; the grid engine measures containment and
+    # surjectivity together before it checks either
+    circles = DiscExhaustion.default(3)
+    doubling = MatrixOperator(2 * np.eye(16))
+    warp = WeightedCompositionOperator(TaylorFunction.one(), TaylorFunction.monomial(2))
+    exh = Exhaustion1D.default(3)
+    grid = IntervalGrid.build(exh, 2048)
+    one = GridFunction.constant(grid, 1.0)
+    disc = ["mean_flatness_gap", "constancy_tail", "alpha_modulus_gap"]
+    cont = ["unimodularity_gap", "containment_breach", "surjectivity_gap", "collapsed_pairs"]
+    refusals = [
+        (characterize_isometry, (doubling, circles, SupFamily()), "unimodularity", disc),
+        (
+            characterize_isometry, (doubling, circles, HpFamily(2)),
+            "unimodularity", ["no_theorem_guarantee", *disc],
+        ),
+        (
+            characterize_isometry, (warp, circles, SupFamily()),
+            "circle-preservation", [*disc, "circle_preservation_gap"],
+        ),
+        (
+            recover_weight_and_map,
+            (make_composition_operator(GridFunction.constant(grid, 2.0), lambda x: x), exh, grid),
+            "unimodularity", cont[:1],
+        ),
+        (
+            recover_weight_and_map,
+            (make_composition_operator(one, build_zigzag_fold(exh, grid)), exh, grid),
+            "injectivity", cont,
+        ),
+    ]
+    for engine, args, check, keys in refusals:
+        with pytest.raises((NotCharacterizable, NotWeightedComposition)) as exc_info:
+            engine(*args)
+        assert (exc_info.value.check, list(exc_info.value.certificate)) == (check, keys)
+
+    rotation = RotationOperator(np.exp(0.4j), np.exp(-1.1j))
+    assert list(characterize_isometry(rotation, circles, SupFamily()).certificate) == [
+        *disc, "circle_preservation_gap", "linearity_gap", "beta_modulus_gap",
+        "reconstruction_gap",
+    ]
+    assert list(recover_weight_and_map(lambda f: f, exh, grid).certificate) == [
+        *cont, "reconstruction_gap", "reconstruction_budget",
+    ]

@@ -314,7 +314,7 @@ def test_rotation_operator_is_isometry_everywhere():
 def test_doubling_fails_isometry():
     exh = DiscExhaustion.default(3)
     probes = standard_probes(np.random.default_rng(0))
-    rep = isometry_test(lambda f: f.scaled(2.0), SupFamily(), exh, probes)
+    rep = isometry_test(MatrixOperator(2 * np.eye(16)), SupFamily(), exh, probes)
     assert not rep.passed
     assert rep.max_gap > 0.5
 
@@ -375,7 +375,7 @@ def test_characterize_restricted_subfamily_identical():
 def test_characterize_doubling_names_unimodularity():
     exh = DiscExhaustion.default(3)
     with pytest.raises(NotCharacterizable) as exc_info:
-        characterize_isometry(lambda f: f.scaled(2.0), exh, SupFamily())
+        characterize_isometry(MatrixOperator(2 * np.eye(16)), exh, SupFamily())
     assert exc_info.value.check == "unimodularity"
 
 

@@ -44,9 +44,12 @@ def test_seminorm_vector_must_be_nondecreasing():
 def test_metric_value_frozen_rational():
     # (1/2) theta(1) + (1/2) theta(2) with theta = t/(1+t):
     # 1/2 * 1/2 + 1/2 * 2/3 = 7/12
-    iv = metric_value(RAT, WeightSequence.uniform(2), SeminormVector((1.0, 2.0)))
+    w, a = WeightSequence.uniform(2), SeminormVector((1.0, 2.0))
+    iv = metric_value(RAT, w, a)
     assert abs(iv.lower - 7.0 / 12.0) < 1e-15
     assert iv.upper == iv.lower  # zero declared tail
+    # the moment curve at t = 1 is bit for bit the plain weighted sum
+    assert iv.lower == float(np.dot(w.array, RAT(a.array)))
 
 
 def test_metric_value_tail_enclosure():

@@ -416,16 +416,17 @@ def _fit_problem(name, pos, mass, sampled=True):
     return (len(pos), zs, g_hat, h_hat, float(np.max(np.abs(h_hat))))
 
 
-def _both_fits(data, x0, max_nfev=400):
-    """(ours, scipy's) from one start, with recover_measure's box and tolerances."""
+def _both_fits(data, x0):
+    """(ours, scipy's) from one start, with recover_measure's box and the fit's
+    tolerance and evaluation cap."""
     k = data[0]
     lo = np.concatenate([np.full(k, -32.0), np.zeros(k)])
     hi = np.concatenate([np.full(k, 32.0), np.full(k, 1.5)])
     x0 = np.clip(x0, lo + 1e-12, hi - 1e-12)
-    kw = dict(jac=recovery._fit_jacobian, args=data, bounds=(lo, hi), max_nfev=max_nfev)
-    kw.update(xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    ref = optimize.least_squares(recovery._fit_residual, x0, **kw)
-    return recovery.least_squares(recovery._fit_residual, x0, **kw), ref
+    kw = dict(jac=recovery._fit_jacobian, args=data, bounds=(lo, hi), max_nfev=recovery._MAX_NFEV)
+    tol = recovery._FIT_TOL
+    ref = optimize.least_squares(recovery._fit_residual, x0, xtol=tol, ftol=tol, gtol=tol, **kw)
+    return recovery.least_squares(x0, lo, hi, data), ref
 
 
 def _assert_fit_matches_scipy(data, ours, ref, x_tol):
@@ -465,11 +466,12 @@ def test_fit_matches_scipy_on_an_active_bound(name):
 
 
 @pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
-def test_fit_stops_at_exactly_max_nfev_residual_evaluations(name):
+def test_fit_stops_at_exactly_max_nfev_residual_evaluations(name, monkeypatch):
     data = _fit_problem(name, (-0.5, 1.0), (0.3, 2.0), sampled=False)
     x0 = np.array([-0.48, 1.02, 0.3, 1.4])
     assert _both_fits(data, x0)[0].nfev > 5
-    assert _both_fits(data, x0, max_nfev=5)[0].nfev == 5
+    monkeypatch.setattr(recovery, "_MAX_NFEV", 5)
+    assert _both_fits(data, x0)[0].nfev == 5
 
 
 # ---------------------------------------------------------------------------
