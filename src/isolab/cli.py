@@ -284,12 +284,13 @@ def _run_three_circle(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
     f = _taylor_from(params, rng)
     radii = _parse_floats(params["radii"], "radii")
-    if radii.size != 3:
-        raise CliError("radii: need exactly three radii")
+    if radii.size != 3 or not 0 < radii[0] < radii[1] < radii[2] < 1:
+        raise CliError("radii: need three radii with 0 < r1 < r2 < r3 < 1")
     try:
         rep = holodisc.three_circle_check(f, *radii)
-    except ValueError as exc:
-        raise CliError(f"radii: {exc}") from exc
+    except ValueError as exc:  # the radii are valid, so the function is not
+        source = next((k for k in ("taylor_file", "monomial") if params[k] is not None), "degree")
+        raise CliError(f"{source}: {exc}") from exc
     rec = rep.as_record()
     rec["degree"] = f.degree
     return (PASS if rep.slack >= -1e-12 else FINDING), rec

@@ -191,77 +191,80 @@ def _require_samples(f: TaylorFunction, samples: int | None) -> int:
     return samples
 
 
-def _circle_values(f: TaylorFunction, radius: float, q: int):
-    """f on q equispaced points of the radius circle, via an inverse DFT.
+def _circle_values(c, radii, q: int):
+    """The polynomial with coefficients c on q equispaced points of each circle.
 
-    Needs q > degree, which _require_samples guarantees.
+    One row per radius, all from one inverse DFT; needs q > degree, which
+    _require_samples guarantees.
     """
-    scaled = f.array * radius ** np.arange(f.degree + 1)
-    padded = np.zeros(q, dtype=complex)
-    padded[: scaled.size] = scaled
+    padded = np.zeros((radii.size, q), dtype=complex)
+    padded[:, : c.size] = c * np.power.outer(radii, np.arange(c.size))
     return np.fft.ifft(padded) * q
 
 
-def _abs2_series(f: TaylorFunction, radius: float):
-    """Trig coefficients of |f|^2 on the circle: index m holds frequency m."""
-    a = f.array * radius ** np.arange(f.degree + 1)
-    pos = np.correlate(a, a, mode="full")[a.size - 1 :]
-    return pos  # pos[m] = sum_k a[k+m] conj(a[k]); negative side is conj
+def _circle_max(f: TaylorFunction, radii, q: int):
+    """Maximum of |f| on each circle of the radii array, exact to machine precision.
 
-
-def _abs2_terms(pos_coeffs, theta):
-    """|f|^2 and its first two theta-derivatives at each angle in theta."""
-    m = np.arange(pos_coeffs.size)
-    terms = np.exp(1j * np.outer(theta, m)) * pos_coeffs
-    value = 2.0 * terms.real.sum(axis=1) - pos_coeffs[0].real
-    return value, -2.0 * (terms.imag @ m), -2.0 * (terms.real @ m**2)
-
-
-def _circle_max(f: TaylorFunction, radius: float, q: int) -> float:
-    """Maximum of |f| on the circle, exact to machine precision.
-
-    Every grid local maximum of |f|^2 is sharpened at once by Newton on
-    the derivative inside its bracket [theta - h, theta + h], bisecting
-    whenever a step leaves the bracket or the curvature is not negative.
-    The result is the largest value ever evaluated, the grid peak
-    included, so it never falls below the grid maximum.
+    f is scaled by the power of two 2^-e that puts its largest coefficient
+    in [1/2, 1), so |f|^2 cannot overflow or underflow; every step commutes
+    with that exact scaling until the maxima are scaled back.  One inverse
+    DFT samples every circle.  A circle whose |f|^2 samples vary by at most
+    1e-15 max(peak, 1), unscaled, has constant modulus and keeps its grid
+    peak; on the others one Newton loop sharpens every grid local maximum
+    of |f|^2 inside its bracket [theta - h, theta + h], bisecting whenever
+    a step leaves the bracket or the curvature is not negative.  Each
+    circle keeps the largest value evaluated on it, its grid peak included,
+    so no result falls below its grid maximum.
     """
-    vals2 = np.abs(_circle_values(f, radius, q)) ** 2
-    peak = float(np.max(vals2))
-    if peak - float(np.min(vals2)) <= 1e-15 * max(peak, 1.0):
-        return float(np.sqrt(peak))  # constant modulus (monomials, zero)
-    pos_coeffs = _abs2_series(f, radius)
+    e = int(np.frexp(np.abs(f.array).max())[1])
+    c = np.ldexp(f.array.view(float), -e).view(complex)
+    vals2 = np.abs(_circle_values(c, radii, q)) ** 2
+    best = vals2.max(axis=1)
+    unit = 2.0 ** (-2 * e) if e > -512 else np.inf  # 1 in units of the scaled |f|^2
+    flat = best - vals2.min(axis=1) <= 1e-15 * np.maximum(best, unit)
+    if flat.all():
+        return np.ldexp(np.sqrt(best), e)
+    row, j = np.nonzero(
+        (vals2 >= np.roll(vals2, 1, axis=1)) & (vals2 >= np.roll(vals2, -1, axis=1)) & ~flat[:, None]
+    )
+    m = np.arange(c.size)
+    # pos[i, k] = sum_l a[i, l+k] conj(a[i, l]): frequency k of |f|^2 on circle i
+    a = c * np.power.outer(radii, m)
+    pos = np.array([np.correlate(ai, ai, mode="full")[c.size - 1 :] for ai in a])[row]
     h = 2.0 * np.pi / q
-    th = h * np.flatnonzero((vals2 >= np.roll(vals2, 1)) & (vals2 >= np.roll(vals2, -1)))
-    lo, hi = th - h, th + h
-    best = peak
-    for _ in range(80):
-        value, d, dd = _abs2_terms(pos_coeffs, th)
-        best = max(best, float(np.max(value)))
-        lo = np.where(d >= 0, th, lo)
-        hi = np.where(d >= 0, hi, th)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    th = h * j
+    lo, hi, prev = th - h, th + h, np.full(j.size, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(80):
+            terms = np.exp(1j * th[:, None] * m) * pos
+            np.maximum.at(best, row, 2.0 * terms.real.sum(axis=1) - pos[:, 0].real)
+            d, dd = -2.0 * (terms.imag @ m), -2.0 * (terms.real @ m**2)
+            rising = d >= 0
+            lo, hi = np.where(rising, th, lo), np.where(rising, hi, th)
             nxt = th - d / dd
-        nxt = np.where((dd < 0) & (lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        moving = np.abs(nxt - th) >= 1e-15
-        if not moving.any():
-            break
-        th, lo, hi = nxt[moving], lo[moving], hi[moving]
-    return float(np.sqrt(max(best, 0.0)))
+            nxt = np.where((dd < 0) & (lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            # a step back to the previous iterate is a two-cycle a few ulps wide: stop there
+            moving = (np.abs(nxt - th) >= 1e-15) & (nxt != prev)
+            if not moving.any():
+                break
+            th, prev, lo, hi, row, pos = (v[moving] for v in (nxt, th, lo, hi, row, pos))
+    return np.ldexp(np.sqrt(best), e)
 
 
 def sup_seminorm(f: TaylorFunction, radius: float, samples: int | None = None) -> float:
     """Supremum of |f| on the circle of the given radius.
 
-    A grid stage takes the max over `samples` equispaced points (at least
-    four per degree); the grid's local maxima are then sharpened to the
-    true circle maximum, so the result is exact to machine precision and
-    in particular rotation invariant.
+    The one-radius call of the batched circle maximum: a grid stage takes
+    the max over `samples` equispaced points (at least four per degree);
+    the grid's local maxima are then sharpened to the true circle maximum,
+    so the result is exact to machine precision and in particular rotation
+    invariant.  f is scaled by an exact power of two on the way, so |f|^2
+    cannot overflow: sup_seminorm(2^600 f) is 2^600 sup_seminorm(f), not inf.
     """
     if not 0 < radius < 1:
         raise ValueError("radius must lie in (0, 1)")
     q = _require_samples(f, samples)
-    return _circle_max(f, radius, q)
+    return float(_circle_max(f, np.array([radius], dtype=float), q)[0])
 
 
 def hp_seminorm(
@@ -270,15 +273,23 @@ def hp_seminorm(
     """p-th power circle mean: ((1/2pi) integral |f|^p dtheta)^(1/p).
 
     Equispaced averaging is exact for p = 2 (Parseval) once the sample
-    count clears the degree, and spectrally accurate otherwise.
+    count clears the degree, and spectrally accurate otherwise.  A mean of
+    |f|^p that is not a finite float, or is 0 for a nonzero f, cannot be
+    represented at this p and raises ValueError.  The mean is not rescaled
+    into range: at exponents that leave it, such as p = 1e4, the samples no
+    longer resolve |f|^p.
     """
     if not 0 < radius < 1:
         raise ValueError("radius must lie in (0, 1)")
     if not p >= 1:
         raise ValueError("p must be at least 1")
     q = _require_samples(f, samples)
-    vals = np.abs(_circle_values(f, radius, q))
-    return float(np.mean(vals**p) ** (1.0 / p))
+    vals = np.abs(_circle_values(f.array, np.array([radius], dtype=float), q)[0])
+    with np.errstate(over="ignore"):
+        mean = np.mean(vals**p)
+    if not (np.isfinite(mean) and (mean > 0 or not f.array.any())):
+        raise ValueError(f"p = {p:g} takes the circle mean of |f|^p to {mean:g}, out of float range")
+    return float(mean ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -345,7 +356,7 @@ class WeightedCompositionOperator:
     warp: TaylorFunction
 
     def __post_init__(self):
-        m = _circle_max(self.warp, 1.0 - 1e-14, _require_samples(self.warp, None))
+        (m,) = _circle_max(self.warp, np.array([1.0 - 1e-14]), _require_samples(self.warp, None))
         if m > 1.0 + 1e-9:
             raise ValueError(f"warp must map the disc into itself (max modulus {m:g})")
 
@@ -452,16 +463,14 @@ def isometry_test(
     """Compare seminorms of probes and their images under op.apply on every circle."""
     if not probes:
         raise ValueError("probe set must be nonempty")
-    max_gap = 0.0
-    q_max = 0
+    gaps, q_max = [], 0
     for f in probes:
         g = op.apply(f)
         q = max(_CIRCLE_SAMPLES, _require_samples(g, None), _require_samples(f, None))
         q_max = max(q_max, q)
-        for r in circles.radii:
-            gap = abs(family.seminorm(f, r, q) - family.seminorm(g, r, q))
-            max_gap = max(max_gap, gap)
-    return IsometryReport(family.label, float(max_gap), tol, q_max)
+        gaps += [abs(family.seminorm(f, r, q) - family.seminorm(g, r, q)) for r in circles.radii]
+    # np.max keeps a NaN gap, so a comparison that broke down cannot pass
+    return IsometryReport(family.label, float(np.max(gaps)), tol, q_max)
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +554,9 @@ def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Char
     phi = op.apply(TaylorFunction.identity()).scaled(np.conj(alpha))
     qphi = max(_CIRCLE_SAMPLES, _require_samples(phi, None))
     q = max(q, qphi)  # the most circle samples used so far
-    circle_gap = 0.0
-    for r in circles.radii[:3]:
-        vals = np.abs(_circle_values(phi, r, qphi))
-        circle_gap = max(circle_gap, float(np.max(np.abs(vals - r))))
+    radii = circles.radii[:3]
+    vals = np.abs(_circle_values(phi.array, radii, qphi))
+    circle_gap = float(np.max(np.abs(vals - radii[:, None])))
     cert["circle_preservation_gap"] = circle_gap
     refuse_if(circle_gap > 1e-9, "circle-preservation", f"sampled circles move by {circle_gap:g}")
 
@@ -607,18 +615,21 @@ def three_circle_check(f: TaylorFunction, r1: float, r2: float, r3: float) -> Th
 
     slack = rhs - lhs of
         log(r3/r1) log M(r2) <= log(r3/r2) log M(r1) + log(r2/r1) log M(r3)
-    and is nonnegative up to machine error; the maxima are exact to
-    machine precision (see sup_seminorm), and the rigidity flag marks
-    equality within 1e-10, which happens exactly for monomials.
-    The report also carries the coefficient-level monomial test so
-    callers can compare the two.
+    and is nonnegative up to machine error; the three maxima come from one
+    batched circle-maximum call, exact to machine precision (see
+    sup_seminorm), and the rigidity flag marks equality within 1e-10,
+    which happens exactly for monomials.  A maximum that is 0 (the zero
+    function), subnormal or infinite has no logarithm accurate to that
+    tolerance and raises ValueError.  The report also
+    carries the coefficient-level monomial test so callers can compare
+    the two.
     """
     if not 0 < r1 < r2 < r3 < 1:
         raise ValueError("radii must satisfy 0 < r1 < r2 < r3 < 1")
     q = _require_samples(f, None)
-    ms = [sup_seminorm(f, r, q) for r in (r1, r2, r3)]
-    if min(ms) == 0.0:
-        raise ValueError("function vanishes on a sampled circle (zero function?)")
+    ms = _circle_max(f, np.array([r1, r2, r3], dtype=float), q)
+    if not np.all((ms >= np.finfo(float).tiny) & (ms <= np.finfo(float).max)):
+        raise ValueError(f"circle maxima {ms} must be positive normal floats for accurate logarithms")
     l1, l2, l3 = (np.log(m) for m in ms)
     lhs = float(np.log(r3 / r1) * l2)
     rhs = float(np.log(r3 / r2) * l1 + np.log(r2 / r1) * l3)

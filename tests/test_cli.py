@@ -164,6 +164,40 @@ def test_three_circle_taylor_file(tmp_path, capsys):
         assert "taylor_file" in err
 
 
+def test_three_circle_taylor_file_at_the_float_range_edges(tmp_path, capsys):
+    # |f|^2 of 1e308 (1 + z) overflows unscaled; the maxima of 1e-320 (1 + z)
+    # are subnormal and the zero function has none, so those two are invalid
+    # input naming the file, never a finding
+    slack = {}
+    for name, c in (("unit", 1.0), ("big", 1e308), ("tiny", 1e-320), ("zero", 0.0)):
+        path = tmp_path / f"{name}.txt"
+        write_columns(path, [c, c], [0.0, 0.0])
+        code, out, err = run_cli(capsys, "three-circle", "--taylor-file", str(path))
+        if name in ("unit", "big"):
+            assert code == PASS
+            slack[name] = float(dict(line.split("=", 1) for line in out.splitlines())["slack"])
+        else:
+            assert (code, out) == (INVALID, "")
+            assert err.startswith("error=taylor_file: ")
+    assert abs(slack["big"] - slack["unit"]) < 1.5e-13
+
+
+@pytest.mark.parametrize("p", ["1000", "1e4", "1e308"])
+@pytest.mark.parametrize("op", ["rotation", "squarewarp"])
+def test_hol_iso_test_refuses_an_hp_exponent_out_of_float_range(op, p, capsys):
+    # |f|^p over- or underflows on some probe circle (at p = 1000 already
+    # |z^2|^p at r = 1/2), so the means cannot be compared
+    code, out, err = run_cli(capsys, "hol-iso-test", "--op", op, "--family", "hp", "--p", p)
+    assert (code, out) == (INVALID, "")
+    assert err.startswith(f"error=p = {float(p):g} ")
+
+
+def test_hol_iso_test_hp_verdicts_at_a_representable_exponent(capsys):
+    base = ("hol-iso-test", "--family", "hp", "--p", "100")
+    assert run_cli(capsys, *base)[0] == PASS
+    assert run_cli(capsys, *base, "--op", "squarewarp")[0] == FINDING
+
+
 def test_cu_subcommands_interval(capsys):
     code, out, _ = run_cli(
         capsys, "cu-iso-test", "--domain", "interval", "--grid-count", "1024"

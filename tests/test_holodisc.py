@@ -21,6 +21,7 @@ from isolab.holodisc import (
     sup_seminorm,
     three_circle_check,
 )
+from isolab.holodisc import _circle_max, _circle_values, _require_samples
 
 
 def test_taylor_trims_trailing_zeros():
@@ -236,6 +237,59 @@ def test_sup_seminorm_sample_guard():
         sup_seminorm(TaylorFunction.one(), 0.5, samples=0)
 
 
+def test_circle_max_batch_matches_one_radius_calls():
+    # the rows of a batch are the one-radius results up to the summation
+    # order of the Newton terms; none falls below its own grid maximum
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        f = random_taylor(rng, int(rng.integers(1, 33)))
+        radii = np.sort(rng.uniform(0.05, 0.95, 3))
+        q = _require_samples(f, None)
+        batch = _circle_max(f, radii, q)
+        single = np.array([sup_seminorm(f, r, q) for r in radii])
+        assert np.all(np.abs(batch - single) <= 4e-16 * single)
+        assert np.all(batch >= np.abs(_circle_values(f.array, radii, q)).max(axis=1))
+
+
+def test_circle_max_batch_keeps_flat_and_refined_rows_apart():
+    # |1 + z^24| varies by 2 r^24 around the circle: below the flatness
+    # threshold at r = 0.1 only, so one batch mixes a flat and two refined rows
+    f = TaylorFunction.monomial(24) + TaylorFunction.one()
+    radii = np.array([0.1, 0.5, 0.9])
+    q = _require_samples(f, None)
+    vals2 = np.abs(_circle_values(f.array, radii, q)) ** 2
+    spread = vals2.max(axis=1) - vals2.min(axis=1)
+    assert list(spread <= 1e-15 * np.maximum(vals2.max(axis=1), 1.0)) == [True, False, False]
+    batch = _circle_max(f, radii, q)
+    single = np.array([sup_seminorm(f, r, q) for r in radii])
+    assert batch[0] == single[0] and np.all(np.abs(batch - single) <= 4e-16 * single)
+    assert np.all(np.abs(batch - (1.0 + radii**24)) <= 2e-16 * batch)
+
+
+def test_three_circle_maxima_match_mpmath_oracle():
+    rng = np.random.default_rng(37)
+    dense = np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
+    radii = (0.25, 0.5, 0.75)
+    for _ in range(8):
+        f = random_taylor(rng, int(rng.integers(1, 25)), min_significant=2)
+        ms = _circle_max(f, np.array(radii), _require_samples(f, None))
+        for m, r in zip(ms, radii):
+            assert abs(m - _oracle_circle_max(f, r, dense)) <= 1e-13 * m
+        rep = three_circle_check(f, *radii)
+        assert rep.lhs == float(np.log(3.0) * np.log(ms[1]))
+        assert rep.rhs == float(np.log(1.5) * np.log(ms[0]) + np.log(2.0) * np.log(ms[2]))
+
+
+def test_sup_seminorm_scales_by_powers_of_two_exactly():
+    # f is scaled by an exact power of two inside, so |f|^2 of 2^600 f does
+    # not overflow to inf and the maximum scales bit for bit
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        f = random_taylor(rng, int(rng.integers(0, 25)))
+        r = float(rng.uniform(0.05, 0.95))
+        assert sup_seminorm(f.scaled(2.0**600), r) == 2.0**600 * sup_seminorm(f, r)
+
+
 def test_hp_seminorm_parseval_closed_form():
     # p=2 circle mean is sqrt(sum |c_k|^2 r^{2k}), exact for equispaced
     # sampling once the grid clears twice the degree
@@ -263,6 +317,16 @@ def test_hp_seminorm_validation():
         hp_seminorm(f, 0.5, 0.5)
     with pytest.raises(ValueError):
         hp_seminorm(f, 2, 1.5)
+
+
+def test_hp_seminorm_refuses_a_mean_out_of_float_range():
+    # |z^2|^p underflows to 0 at r = 0.5 and p = 1000; |2 + z|^p overflows
+    with pytest.raises(ValueError, match="^p = 1000 "):
+        hp_seminorm(TaylorFunction.monomial(2), 1000, 0.5)
+    with pytest.raises(ValueError, match="^p = 10000 "):
+        hp_seminorm(TaylorFunction((2.0, 1.0)), 1e4, 0.5)
+    assert hp_seminorm(TaylorFunction((0.0,)), 1e4, 0.5) == 0.0
+    assert hp_seminorm(TaylorFunction.one(), 1e308, 0.5) == 1.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -317,6 +381,19 @@ def test_doubling_fails_isometry():
     rep = isometry_test(MatrixOperator(2 * np.eye(16)), SupFamily(), exh, probes)
     assert not rep.passed
     assert rep.max_gap > 0.5
+
+
+def test_isometry_test_never_passes_a_nan_gap():
+    class NanFamily:
+        label = "nan"
+
+        def seminorm(self, f, radius, samples):
+            return np.nan if f.degree == 1 else 1.0
+
+    rep = isometry_test(RotationOperator(1.0, 1.0), NanFamily(), DiscExhaustion.default(3),
+                        standard_probes(np.random.default_rng(0)))
+    assert np.isnan(rep.max_gap)
+    assert not rep.passed
 
 
 def test_rotation_operator_validates_unimodularity():
@@ -443,6 +520,17 @@ def test_three_circle_scaling_covariance():
     a = three_circle_check(f, 0.2, 0.45, 0.7)
     b = three_circle_check(f.scaled(137.0), 0.2, 0.45, 0.7)
     assert abs(a.slack - b.slack) < 1e-10
+
+
+def test_three_circle_refuses_maxima_outside_the_normal_range():
+    # 1e308 (1 + z) keeps finite maxima; the zero function and subnormal
+    # maxima have no accurate logarithm
+    unit = three_circle_check(TaylorFunction((1.0, 1.0)), 0.25, 0.5, 0.75)
+    big = three_circle_check(TaylorFunction((1e308, 1e308)), 0.25, 0.5, 0.75)
+    assert abs(big.slack - unit.slack) < 1.5e-13
+    for c in ((0.0,), (1e-320, 1e-320)):
+        with pytest.raises(ValueError, match="positive normal floats"):
+            three_circle_check(TaylorFunction(c), 0.25, 0.5, 0.75)
 
 
 def test_three_circle_radius_validation():

@@ -358,9 +358,9 @@ def test_import_loads_no_scipy():
 
 
 def test_scipy_free_subcommands_load_no_scipy():
-    names = ("theta-check", "hol-characterize", "cu-iso-test")
+    names = ("theta-check", "hol-characterize", "hol-iso-test", "three-circle", "cu-iso-test")
     argvs = [[name] for name in names] + [[name, "--selftest"] for name in names]
-    assert _scipy_after(*argvs, ["recover-measure"]) == ([0] * 7, [])
+    assert _scipy_after(*argvs, ["recover-measure"]) == ([0] * 11, [])
 
 
 def test_recover_measure_selftest_loads_scipy_only_through_the_gamma_shim():
