@@ -1,4 +1,6 @@
-"""The value layout every validated model class shares."""
+"""The layouts every library model shares: read-only arrays and element-wise
+equality for values (store, Frozen), one flat record for verdicts (Report,
+Refusal)."""
 
 from dataclasses import fields
 
@@ -33,3 +35,44 @@ class Frozen:
             np.array_equal(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self) if f.compare
         )
+
+
+_SCALARS = (bool, int, float, complex, str, np.generic)
+
+
+def _entries(name: str, d: dict) -> dict:
+    return {f"{name}.{k}": d[k] for k in sorted(d)}
+
+
+class Report:
+    """A dataclass verdict whose record holds each scalar field by name, a dict
+    field's entries as <field>.<key> in key order, and passed where the class
+    defines it; None and every other type (a recovered model) stay out."""
+
+    def as_record(self) -> dict:
+        rec = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, _SCALARS):
+                rec[f.name] = v
+            elif isinstance(v, dict):
+                rec.update(_entries(f.name, v))
+        if hasattr(type(self), "passed"):
+            rec["passed"] = self.passed
+        return rec
+
+
+class Refusal(RuntimeError):
+    """A claim refused at the named .check: .details holds what broke it, and
+    .certificate a copy of the values measured up to and including it."""
+
+    claim = ""  # the verdict that opens the message, set by each subclass
+
+    def __init__(self, check: str, details: str, certificate: dict):
+        super().__init__(f"{self.claim}: {check}" + (f" ({details})" if details else ""))
+        self.check = check
+        self.details = details
+        self.certificate = dict(certificate)
+
+    def as_record(self) -> dict:
+        return {"failed_check": self.check, **_entries("certificate", self.certificate)}

@@ -251,20 +251,22 @@ def _disc_operator_from(params, degree):
     return holodisc.MatrixOperator(m)
 
 
+def _matrix_field(params) -> str:
+    """The input at fault when a matrix operator's image overflows."""
+    return "op_file" if params["op"] == "matrix" else "factor"
+
+
 def _run_hol_iso_test(cfg: ExperimentConfig, params):
     rng = np.random.default_rng(cfg.seed)
     op = _disc_operator_from(params, params["degree"])
     family = _family_from(params)
     exh = holodisc.DiscExhaustion.default(params["levels"])
     probes = holodisc.standard_probes(rng, degree=params["degree"])
-    rep = holodisc.isometry_test(op, family, exh, probes, tol=max(cfg.tol, 1e-11))
+    try:
+        rep = holodisc.isometry_test(op, family, exh, probes, tol=max(cfg.tol, 1e-11))
+    except OverflowError as exc:
+        raise CliError(f"{_matrix_field(params)}: {exc}") from exc
     return (PASS if rep.passed else FINDING), rep.as_record()
-
-
-def _refusal(exc):
-    """A refusal's failing check and the certificate measured up to and including it."""
-    cert = {f"certificate.{k}": v for k, v in sorted(exc.certificate.items())}
-    return {"failed_check": exc.check, **cert}
 
 
 def _run_hol_characterize(cfg: ExperimentConfig, params):
@@ -276,7 +278,9 @@ def _run_hol_characterize(cfg: ExperimentConfig, params):
         ch = holodisc.characterize_isometry(op, exh, family, rng=rng)
     except holodisc.NotCharacterizable as exc:
         rec = {"characterizable": False, "circle_samples": exc.circle_samples}
-        return FINDING, {**rec, **_refusal(exc)}
+        return FINDING, {**rec, **exc.as_record()}
+    except OverflowError as exc:
+        raise CliError(f"{_matrix_field(params)}: {exc}") from exc
     return PASS, {"characterizable": True, **ch.as_record()}
 
 
@@ -388,7 +392,7 @@ def _run_cu_recover(cfg, params, exh, grid, T, h, rng):
     try:
         rec_sym = contspace.recover_weight_and_map(T, exh, grid, tol=cfg.tol, rng=rng)
     except contspace.NotWeightedComposition as exc:
-        return FINDING, {"recovered": False, **_refusal(exc)}
+        return FINDING, {"recovered": False, **exc.as_record()}
     weight_error = float(np.max(np.abs(rec_sym.weight.array - h.array)))
     rec = {"recovered": True, "weight_error": weight_error, **rec_sym.as_record()}
     out = _out_dir(cfg)

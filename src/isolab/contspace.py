@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from ._frozen import Frozen, store
+from ._frozen import Frozen, Refusal, Report, store
 
 __all__ = [
     "Exhaustion1D",
@@ -64,17 +64,10 @@ __all__ = [
 ]
 
 
-class NotWeightedComposition(RuntimeError):
+class NotWeightedComposition(Refusal):
     """Recovery refused: the operator fails the named certificate check."""
 
-    def __init__(self, check: str, details: str, certificate: dict):
-        super().__init__(
-            f"not a weighted composition at grid scale: {check}"
-            + (f" ({details})" if details else "")
-        )
-        self.check = check
-        self.details = details
-        self.certificate = dict(certificate)
+    claim = "not a weighted composition at grid scale"
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +637,7 @@ def interpolation_budget(probes, cell: float) -> float:
 
 
 @dataclass(frozen=True)
-class GridIsometryReport:
+class GridIsometryReport(Report):
     max_gap: float
     budget: float
     tol: float
@@ -652,14 +645,6 @@ class GridIsometryReport:
     @property
     def passed(self) -> bool:
         return self.max_gap <= self.tol + self.budget
-
-    def as_record(self) -> dict:
-        return {
-            "max_gap": self.max_gap,
-            "budget": self.budget,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def isometry_test_grid(T, exh, probes, tol: float = 1e-9) -> GridIsometryReport:
@@ -683,13 +668,10 @@ def isometry_test_grid(T, exh, probes, tol: float = 1e-9) -> GridIsometryReport:
 
 
 @dataclass(frozen=True)
-class RecoveredSymbol:
+class RecoveredSymbol(Report):
     weight: GridFunction
     point_map: GridFunction
     certificate: dict
-
-    def as_record(self) -> dict:
-        return {f"certificate.{k}": v for k, v in sorted(self.certificate.items())}
 
 
 def cKDTree(data):
@@ -805,7 +787,7 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
 
 
 @dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Report):
     worst_slack: float
     budget: float
     linearity_gap: float
@@ -814,15 +796,6 @@ class DecompositionReport:
     @property
     def passed(self) -> bool:
         return self.worst_slack >= 0.0
-
-    def as_record(self) -> dict:
-        return {
-            "worst_slack": self.worst_slack,
-            "budget": self.budget,
-            "linearity_gap": self.linearity_gap,
-            "dual_norm_max": self.dual_norm_max,
-            "passed": self.passed,
-        }
 
 
 def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> DecompositionReport:

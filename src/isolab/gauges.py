@@ -109,14 +109,18 @@ def make_builtin_gauge(name: str, alpha: float = 1.0) -> Gauge:
         if not (alpha > 0 and np.isfinite(alpha)):
             raise ValueError("alpha must be positive and finite")
 
+        # where t^alpha overflows, theta is 1 and theta' is 0 (the formulas give inf / inf)
         def fn(t, a=alpha):
-            ta = np.power(t, a)
-            return ta / (1.0 + ta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ta = np.power(t, a)
+                return np.where(np.isinf(ta), 1.0, ta / (1.0 + ta))
 
         def deriv(t, a=alpha):
             t = np.maximum(t, 1e-300)
-            ta = np.power(t, a)
-            return a * ta / (t * (1.0 + ta) ** 2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ta = np.power(t, a)
+                num = a * ta
+                return np.where(np.isinf(num), 0.0, num / (t * (1.0 + ta) ** 2))
 
         return Gauge(
             name="rational",
@@ -182,7 +186,6 @@ class HypothesisCheck:
     name: str
     passed: bool
     worst_gap: float
-    where: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,8 @@ def check_admissibility(g: Gauge) -> AdmissibilityReport:
     derivative (its integral over the sampled bulk range, corrected by
     gauge-evaluated endpoint terms, must reconstruct 1 within 1e-6).
     Monotonicity also reads the derivative at that integral's quadrature
-    nodes, so a dip between two value samples shows as theta' < 0.
+    nodes, so a dip between two value samples shows as theta' < 0.  A NaN
+    sample makes its check's gap NaN, and the check fails.
     """
     tol = 1e-9
     grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 1201)])
@@ -237,47 +241,31 @@ def check_admissibility(g: Gauge) -> AdmissibilityReport:
     gap0 = float(abs(g(np.array([0.0]))[0]))
     checks.append(HypothesisCheck("zero_value", gap0 <= tol, gap0))
 
-    range_gap = float(max(0.0, np.max(vals) - 1.0, np.max(-vals)))
+    range_gap = _worst(vals - 1.0, -vals)
     checks.append(HypothesisCheck("bounded_range", range_gap <= tol, range_gap))
 
-    mono_gap = float(max(0.0, -np.min(np.diff(vals)), -deriv_low))
+    mono_gap = _worst(-np.diff(vals), -deriv_low)
     checks.append(HypothesisCheck("monotone", mono_gap <= tol, mono_gap))
 
-    sub = g(ps + pt) - g(ps) - g(pt)
-    k = int(np.argmax(sub))
-    sub_gap = float(max(0.0, sub[k]))
-    checks.append(
-        HypothesisCheck(
-            "subadditive",
-            sub_gap <= 1e-12,
-            sub_gap,
-            (float(ps[k]), float(pt[k])),
-        )
-    )
+    sub_gap = _worst(g(ps + pt) - g(ps) - g(pt))
+    checks.append(HypothesisCheck("subadditive", sub_gap <= 1e-12, sub_gap))
 
     small = grid[(grid > 0) & (grid < g.small_threshold)]
-    if small.size:
-        sg = g(small) - g.small_constant * small**g.growth_exponent
-        i = int(np.argmax(sg))
-        small_gap = float(max(0.0, sg[i]))
-        where = (float(small[i]),)
-    else:
-        small_gap, where = 0.0, ()
-    checks.append(HypothesisCheck("small_growth", small_gap <= tol, small_gap, where))
+    small_gap = _worst(g(small) - g.small_constant * small**g.growth_exponent)
+    checks.append(HypothesisCheck("small_growth", small_gap <= tol, small_gap))
 
     large = grid[grid > g.large_threshold]
-    if large.size:
-        lg = (1.0 - g(large)) - g.large_constant * large ** (-g.growth_exponent)
-        i = int(np.argmax(lg))
-        large_gap = float(max(0.0, lg[i]))
-        where = (float(large[i]),)
-    else:
-        large_gap, where = 0.0, ()
-    checks.append(HypothesisCheck("large_growth", large_gap <= tol, large_gap, where))
+    large_gap = _worst((1.0 - g(large)) - g.large_constant * large ** (-g.growth_exponent))
+    checks.append(HypothesisCheck("large_growth", large_gap <= tol, large_gap))
 
     checks.append(HypothesisCheck("derivative_mass", deriv_gap <= 1e-6, deriv_gap))
 
     return AdmissibilityReport(g.name, int(grid.size), int(ps.size), tuple(checks))
+
+
+def _worst(*gaps) -> float:
+    """The largest gap, at least 0.0 and never -0.0; a NaN gap is the result, so it fails."""
+    return float(np.max(np.concatenate([np.ravel(v) for v in gaps]), initial=0.0)) + 0.0
 
 
 def _derivative_mass_gap(g: Gauge):
@@ -295,7 +283,7 @@ def _derivative_mass_gap(g: Gauge):
     def rule(y, w):
         nonlocal low
         d = g.derivative(np.exp(y))
-        low = min(low, float(np.min(d)))
+        low = float(np.minimum(low, np.min(d)))  # a NaN stays
         return np.dot(w, d * np.exp(y))
 
     try:

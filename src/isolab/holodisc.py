@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import Frozen, store
+from ._frozen import Frozen, Refusal, Report, store
 
 __all__ = [
     "CHARACTERIZE_DEGREE",
@@ -42,19 +42,13 @@ __all__ = [
 ]
 
 
-class NotCharacterizable(RuntimeError):
-    """The operator fails one of the characterization steps.
+class NotCharacterizable(Refusal):
+    """The operator fails a characterization step; .circle_samples is the most samples used."""
 
-    The failing check's name is carried in .check; .details holds the
-    measured quantity that broke it, .certificate the values measured up to
-    and including it, and .circle_samples the most circle samples used.
-    """
+    claim = "not characterizable"
 
     def __init__(self, check: str, details: str, certificate: dict, circle_samples: int):
-        super().__init__(f"not characterizable: {check}" + (f" ({details})" if details else ""))
-        self.check = check
-        self.details = details
-        self.certificate = dict(certificate)
+        super().__init__(check, details, certificate)
         self.circle_samples = circle_samples
 
 
@@ -208,20 +202,19 @@ def _circle_max(f: TaylorFunction, radii, q: int):
     f is scaled by the power of two 2^-e that puts its largest coefficient
     in [1/2, 1), so |f|^2 cannot overflow or underflow; every step commutes
     with that exact scaling until the maxima are scaled back.  One inverse
-    DFT samples every circle.  A circle whose |f|^2 samples vary by at most
-    1e-15 max(peak, 1), unscaled, has constant modulus and keeps its grid
-    peak; on the others one Newton loop sharpens every grid local maximum
-    of |f|^2 inside its bracket [theta - h, theta + h], bisecting whenever
-    a step leaves the bracket or the curvature is not negative.  Each
-    circle keeps the largest value evaluated on it, its grid peak included,
-    so no result falls below its grid maximum.
+    DFT samples every circle.  A circle whose scaled |f|^2 samples vary by at
+    most 1e-15 max(peak, 1) has constant modulus and keeps its grid peak; on
+    the others one Newton loop sharpens every grid local maximum of |f|^2
+    inside its bracket [theta - h, theta + h], bisecting whenever a step
+    leaves the bracket or the curvature is not negative.  Each circle keeps
+    the largest value evaluated on it, its grid peak included, so no result
+    falls below its grid maximum.
     """
     e = int(np.frexp(np.abs(f.array).max())[1])
     c = np.ldexp(f.array.view(float), -e).view(complex)
     vals2 = np.abs(_circle_values(c, radii, q)) ** 2
     best = vals2.max(axis=1)
-    unit = 2.0 ** (-2 * e) if e > -512 else np.inf  # 1 in units of the scaled |f|^2
-    flat = best - vals2.min(axis=1) <= 1e-15 * np.maximum(best, unit)
+    flat = best - vals2.min(axis=1) <= 1e-15 * np.maximum(best, 1.0)
     if flat.all():
         return np.ldexp(np.sqrt(best), e)
     row, j = np.nonzero(
@@ -366,7 +359,10 @@ class WeightedCompositionOperator:
 
 @dataclass(frozen=True, eq=False)
 class MatrixOperator(Frozen):
-    """Linear action on the coefficient vector: a square matrix, held as a read-only copy."""
+    """Linear action on the coefficient vector: a square matrix, held as a read-only copy.
+
+    apply raises OverflowError when an image coefficient leaves the float range.
+    """
 
     matrix: np.ndarray
 
@@ -387,7 +383,12 @@ class MatrixOperator(Frozen):
         if src.size > n:
             raise ValueError("function degree exceeds the operator matrix size")
         c[: src.size] = src
-        return TaylorFunction(m @ c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = m @ c
+        try:
+            return TaylorFunction(out)
+        except ValueError as exc:  # m and f are finite, so a non-finite coefficient overflowed
+            raise OverflowError("an image coefficient overflows the float range") from exc
 
 
 def operator_matrix(op, size: int) -> MatrixOperator:
@@ -431,7 +432,7 @@ class HpFamily:
 
 
 @dataclass(frozen=True)
-class IsometryReport:
+class IsometryReport(Report):
     family: str
     max_gap: float
     tol: float
@@ -440,15 +441,6 @@ class IsometryReport:
     @property
     def passed(self) -> bool:
         return self.max_gap <= self.tol
-
-    def as_record(self) -> dict:
-        return {
-            "family": self.family,
-            "max_gap": self.max_gap,
-            "tol": self.tol,
-            "passed": self.passed,
-            "circle_samples": self.circle_samples,
-        }
 
 
 def standard_probes(rng, degree: int = 8):
@@ -483,20 +475,15 @@ CHARACTERIZE_DEGREE = 8
 
 
 @dataclass(frozen=True)
-class Characterization:
+class Characterization(Report):
     scalar_alpha: complex
     scalar_beta: complex
     certificate: dict
     circle_samples: int  # the most circle samples a certificate check used
 
     def as_record(self) -> dict:
-        rec = {
-            "alpha": self.scalar_alpha,
-            "beta": self.scalar_beta,
-            "circle_samples": self.circle_samples,
-        }
-        rec.update({f"certificate.{k}": v for k, v in sorted(self.certificate.items())})
-        return rec
+        rec = super().as_record()
+        return {"alpha": rec.pop("scalar_alpha"), "beta": rec.pop("scalar_beta"), **rec}
 
 
 def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Characterization:
@@ -591,23 +578,13 @@ def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Char
 
 
 @dataclass(frozen=True)
-class ThreeCircleReport:
+class ThreeCircleReport(Report):
     lhs: float
     rhs: float
     slack: float
     rigidity_flag: bool
     monomial: bool
     circle_samples: int  # grid samples per circle before the maxima are sharpened
-
-    def as_record(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "rigidity_flag": self.rigidity_flag,
-            "monomial": self.monomial,
-            "circle_samples": self.circle_samples,
-        }
 
 
 def three_circle_check(f: TaylorFunction, r1: float, r2: float, r3: float) -> ThreeCircleReport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import Frozen, store
+from ._frozen import Frozen, Report, store
 from .gauges import Gauge
 
 __all__ = [
@@ -145,17 +145,11 @@ class MetricInterval:
 
 
 @dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(Report):
     verdict: str  # separated | not_separated | inconclusive
-    t_star: float | None
+    t_star: float | None  # None, and left out of the record, unless separated
     gap: float
     t_grid_size: int  # dilations the search runs over
-
-    def as_record(self) -> dict:
-        rec = {"verdict": self.verdict, "gap": self.gap, "t_grid_size": self.t_grid_size}
-        if self.t_star is not None:
-            rec["t_star"] = self.t_star
-        return rec
 
 
 def metric_value(g: Gauge, weights: WeightSequence, a: SeminormVector) -> MetricInterval:

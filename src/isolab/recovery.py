@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._frozen import Frozen, store
+from ._frozen import Frozen, Report, store
 from .gauges import Gauge, shift_kernel, shift_kernel_fourier_grid
 
 __all__ = [
@@ -438,7 +438,7 @@ def _longest_run(mask):
 
 
 @dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(Report):
     max_position_error: float
     max_mass_error: float
     residual: float
@@ -452,18 +452,6 @@ class RoundtripReport:
     def passed(self) -> bool:
         matched = self.max_position_error < 1e-3 and self.max_mass_error < 1e-3
         return matched and self.residual <= _RESIDUAL_TOL
-
-    def as_record(self) -> dict:
-        return {
-            "max_position_error": self.max_position_error,
-            "max_mass_error": self.max_mass_error,
-            "residual": self.residual,
-            "passed": self.passed,
-            "pencil_rank": self.pencil_rank,
-            "fit_nfev": self.fit_nfev,
-            "frequencies_used": self.frequencies_used,
-            "kernel_transform": self.kernel_transform,
-        }
 
 
 def roundtrip_check(

@@ -608,3 +608,32 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "all_pass=true" in proc.stdout
+
+
+def _child(*argv):
+    """(exit code, stdout, stderr) of a fresh `python -m isolab` process, which
+    sees none of the test run's warning filters."""
+    proc = subprocess.run([sys.executable, "-m", "isolab", *argv], capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_theta_check_where_t_alpha_overflows():
+    code, out, err = _child("theta-check", "--gauge", "rational", "--alpha", "400")
+    assert code == FINDING and "RuntimeWarning" not in err
+    assert "subadditive.passed=false\nsubadditive.worst_gap=1.0\n" in out
+
+
+def test_hol_iso_test_names_the_matrix_whose_images_overflow(tmp_path):
+    code, out, err = _child("hol-iso-test", "--op", "scale", "--factor", "1e308")
+    assert (code, out) == (INVALID, "") and "RuntimeWarning" not in err
+    assert err.startswith("error=factor: ")
+    op_file = tmp_path / "m.txt"
+    # re/im pairs: the identity on 1 and z, so characterization reaches the probe replay
+    m = np.diag([1.0, 1.0] + [1.7e308] * 7)
+    write_columns(op_file, *np.kron(m, [1.0, 0.0]).T)
+    for sub in ("hol-iso-test", "hol-characterize"):
+        code, out, err = _child(sub, "--op", "matrix", "--op-file", str(op_file))
+        assert (code, out) == (INVALID, "") and "RuntimeWarning" not in err
+        assert err.startswith("error=op_file: "), sub
+    code, out, err = _child("hol-iso-test", "--op", "scale", "--factor", "1e200")
+    assert code == FINDING and "passed=false" in out and err == ""

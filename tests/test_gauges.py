@@ -114,6 +114,36 @@ def test_monotone_sees_a_dip_between_value_samples(declare_kinks):
     assert rep.check("derivative_mass").passed == declare_kinks
 
 
+def test_rational_theta_finite_where_t_alpha_overflows():
+    # t^alpha / (1 + t^alpha) is inf / inf where t^alpha overflows
+    t = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 20001), [np.inf]])
+    for alpha in (0.5, 1.0, 2.0, 3.0, 7.5, 100.0, 400.0):
+        g = make_builtin_gauge("rational", alpha=alpha)
+        assert np.all(np.isfinite(g(t))) and np.all(np.isfinite(g.derivative(t))), alpha
+        assert g(t)[-1] == 1.0 and g.derivative(t)[-1] == 0.0
+
+
+def test_rational_alpha400_is_not_subadditive():
+    # in floats theta(0.6) = 0.6^400 is about 1e-89 and theta(1.2) is 1, so the gap is 1
+    rep = check_admissibility(make_builtin_gauge("rational", alpha=400.0))
+    assert not rep.check("subadditive").passed
+    assert rep.check("subadditive").worst_gap == 1.0
+
+
+def test_nan_samples_fail_their_checks():
+    # a gauge that breaks down above t = 100: every check that samples there fails
+    def fn(t):
+        return np.where(t > 100.0, np.nan, t / (1.0 + t))
+
+    def deriv(t):
+        return np.where(t > 100.0, np.nan, 1.0 / (1.0 + t) ** 2)
+
+    rep = check_admissibility(Gauge("nan", fn, deriv, growth_exponent=1.0))
+    for name in ("bounded_range", "monotone", "large_growth", "derivative_mass"):
+        assert not rep.check(name).passed, name
+    assert rep.check("zero_value").passed and rep.check("subadditive").passed
+
+
 def test_derivative_error_propagates():
     # a bug in a user-built derivative is not a failed hypothesis
     def broken(t):

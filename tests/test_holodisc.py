@@ -290,6 +290,17 @@ def test_sup_seminorm_scales_by_powers_of_two_exactly():
         assert sup_seminorm(f.scaled(2.0**600), r) == 2.0**600 * sup_seminorm(f, r)
 
 
+@pytest.mark.parametrize("s", [1e-9, 2.0**-600, 1e-300, 1e9, 1e150])
+def test_sup_seminorm_is_scale_invariant(s):
+    # the flatness test reads the scaled |f|^2, so a small f is refined like
+    # any other instead of keeping its grid peak as if it had constant modulus
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        f = random_taylor(rng, int(rng.integers(1, 25)))
+        want = sup_seminorm(f, 0.75)
+        assert abs(sup_seminorm(f.scaled(s), 0.75) / s - want) <= 1e-15 * want
+
+
 def test_hp_seminorm_parseval_closed_form():
     # p=2 circle mean is sqrt(sum |c_k|^2 r^{2k}), exact for equispaced
     # sampling once the grid clears twice the degree
