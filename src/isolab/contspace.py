@@ -370,12 +370,17 @@ def check_resolution(grid, exh):
         )
 
 
-def sup_seminorm_grid(f: GridFunction, level: int, exh) -> float:
-    """Max of |f| over the grid nodes inside exhaustion level K_level."""
-    mask = f.grid.level_of(exh) <= level
-    if not np.any(mask):
-        raise ValueError(f"grid does not resolve exhaustion level {level}")
-    return float(np.max(np.abs(f.values)[mask]))
+def sup_seminorm_grid(f: GridFunction, level, exh):
+    """Max of |f| over the grid nodes inside each level K_level of 0..exh.levels-1, shaped
+    like level: a float scalar for one level, one masked reduction for an array of levels."""
+    n = np.asarray(level)
+    if not ((n >= 0) & (n < exh.levels)).all():
+        raise ValueError(f"level {level} outside 0..{exh.levels - 1}")
+    inside = f.grid.level_of(exh) <= n[..., None]
+    sups = np.max(np.broadcast_to(np.abs(f.values), inside.shape), -1, where=inside, initial=-np.inf)
+    if np.isneginf(sups).any():
+        raise ValueError(f"grid does not resolve exhaustion level {n[np.isneginf(sups)].min()}")
+    return sups[()]
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +658,9 @@ def isometry_test_grid(T, exh, probes, tol: float = 1e-9) -> GridIsometryReport:
         raise ValueError("probe set must be nonempty")
     check_resolution(probes[0].grid, exh)
     budget = interpolation_budget(probes, probes[0].grid.cell)
-    max_gap = 0.0
-    for f in probes:
-        g = T(f)
-        for n in range(exh.levels):
-            gap = abs(sup_seminorm_grid(f, n, exh) - sup_seminorm_grid(g, n, exh))
-            max_gap = max(max_gap, gap)
-    return GridIsometryReport(float(max_gap), budget, tol)
+    n = np.arange(exh.levels)
+    gaps = [abs(sup_seminorm_grid(f, n, exh) - sup_seminorm_grid(T(f), n, exh)) for f in probes]
+    return GridIsometryReport(float(np.max(gaps)), budget, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +831,7 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     hconj = np.conj(h.array)
     for f in probes:
         phi_vals = hconj * T(f).array
-        sems = np.array([sup_seminorm_grid(f, n, exh) for n in range(n_levels)])
+        sems = sup_seminorm_grid(f, np.arange(n_levels), exh)
         bound = sems[level_of] + budget
         slack = bound - np.abs(phi_vals)
         worst_slack = min(worst_slack, float(np.min(slack)))

@@ -201,8 +201,9 @@ def _circle_max(f: TaylorFunction, radii, q: int):
 
     f is scaled by the power of two 2^-e that puts its largest coefficient
     in [1/2, 1), so |f|^2 cannot overflow or underflow; every step commutes
-    with that exact scaling until the maxima are scaled back.  One inverse
-    DFT samples every circle.  A circle whose scaled |f|^2 samples vary by at
+    with that exact scaling until the maxima are scaled back, where a
+    maximum past the float range becomes inf.  One inverse DFT samples
+    every circle.  A circle whose scaled |f|^2 samples vary by at
     most 1e-15 max(peak, 1) has constant modulus and keeps its grid peak; on
     the others one Newton loop sharpens every grid local maximum of |f|^2
     inside its bracket [theta - h, theta + h], bisecting whenever a step
@@ -210,79 +211,85 @@ def _circle_max(f: TaylorFunction, radii, q: int):
     the largest value evaluated on it, its grid peak included, so no result
     falls below its grid maximum.
     """
-    e = int(np.frexp(np.abs(f.array).max())[1])
+    with np.errstate(over="ignore"):  # |c| of a finite c can overflow: then use |c/2|, one up
+        top = np.abs(f.array).max()
+    e = int(np.frexp(top)[1] if top < np.inf else np.frexp(np.abs(f.array / 2).max())[1] + 1)
     c = np.ldexp(f.array.view(float), -e).view(complex)
     vals2 = np.abs(_circle_values(c, radii, q)) ** 2
     best = vals2.max(axis=1)
     flat = best - vals2.min(axis=1) <= 1e-15 * np.maximum(best, 1.0)
-    if flat.all():
+    if not flat.all():
+        peak = (vals2 >= np.roll(vals2, 1, axis=1)) & (vals2 >= np.roll(vals2, -1, axis=1))
+        row, j = np.nonzero(peak & ~flat[:, None])
+        m = np.arange(c.size)
+        # pos[i, k] = sum_l a[i, l+k] conj(a[i, l]): frequency k of |f|^2 on circle i
+        a = c * np.power.outer(radii, m)
+        pos = np.array([np.correlate(ai, ai, mode="full")[c.size - 1 :] for ai in a])[row]
+        h = 2.0 * np.pi / q
+        th = h * j
+        lo, hi, prev = th - h, th + h, np.full(j.size, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(80):
+                terms = np.exp(1j * th[:, None] * m) * pos
+                np.maximum.at(best, row, 2.0 * terms.real.sum(axis=1) - pos[:, 0].real)
+                d, dd = -2.0 * (terms.imag @ m), -2.0 * (terms.real @ m**2)
+                rising = d >= 0
+                lo, hi = np.where(rising, th, lo), np.where(rising, hi, th)
+                nxt = th - d / dd
+                nxt = np.where((dd < 0) & (lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+                # a step back to the previous iterate is a two-cycle a few ulps wide: stop there
+                moving = (np.abs(nxt - th) >= 1e-15) & (nxt != prev)
+                if not moving.any():
+                    break
+                th, prev, lo, hi, row, pos = (v[moving] for v in (nxt, th, lo, hi, row, pos))
+    with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(best), e)
-    row, j = np.nonzero(
-        (vals2 >= np.roll(vals2, 1, axis=1)) & (vals2 >= np.roll(vals2, -1, axis=1)) & ~flat[:, None]
-    )
-    m = np.arange(c.size)
-    # pos[i, k] = sum_l a[i, l+k] conj(a[i, l]): frequency k of |f|^2 on circle i
-    a = c * np.power.outer(radii, m)
-    pos = np.array([np.correlate(ai, ai, mode="full")[c.size - 1 :] for ai in a])[row]
-    h = 2.0 * np.pi / q
-    th = h * j
-    lo, hi, prev = th - h, th + h, np.full(j.size, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(80):
-            terms = np.exp(1j * th[:, None] * m) * pos
-            np.maximum.at(best, row, 2.0 * terms.real.sum(axis=1) - pos[:, 0].real)
-            d, dd = -2.0 * (terms.imag @ m), -2.0 * (terms.real @ m**2)
-            rising = d >= 0
-            lo, hi = np.where(rising, th, lo), np.where(rising, hi, th)
-            nxt = th - d / dd
-            nxt = np.where((dd < 0) & (lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-            # a step back to the previous iterate is a two-cycle a few ulps wide: stop there
-            moving = (np.abs(nxt - th) >= 1e-15) & (nxt != prev)
-            if not moving.any():
-                break
-            th, prev, lo, hi, row, pos = (v[moving] for v in (nxt, th, lo, hi, row, pos))
-    return np.ldexp(np.sqrt(best), e)
 
 
-def sup_seminorm(f: TaylorFunction, radius: float, samples: int | None = None) -> float:
-    """Supremum of |f| on the circle of the given radius.
+def _require_radii(radius):
+    r = np.asarray(radius, dtype=float)
+    if not ((r > 0) & (r < 1)).all():  # a NaN radius fails too
+        raise ValueError("radius must lie in (0, 1)")
+    return r
 
-    The one-radius call of the batched circle maximum: a grid stage takes
+
+def sup_seminorm(f: TaylorFunction, radius, samples: int | None = None):
+    """Supremum of |f| on the circle of each radius, shaped like radius.
+
+    A scalar radius gives a float scalar, an array of radii an array of
+    maxima, all from one batched circle-maximum call: a grid stage takes
     the max over `samples` equispaced points (at least four per degree);
     the grid's local maxima are then sharpened to the true circle maximum,
     so the result is exact to machine precision and in particular rotation
     invariant.  f is scaled by an exact power of two on the way, so |f|^2
     cannot overflow: sup_seminorm(2^600 f) is 2^600 sup_seminorm(f), not inf.
     """
-    if not 0 < radius < 1:
-        raise ValueError("radius must lie in (0, 1)")
-    q = _require_samples(f, samples)
-    return float(_circle_max(f, np.array([radius], dtype=float), q)[0])
+    r = _require_radii(radius)
+    return _circle_max(f, r.ravel(), _require_samples(f, samples)).reshape(r.shape)[()]
 
 
-def hp_seminorm(
-    f: TaylorFunction, p: float, radius: float, samples: int | None = None
-) -> float:
-    """p-th power circle mean: ((1/2pi) integral |f|^p dtheta)^(1/p).
+def hp_seminorm(f: TaylorFunction, p: float, radius, samples: int | None = None):
+    """p-th power circle mean ((1/2pi) integral |f|^p dtheta)^(1/p), shaped like radius.
 
-    Equispaced averaging is exact for p = 2 (Parseval) once the sample
-    count clears the degree, and spectrally accurate otherwise.  A mean of
-    |f|^p that is not a finite float, or is 0 for a nonzero f, cannot be
-    represented at this p and raises ValueError.  The mean is not rescaled
-    into range: at exponents that leave it, such as p = 1e4, the samples no
+    A scalar radius gives a float scalar, an array of radii an array of
+    means from one inverse DFT.  Equispaced averaging is exact for p = 2
+    (Parseval) once the sample count clears the degree, and spectrally
+    accurate otherwise.  A mean of |f|^p that is not a finite float, or is
+    0 for a nonzero f, cannot be represented at this p and raises
+    ValueError naming the first such mean.  The mean is not rescaled into
+    range: at exponents that leave it, such as p = 1e4, the samples no
     longer resolve |f|^p.
     """
-    if not 0 < radius < 1:
-        raise ValueError("radius must lie in (0, 1)")
+    r = _require_radii(radius)
     if not p >= 1:
         raise ValueError("p must be at least 1")
     q = _require_samples(f, samples)
-    vals = np.abs(_circle_values(f.array, np.array([radius], dtype=float), q)[0])
-    with np.errstate(over="ignore"):
-        mean = np.mean(vals**p)
-    if not (np.isfinite(mean) and (mean > 0 or not f.array.any())):
-        raise ValueError(f"p = {p:g} takes the circle mean of |f|^p to {mean:g}, out of float range")
-    return float(mean ** (1.0 / p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(np.abs(_circle_values(f.array, r.ravel(), q)) ** p, axis=1)
+    bad = mean[~np.isfinite(mean) | ((mean == 0) & f.array.any())]
+    if bad.size:
+        raise ValueError(f"p = {p:g} takes the circle mean of |f|^p to {bad[0]:g}, out of float range")
+    return (mean ** (1.0 / p)).reshape(r.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -301,16 +308,10 @@ def strict_monotonicity_check(f: TaylorFunction, p: float, radius_grid) -> Monot
     radii = np.asarray(radius_grid, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radius grid must be strictly increasing")
-    vals = np.array([hp_seminorm(f, p, r) for r in radii])
+    vals = hp_seminorm(f, p, radii)
     gaps = np.diff(vals)
     min_gap = float(np.min(gaps)) if gaps.size else 0.0
-    is_const = f.degree == 0
-    return MonotonicityReport(
-        tuple(float(v) for v in vals),
-        min_gap,
-        bool(np.all(gaps > 0)),
-        is_const,
-    )
+    return MonotonicityReport(tuple(vals.tolist()), min_gap, bool(np.all(gaps > 0)), f.degree == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ class WeightedCompositionOperator:
     warp: TaylorFunction
 
     def __post_init__(self):
-        (m,) = _circle_max(self.warp, np.array([1.0 - 1e-14]), _require_samples(self.warp, None))
+        m = sup_seminorm(self.warp, 1.0 - 1e-14)
         if m > 1.0 + 1e-9:
             raise ValueError(f"warp must map the disc into itself (max modulus {m:g})")
 
@@ -409,7 +410,7 @@ def operator_matrix(op, size: int) -> MatrixOperator:
 
 @dataclass(frozen=True)
 class SupFamily:
-    def seminorm(self, f: TaylorFunction, radius: float, samples: int) -> float:
+    def seminorm(self, f: TaylorFunction, radius, samples: int):
         return sup_seminorm(f, radius, samples=samples)
 
     label = "sup"
@@ -423,7 +424,7 @@ class HpFamily:
         if not self.p >= 1:
             raise ValueError("p must be at least 1")
 
-    def seminorm(self, f: TaylorFunction, radius: float, samples: int) -> float:
+    def seminorm(self, f: TaylorFunction, radius, samples: int):
         return hp_seminorm(f, self.p, radius, samples=samples)
 
     @property
@@ -452,15 +453,15 @@ def standard_probes(rng, degree: int = 8):
 def isometry_test(
     op, family, circles: DiscExhaustion, probes, tol: float = 1e-9
 ) -> IsometryReport:
-    """Compare seminorms of probes and their images under op.apply on every circle."""
+    """Compare seminorms of probes and their images under op.apply, every circle in one call."""
     if not probes:
         raise ValueError("probe set must be nonempty")
-    gaps, q_max = [], 0
+    gaps, q_max, radii = [], 0, circles.radii
     for f in probes:
         g = op.apply(f)
         q = max(_CIRCLE_SAMPLES, _require_samples(g, None), _require_samples(f, None))
         q_max = max(q_max, q)
-        gaps += [abs(family.seminorm(f, r, q) - family.seminorm(g, r, q)) for r in circles.radii]
+        gaps.append(np.abs(family.seminorm(f, radii, q) - family.seminorm(g, radii, q)))
     # np.max keeps a NaN gap, so a comparison that broke down cannot pass
     return IsometryReport(family.label, float(np.max(gaps)), tol, q_max)
 
@@ -518,8 +519,7 @@ def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Char
     q = max(_CIRCLE_SAMPLES, _require_samples(g0, None))
 
     if len(circles.radii) >= 2:
-        v1 = family.seminorm(g0, circles.radii[0], q)
-        v2 = family.seminorm(g0, circles.radii[1], q)
+        v1, v2 = (float(v) for v in family.seminorm(g0, circles.radii[:2], q))
         cert["mean_flatness_gap"] = abs(v1 - v2)
         refuse_if(
             abs(v1 - v2) > 1e-10 * max(1.0, v1),
@@ -593,7 +593,7 @@ def three_circle_check(f: TaylorFunction, r1: float, r2: float, r3: float) -> Th
     slack = rhs - lhs of
         log(r3/r1) log M(r2) <= log(r3/r2) log M(r1) + log(r2/r1) log M(r3)
     and is nonnegative up to machine error; the three maxima come from one
-    batched circle-maximum call, exact to machine precision (see
+    sup_seminorm call, exact to machine precision (see
     sup_seminorm), and the rigidity flag marks equality within 1e-10,
     which happens exactly for monomials.  A maximum that is 0 (the zero
     function), subnormal or infinite has no logarithm accurate to that
@@ -604,7 +604,7 @@ def three_circle_check(f: TaylorFunction, r1: float, r2: float, r3: float) -> Th
     if not 0 < r1 < r2 < r3 < 1:
         raise ValueError("radii must satisfy 0 < r1 < r2 < r3 < 1")
     q = _require_samples(f, None)
-    ms = _circle_max(f, np.array([r1, r2, r3], dtype=float), q)
+    ms = sup_seminorm(f, np.array([r1, r2, r3]), q)
     if not np.all((ms >= np.finfo(float).tiny) & (ms <= np.finfo(float).max)):
         raise ValueError(f"circle maxima {ms} must be positive normal floats for accurate logarithms")
     l1, l2, l3 = (np.log(m) for m in ms)

@@ -166,17 +166,15 @@ def metric_value(g: Gauge, weights: WeightSequence, a: SeminormVector) -> Metric
 def moment_curve(g: Gauge, weights: WeightSequence, a: SeminormVector, t):
     """Weighted gauge sum of the dilated vector: sum_n r_n theta(t a_n).
 
-    t may be a scalar or an array; stored entries only (the declared
-    tail's entries are unknown, see metric_value for the enclosure).
+    t may be a scalar or an array, and the result is shaped like t; stored
+    entries only (the declared tail's entries are unknown, see metric_value
+    for the enclosure).
     """
     _check_lengths(weights, a)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    scal = t.ndim == 0
-    tt = np.atleast_1d(t)
-    vals = g(tt[:, None] * a.array[None, :]) @ weights.array
-    return float(vals[0]) if scal else vals
+    return g(t[..., None] * a.array) @ weights.array
 
 
 def default_t_grid():

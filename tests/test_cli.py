@@ -623,6 +623,12 @@ def test_theta_check_where_t_alpha_overflows():
     assert "subadditive.passed=false\nsubadditive.worst_gap=1.0\n" in out
 
 
+def test_hol_iso_test_reports_a_maximum_past_the_float_range_without_a_warning():
+    # 5e307 |f| leaves the float range on the outer circles: the gap is inf, silently
+    code, out, err = _child("hol-iso-test", "--op", "scale", "--factor", "5e307")
+    assert code == FINDING and "max_gap=inf\n" in out and err == ""
+
+
 def test_hol_iso_test_names_the_matrix_whose_images_overflow(tmp_path):
     code, out, err = _child("hol-iso-test", "--op", "scale", "--factor", "1e308")
     assert (code, out) == (INVALID, "") and "RuntimeWarning" not in err

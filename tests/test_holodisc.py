@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -246,6 +248,7 @@ def test_circle_max_batch_matches_one_radius_calls():
         radii = np.sort(rng.uniform(0.05, 0.95, 3))
         q = _require_samples(f, None)
         batch = _circle_max(f, radii, q)
+        assert np.array_equal(sup_seminorm(f, radii, q), batch)
         single = np.array([sup_seminorm(f, r, q) for r in radii])
         assert np.all(np.abs(batch - single) <= 4e-16 * single)
         assert np.all(batch >= np.abs(_circle_values(f.array, radii, q)).max(axis=1))
@@ -261,6 +264,7 @@ def test_circle_max_batch_keeps_flat_and_refined_rows_apart():
     spread = vals2.max(axis=1) - vals2.min(axis=1)
     assert list(spread <= 1e-15 * np.maximum(vals2.max(axis=1), 1.0)) == [True, False, False]
     batch = _circle_max(f, radii, q)
+    assert np.array_equal(sup_seminorm(f, radii, q), batch)
     single = np.array([sup_seminorm(f, r, q) for r in radii])
     assert batch[0] == single[0] and np.all(np.abs(batch - single) <= 4e-16 * single)
     assert np.all(np.abs(batch - (1.0 + radii**24)) <= 2e-16 * batch)
@@ -288,6 +292,13 @@ def test_sup_seminorm_scales_by_powers_of_two_exactly():
         f = random_taylor(rng, int(rng.integers(0, 25)))
         r = float(rng.uniform(0.05, 0.95))
         assert sup_seminorm(f.scaled(2.0**600), r) == 2.0**600 * sup_seminorm(f, r)
+
+
+def test_sup_seminorm_of_a_coefficient_whose_modulus_leaves_the_float_range():
+    # |c| overflows for c = 1.7e308 (1 + i), but the maximum |c| r^5 at r = 1/2 is a float
+    got = sup_seminorm(TaylorFunction.monomial(5, 1.7e308 + 1.7e308j), 0.5)
+    want = float(np.hypot(1.7e308 / 32, 1.7e308 / 32))
+    assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("s", [1e-9, 2.0**-600, 1e-300, 1e9, 1e150])
@@ -338,6 +349,14 @@ def test_hp_seminorm_refuses_a_mean_out_of_float_range():
         hp_seminorm(TaylorFunction((2.0, 1.0)), 1e4, 0.5)
     assert hp_seminorm(TaylorFunction((0.0,)), 1e4, 0.5) == 0.0
     assert hp_seminorm(TaylorFunction.one(), 1e308, 0.5) == 1.0
+
+
+def test_hp_seminorm_refuses_overflowing_samples_without_a_warning():
+    # the circle samples of 1e308 (1 + z) leave the float range at r = 0.9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^p = 2 takes the circle mean of \|f\|\^p to inf, "):
+            hp_seminorm(TaylorFunction((1e308, 1e308)), 2, 0.9)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
