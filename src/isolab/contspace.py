@@ -293,16 +293,26 @@ class DiscGrid(_Grid):
             raise ValueError("interpolation point leaves the grid domain")
         r = np.minimum(r, radii[-1])
         turn = np.mod(np.angle(z), 2.0 * np.pi) / (2.0 * np.pi)
-        i0 = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1) - 1
-        wi = (r - radii[i0]) / (radii[i0 + 1] - radii[i0])
-        corners = []
-        for i, w in ((i0, 1 - wi), (i0 + 1, wi)):
+        i = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1) - 1
+        wi = (r - radii[i]) / (radii[i + 1] - radii[i])
+        del r
+        corners = []  # (k + j % n, w * (1 - t)) and (k + (j + 1) % n, w * t), built in place
+        for w in (1 - wi, wi):  # ring i0 = i, then ring i0 + 1
             n, k = self.counts[i], self.offsets[i]
             t = turn * n
             j = np.floor(t)
             t -= j  # the weight of the corner after angle j
             j = j.astype(int)
-            corners += [(k + j % n, w * (1 - t)), (k + (j + 1) % n, w * t)]
+            after = j + 1
+            after %= n
+            after += k
+            j %= n
+            j += k
+            w0 = 1 - t
+            w0 *= w
+            t *= w
+            corners += [(j, w0), (after, t)]
+            i += 1
         return lambda v: sum(v[k] * w for k, w in corners)
 
 
@@ -353,7 +363,10 @@ class GridFunction(Frozen):
     def lipschitz_estimate(self) -> float:
         """Max finite-difference slope over the grid's edges (modulus of continuity)."""
         v, grid = self.values, self.grid
-        return float(np.max(np.abs(v[1:] - v[grid.partners]) / grid.lengths))
+        gaps = v[grid.partners]
+        slopes = np.abs(np.subtract(v[1:], gaps, out=gaps))
+        slopes /= grid.lengths
+        return float(np.max(slopes))
 
 
 def check_resolution(grid, exh):
@@ -693,6 +706,31 @@ def _planar(pts):
     return np.column_stack([pts.real, pts.imag])
 
 
+def _image_gaps(exh, grid, images):
+    """(containment breach, surjectivity gap, the outer level's tree when that level holds
+    every node, else None); each level's copies and distances are freed on return."""
+    pts, level_of = grid.nodes, grid.level_of(exh)
+    contain = surj = 0.0
+    for n in range(exh.levels):
+        mask = level_of <= n
+        img = images[mask]
+        contain = max(contain, float(np.max(exh.excess(img, n))))
+        tree = cKDTree(_planar(img))
+        dists, _ = tree.query(_planar(pts[mask]), k=1)
+        surj = max(surj, float(np.max(dists)))
+    return contain, surj, tree if np.all(mask) else None
+
+
+def _collapsed_pairs(tree, pts, cell):
+    """Node pairs more than two cells apart whose images the tree finds within half a cell."""
+    pairs = tree.query_pairs(0.5 * cell, output_type="ndarray")
+    collapsed = 0
+    for lo in range(0, len(pairs), _PAIR_CHUNK):
+        a, b = pairs[lo : lo + _PAIR_CHUNK].T
+        collapsed += int(np.sum(np.abs(pts[a] - pts[b]) > 2.0 * cell))
+    return collapsed
+
+
 def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> RecoveredSymbol:
     """Extract (weight, point map) from a surjective grid isometry.
 
@@ -714,31 +752,17 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
             raise NotWeightedComposition(check, details, cert)
 
     cell = grid.cell
-    one = GridFunction.constant(grid, 1.0)
-    h = T(one)
+    h = T(GridFunction.constant(grid, 1.0))
     unim_gap = float(np.max(np.abs(np.abs(h.array) - 1.0)))
     cert["unimodularity_gap"] = unim_gap
     refuse_if(
         unim_gap > max(tol, 1e-9), "unimodularity", f"|T(1)| deviates from 1 by {unim_gap:g}"
     )
 
-    e1 = GridFunction.coordinate(grid)
-    phi_gf = GridFunction(grid, np.conj(h.array) * T(e1).array)
-
-    pts = grid.nodes
-    images = phi_gf.values
-    level_of = grid.level_of(exh)
+    phi_gf = GridFunction(grid, np.conj(h.array) * T(GridFunction.coordinate(grid)).array)
 
     # (a) containment and grid-surjectivity, level by level
-    worst_contain = 0.0
-    worst_surj = 0.0
-    for n in range(exh.levels):
-        mask = level_of <= n
-        img = images[mask]
-        worst_contain = max(worst_contain, float(np.max(exh.excess(img, n))))
-        tree = cKDTree(_planar(img))
-        dists, _ = tree.query(_planar(pts[mask]), k=1)
-        worst_surj = max(worst_surj, float(np.max(dists)))
+    worst_contain, worst_surj, tree = _image_gaps(exh, grid, phi_gf.values)
     cert["containment_breach"] = worst_contain
     cert["surjectivity_gap"] = worst_surj
     refuse_if(
@@ -752,28 +776,25 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
 
     # (b) grid-injectivity over every node; when the outermost level holds
     # them all, its surjectivity tree is already the tree of every image
-    if not np.all(mask):
-        tree = cKDTree(_planar(images))
-    pairs = tree.query_pairs(0.5 * cell, output_type="ndarray")
-    collapsed = 0
-    for lo in range(0, len(pairs), _PAIR_CHUNK):
-        a, b = pairs[lo : lo + _PAIR_CHUNK].T
-        collapsed += int(np.sum(np.abs(pts[a] - pts[b]) > 2.0 * cell))
+    tree = cKDTree(_planar(phi_gf.values)) if tree is None else tree
+    collapsed = _collapsed_pairs(tree, grid.nodes, cell)
+    del tree
     cert["collapsed_pairs"] = collapsed
     refuse_if(
         collapsed > 0, "injectivity", f"{collapsed} distant node pairs land within half a cell"
     )
 
-    # (c) reconstruction on random probes
+    # (c) reconstruction on random probes, each drawn, checked and dropped in turn;
+    # the budget is interpolation_budget's worst probe slope times cell
     rng = np.random.default_rng(0) if rng is None else rng
-    probes = [random_probe(grid, rng) for _ in range(3)]
-    budget = interpolation_budget(probes, cell)
-    recon = 0.0
     stencil = grid.stencil(phi_gf.array)
-    for f in probes:
-        direct = T(f).array
-        rebuilt = h.array * f.interpolate(stencil)
-        recon = max(recon, float(np.max(np.abs(direct - rebuilt))))
+
+    def slope_and_gap(f):
+        slope = f.lipschitz_estimate()
+        return slope, float(np.max(np.abs(T(f).array - h.array * f.interpolate(stencil))))
+
+    slopes, gaps = zip(*(slope_and_gap(random_probe(grid, rng)) for _ in range(3)))
+    recon, budget = max(0.0, *gaps), float(max(slopes) * cell)
     cert["reconstruction_gap"] = recon
     cert["reconstruction_budget"] = budget
     refuse_if(

@@ -542,7 +542,8 @@ def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Char
     qphi = max(_CIRCLE_SAMPLES, _require_samples(phi, None))
     q = max(q, qphi)  # the most circle samples used so far
     radii = circles.radii[:3]
-    vals = np.abs(_circle_values(phi.array, radii, qphi))
+    with np.errstate(over="ignore", invalid="ignore"):  # samples past the float range: gap inf
+        vals = np.abs(_circle_values(phi.array, radii, qphi))
     circle_gap = float(np.max(np.abs(vals - radii[:, None])))
     cert["circle_preservation_gap"] = circle_gap
     refuse_if(circle_gap > 1e-9, "circle-preservation", f"sampled circles move by {circle_gap:g}")

@@ -643,3 +643,16 @@ def test_hol_iso_test_names_the_matrix_whose_images_overflow(tmp_path):
         assert err.startswith("error=op_file: "), sub
     code, out, err = _child("hol-iso-test", "--op", "scale", "--factor", "1e200")
     assert code == FINDING and "passed=false" in out and err == ""
+
+
+def test_hol_characterize_refuses_circle_samples_past_the_float_range_without_a_warning(tmp_path):
+    # the identity with column 1 = (0, 1.5e308, 1.5e308, 0, ...): phi's circle samples overflow
+    m = np.eye(9)
+    m[:, 1] = 0.0
+    m[1:3, 1] = 1.5e308
+    op_file = tmp_path / "m.txt"
+    write_columns(op_file, *np.kron(m, [1.0, 0.0]).T)
+    code, out, err = _child("hol-characterize", "--op", "matrix", "--op-file", str(op_file))
+    assert (code, err) == (FINDING, "")
+    assert "failed_check=circle-preservation\n" in out
+    assert "certificate.circle_preservation_gap=inf\n" in out

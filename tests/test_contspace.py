@@ -1,6 +1,7 @@
 import bisect
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -294,6 +295,54 @@ def test_disc_lipschitz_estimate_matches_the_ring_edges():
         assert f.lipschitz_estimate() == _reference_ring_lipschitz(f)
     # a linear function's slope is its modulus, on every edge
     assert GridFunction.sample(DGRID, lambda z: 3.0 * z).lipschitz_estimate() == pytest.approx(3.0)
+
+
+def _plain_stencil(grid, points):
+    """DiscGrid.stencil as plain expressions, each array a fresh temporary."""
+    z = np.asarray(points, dtype=complex)
+    radii = grid.radii
+    r = np.minimum(np.abs(z), radii[-1])
+    turn = np.mod(np.angle(z), 2.0 * np.pi) / (2.0 * np.pi)
+    i0 = np.clip(np.searchsorted(radii, r, side="right"), 1, radii.size - 1) - 1
+    wi = (r - radii[i0]) / (radii[i0 + 1] - radii[i0])
+    corners = []
+    for i, w in ((i0, 1 - wi), (i0 + 1, wi)):
+        n, k = grid.counts[i], grid.offsets[i]
+        t = turn * n
+        j = np.floor(t)
+        t -= j
+        j = j.astype(int)
+        corners += [(k + j % n, w * (1 - t)), (k + (j + 1) % n, w * t)]
+    return lambda v: sum(v[k] * w for k, w in corners)
+
+
+def test_in_place_disc_stencil_is_bit_identical_to_the_plain_expressions():
+    rng = np.random.default_rng(54)
+    for grid in (DGRID, DiscGrid((0.0, 0.3, 0.55, 0.8), 13)):
+        radii = grid.radii
+        outer = radii[-1]
+        edges = np.concatenate([radii, [outer]])
+        below_2pi = np.nextafter(2.0 * np.pi, 0.0)
+        z = np.concatenate([
+            np.sqrt(rng.uniform(0, outer**2, 5000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000)),
+            [0j],  # the centre
+            edges * np.exp(1j * rng.uniform(-np.pi, np.pi, edges.size)),  # rings, outer radius
+            edges + 0j,  # angle 0
+            edges * np.exp(1j * below_2pi),  # angle 2 pi - ulp
+        ])
+        got, want = grid.stencil(z), _plain_stencil(grid, z)
+        for f in (random_probe(grid, rng), unimodular_field(grid, rng)):
+            assert np.array_equal(f.interpolate(got), f.interpolate(want))
+
+
+@pytest.mark.parametrize("grid", [GRID, DGRID, DiscGrid((0.0, 0.3, 0.55, 0.8), 13)])
+def test_in_place_lipschitz_estimate_is_bit_identical_to_the_plain_expression(grid):
+    rng = np.random.default_rng(55)
+    for f in (random_probe(grid, rng), unimodular_field(grid, rng)):
+        v = f.array
+        assert f.lipschitz_estimate() == float(
+            np.max(np.abs(v[1:] - v[grid.partners]) / grid.lengths)
+        )
 
 
 @pytest.mark.parametrize("grid, kinds", [(GRID, 1), (DGRID, 2)])
@@ -703,6 +752,26 @@ def test_default_disc_recovery_builds_two_trees_and_two_stencils(monkeypatch):
     T = make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
     recover_weight_and_map(T, DEXH, grid, rng=rng)
     assert counts == {"cKDTree": 2, "stencil": 2}
+
+
+def test_default_disc_recovery_peaks_below_sixteen_node_vectors():
+    # a warm-up recovery with another map first, so the measured one swaps the
+    # composition slot's stencil; the trace counts numpy's arrays made after it
+    # starts (14.1 node vectors here), so not the slot's old stencil
+    grid = DiscGrid.build(DEXH)
+    rng = np.random.default_rng(67)
+    warm_up, T = (
+        make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
+        for _ in range(2)
+    )
+    recover_weight_and_map(warm_up, DEXH, grid, rng=rng)
+    tracemalloc.start()
+    try:
+        recover_weight_and_map(T, DEXH, grid, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * grid.nodes.nbytes
 
 
 def test_isometry_test_samples_the_map_once():
