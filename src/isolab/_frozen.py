@@ -74,5 +74,13 @@ class Refusal(RuntimeError):
         self.details = details
         self.certificate = dict(certificate)
 
+    @classmethod
+    def unless_within(cls, certificate: dict, key: str, value, bound, check, details, *extra):
+        """The one pass rule of every certificate check: record value under key, then
+        raise cls(check, details, certificate, *extra) unless value <= bound, so a NaN refuses."""
+        certificate[key] = value
+        if not value <= bound:
+            raise cls(check, details, certificate, *extra)
+
     def as_record(self) -> dict:
         return {"failed_check": self.check, **_entries("certificate", self.certificate)}

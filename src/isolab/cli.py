@@ -124,7 +124,12 @@ def _run_frullani(cfg: ExperimentConfig, params):
     return (PASS if err < max(cfg.tol, 1e-6) else FINDING), rec
 
 
-def _weights_from(params) -> metric.WeightSequence:
+_LENGTHS = "vec_a/vec_b: length must match the weight count"
+
+
+def _weights_from(params, count: int) -> metric.WeightSequence:
+    """The weight sequence params name; a uniform count other than count, the
+    vectors' length, is refused before any weight is built."""
     spec = params["weights"]
     tail = params["tail"]
     if spec.startswith("uniform:"):
@@ -132,6 +137,8 @@ def _weights_from(params) -> metric.WeightSequence:
             n = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise CliError(f"weights: bad uniform count in {spec!r}") from exc
+        if n > 0 and n != count:
+            raise CliError(_LENGTHS)
         build, arg = metric.WeightSequence.uniform, n
     else:
         build, arg = metric.WeightSequence, _parse_floats(spec, "weights")
@@ -151,10 +158,10 @@ def _vector_from(params, key) -> metric.SeminormVector:
 
 def _run_separate(cfg: ExperimentConfig, params):
     g = _gauge_from(params)
-    r = _weights_from(params)
     a, b = (_vector_from(params, key) for key in ("vec_a", "vec_b"))
+    r = _weights_from(params, len(a))
     if len(a) != len(r) or len(b) != len(r):
-        raise CliError("vec_a/vec_b: length must match the weight count")
+        raise CliError(_LENGTHS)
     try:
         res = metric.separate(g, r, a, b)
     except ValueError as exc:

@@ -650,8 +650,7 @@ def unimodular_field(grid, rng):
 
 def interpolation_budget(probes, cell: float) -> float:
     """Error allowance for grid comparisons: worst probe slope times cell."""
-    lip = max(p.lipschitz_estimate() for p in probes)
-    return float(lip * cell)
+    return float(np.max([p.lipschitz_estimate() for p in probes]) * cell)
 
 
 @dataclass(frozen=True)
@@ -742,47 +741,36 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
     cells land within half a cell), and reconstruction of T on random
     probes within the interpolation budget.  The first failing check
     raises NotWeightedComposition carrying the partial certificate; a
-    grid that fails check_resolution raises ValueError before any check.
+    check passes only when its value is within its bound, so a NaN value
+    refuses.  A grid that fails check_resolution raises ValueError before
+    any check.
     """
     check_resolution(grid, exh)
     cert: dict = {}
-
-    def refuse_if(bad, check, details):
-        if bad:
-            raise NotWeightedComposition(check, details, cert)
-
+    within = partial(NotWeightedComposition.unless_within, cert)
     cell = grid.cell
     h = T(GridFunction.constant(grid, 1.0))
     unim_gap = float(np.max(np.abs(np.abs(h.array) - 1.0)))
-    cert["unimodularity_gap"] = unim_gap
-    refuse_if(
-        unim_gap > max(tol, 1e-9), "unimodularity", f"|T(1)| deviates from 1 by {unim_gap:g}"
-    )
+    within("unimodularity_gap", unim_gap, max(tol, 1e-9),
+           "unimodularity", f"|T(1)| deviates from 1 by {unim_gap:g}")
 
     phi_gf = GridFunction(grid, np.conj(h.array) * T(GridFunction.coordinate(grid)).array)
 
-    # (a) containment and grid-surjectivity, level by level
+    # (a) containment and grid-surjectivity, level by level: both recorded, then checked
     worst_contain, worst_surj, tree = _image_gaps(exh, grid, phi_gf.values)
-    cert["containment_breach"] = worst_contain
-    cert["surjectivity_gap"] = worst_surj
-    refuse_if(
-        worst_contain > 0.5 * cell,
-        "containment", f"mapped nodes leave their level by {worst_contain:g}",
-    )
-    refuse_if(
-        worst_surj > cell * (1 + 1e-9),
-        "surjectivity", f"image misses level nodes by {worst_surj:g}",
-    )
+    cert.update(containment_breach=worst_contain, surjectivity_gap=worst_surj)
+    within("containment_breach", worst_contain, 0.5 * cell,
+           "containment", f"mapped nodes leave their level by {worst_contain:g}")
+    within("surjectivity_gap", worst_surj, cell * (1 + 1e-9),
+           "surjectivity", f"image misses level nodes by {worst_surj:g}")
 
     # (b) grid-injectivity over every node; when the outermost level holds
     # them all, its surjectivity tree is already the tree of every image
     tree = cKDTree(_planar(phi_gf.values)) if tree is None else tree
     collapsed = _collapsed_pairs(tree, grid.nodes, cell)
     del tree
-    cert["collapsed_pairs"] = collapsed
-    refuse_if(
-        collapsed > 0, "injectivity", f"{collapsed} distant node pairs land within half a cell"
-    )
+    within("collapsed_pairs", collapsed, 0,
+           "injectivity", f"{collapsed} distant node pairs land within half a cell")
 
     # (c) reconstruction on random probes, each drawn, checked and dropped in turn;
     # the budget is interpolation_budget's worst probe slope times cell
@@ -794,12 +782,10 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
         return slope, float(np.max(np.abs(T(f).array - h.array * f.interpolate(stencil))))
 
     slopes, gaps = zip(*(slope_and_gap(random_probe(grid, rng)) for _ in range(3)))
-    recon, budget = max(0.0, *gaps), float(max(slopes) * cell)
-    cert["reconstruction_gap"] = recon
-    cert["reconstruction_budget"] = budget
-    refuse_if(
-        recon > budget + tol, "reconstruction", f"T deviates from the rebuilt form by {recon:g}"
-    )
+    recon, budget = float(np.max(gaps)), float(np.max(slopes) * cell)
+    cert.update(reconstruction_gap=recon, reconstruction_budget=budget)
+    within("reconstruction_gap", recon, budget + tol,
+           "reconstruction", f"T deviates from the rebuilt form by {recon:g}")
     return RecoveredSymbol(h, phi_gf, cert)
 
 
@@ -828,7 +814,8 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     interpolation budget; worst_slack is the minimum remaining margin
     (nonnegative means the bound holds everywhere).  Linearity of T is
     spot-checked on probe combinations, and the dual-norm estimate records
-    the largest ratio |value| / (level seminorm).
+    the largest ratio |value| / (level seminorm).  A NaN slack fails the
+    bound, and a NaN unimodularity or linearity gap raises ValueError.
     """
     if not probes:
         raise ValueError("probe set must be nonempty")
@@ -838,7 +825,7 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     one = GridFunction.constant(grid, 1.0)
     h = T(one)
     unim = float(np.max(np.abs(np.abs(h.array) - 1.0)))
-    if unim > 1e-6:
+    if not unim <= 1e-6:
         raise ValueError(f"T(1) must be unimodular (gap {unim:g})")
     budget = interpolation_budget(probes, cell)
 
@@ -847,21 +834,20 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
     if np.any(level_of == n_levels):
         raise ValueError("grid extends beyond the outermost level")
 
-    worst_slack = np.inf
-    dual_max = 0.0
+    slacks, dual_max = [], 0.0
     hconj = np.conj(h.array)
     for f in probes:
         phi_vals = hconj * T(f).array
         sems = sup_seminorm_grid(f, np.arange(n_levels), exh)
         bound = sems[level_of] + budget
         slack = bound - np.abs(phi_vals)
-        worst_slack = min(worst_slack, float(np.min(slack)))
+        slacks.append(np.min(slack))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.abs(phi_vals) / sems[level_of]
         dual_max = max(dual_max, float(np.nanmax(ratios)))
 
     rng = np.random.default_rng(1)
-    lin_gap = 0.0
+    lin_gaps = []
     for _ in range(3):
         i, j = rng.integers(0, len(probes), size=2)
         c1, c2 = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -869,8 +855,9 @@ def decomposition_bound_check(T, exh, probes, tol: float = 1e-9) -> Decompositio
         lhs = T(combo).array
         rhs = c1 * T(probes[i]).array + c2 * T(probes[j]).array
         scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        lin_gap = max(lin_gap, float(np.max(np.abs(lhs - rhs))) / scale)
-    if lin_gap > max(tol, 1e-9):
+        lin_gaps.append(float(np.max(np.abs(lhs - rhs))) / scale)
+    lin_gap = float(np.max(lin_gaps))
+    if not lin_gap <= max(tol, 1e-9):
         raise ValueError(f"operator is not linear on probes (gap {lin_gap:g})")
 
-    return DecompositionReport(float(worst_slack), float(budget), float(lin_gap), float(dual_max))
+    return DecompositionReport(float(np.min(slacks)), float(budget), lin_gap, float(dual_max))

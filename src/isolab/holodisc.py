@@ -11,6 +11,7 @@ the three-circle log-convexity inequality with its equality rigidity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -328,7 +329,7 @@ class RotationOperator:
 
     def __post_init__(self):
         for name, val in (("alpha", self.alpha), ("beta", self.beta)):
-            if abs(abs(complex(val)) - 1.0) > 1e-12:
+            if not abs(abs(complex(val)) - 1.0) <= 1e-12:  # a NaN fails too
                 raise ValueError(f"{name} must be unimodular")
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
@@ -502,16 +503,13 @@ def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Char
     at whichever step first exposes it.
 
     Raises NotCharacterizable naming the failing check, with the
-    certificate measured so far.  For the p = 2
+    certificate measured so far; a check passes only when its value is
+    within its bound, so a NaN value refuses.  For the p = 2
     mean family the certificate carries no_theorem_guarantee = True: the
     computation runs identically but no uniqueness theorem backs it.
     """
     cert: dict = {}
-
-    def refuse_if(bad, check, details):
-        if bad:  # q is read when the check refuses
-            raise NotCharacterizable(check, details, cert, q)
-
+    within = partial(NotCharacterizable.unless_within, cert)
     if isinstance(family, HpFamily) and family.p == 2:
         cert["no_theorem_guarantee"] = True
 
@@ -520,23 +518,17 @@ def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Char
 
     if len(circles.radii) >= 2:
         v1, v2 = (float(v) for v in family.seminorm(g0, circles.radii[:2], q))
-        cert["mean_flatness_gap"] = abs(v1 - v2)
-        refuse_if(
-            abs(v1 - v2) > 1e-10 * max(1.0, v1),
-            "mean-flatness", f"means {v1:g} and {v2:g} differ across radii",
-        )
+        within("mean_flatness_gap", abs(v1 - v2), 1e-10 * max(1.0, v1),
+               "mean-flatness", f"means {v1:g} and {v2:g} differ across radii", q)
 
     c0 = g0.array
     tail = float(np.linalg.norm(c0[1:])) if c0.size > 1 else 0.0
-    scale = max(float(np.abs(c0[0])), 1e-300)
-    cert["constancy_tail"] = tail / scale
-    refuse_if(
-        tail / scale > 1e-10,
-        "constancy", f"image of the constant has relative tail mass {tail / scale:g}",
-    )
+    tail /= max(float(np.abs(c0[0])), 1e-300)
+    within("constancy_tail", tail, 1e-10,
+           "constancy", f"image of the constant has relative tail mass {tail:g}", q)
     alpha = complex(c0[0])
-    cert["alpha_modulus_gap"] = abs(abs(alpha) - 1.0)
-    refuse_if(abs(abs(alpha) - 1.0) > 1e-10, "unimodularity", f"|alpha| = {abs(alpha):g} is not 1")
+    within("alpha_modulus_gap", abs(abs(alpha) - 1.0), 1e-10,
+           "unimodularity", f"|alpha| = {abs(alpha):g} is not 1", q)
 
     phi = op.apply(TaylorFunction.identity()).scaled(np.conj(alpha))
     qphi = max(_CIRCLE_SAMPLES, _require_samples(phi, None))
@@ -545,31 +537,28 @@ def characterize_isometry(op, circles: DiscExhaustion, family, rng=None) -> Char
     with np.errstate(over="ignore", invalid="ignore"):  # samples past the float range: gap inf
         vals = np.abs(_circle_values(phi.array, radii, qphi))
     circle_gap = float(np.max(np.abs(vals - radii[:, None])))
-    cert["circle_preservation_gap"] = circle_gap
-    refuse_if(circle_gap > 1e-9, "circle-preservation", f"sampled circles move by {circle_gap:g}")
+    within("circle_preservation_gap", circle_gap, 1e-9,
+           "circle-preservation", f"sampled circles move by {circle_gap:g}", q)
 
     cphi = phi.array
     linear_tail = float(
         np.sqrt(abs(cphi[0]) ** 2 + float(np.sum(np.abs(cphi[2:]) ** 2)))
     ) if cphi.size > 1 else float(np.abs(cphi[0]))
-    cert["linearity_gap"] = linear_tail
-    refuse_if(
-        cphi.size < 2 or linear_tail > 1e-10,
-        "linearity", "normalized identity image is not a multiple of z",
-    )
+    # a constant image has no slope: no bound admits it
+    within("linearity_gap", linear_tail, 1e-10 if cphi.size > 1 else -np.inf,
+           "linearity", "normalized identity image is not a multiple of z", q)
     beta = complex(cphi[1])
-    cert["beta_modulus_gap"] = abs(abs(beta) - 1.0)
-    refuse_if(abs(abs(beta) - 1.0) > 1e-10, "beta-unimodularity", f"|beta| = {abs(beta):g}")
+    within("beta_modulus_gap", abs(abs(beta) - 1.0), 1e-10,
+           "beta-unimodularity", f"|beta| = {abs(beta):g}", q)
 
     rng = np.random.default_rng(0) if rng is None else rng
     model = RotationOperator(alpha / abs(alpha), beta / abs(beta))
-    recon_gap = 0.0
-    for f in standard_probes(rng, CHARACTERIZE_DEGREE):
-        recon_gap = max(recon_gap, float(np.max(np.abs((op.apply(f) - model.apply(f)).array))))
-    cert["reconstruction_gap"] = recon_gap
-    refuse_if(
-        recon_gap > 1e-9, "reconstruction", f"operator deviates from the rotation by {recon_gap:g}"
-    )
+    recon_gap = float(np.max([
+        np.max(np.abs((op.apply(f) - model.apply(f)).array))
+        for f in standard_probes(rng, CHARACTERIZE_DEGREE)
+    ]))
+    within("reconstruction_gap", recon_gap, 1e-9,
+           "reconstruction", f"operator deviates from the rotation by {recon_gap:g}", q)
     return Characterization(alpha, beta, cert, q)
 
 

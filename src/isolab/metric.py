@@ -193,9 +193,10 @@ def separate(
     Vectors must have strictly positive entries.  Equality is decided at
     measure level (coincident atoms merged): equal measures give
     not_separated with a zero gap; otherwise the best grid point wins if
-    its gap exceeds 1e-12, else the verdict is inconclusive.  The gauge is
-    not required to be admissible; separation is only guaranteed for
-    admissible gauges, but the search itself runs for any gauge.
+    its gap exceeds 1e-12, else the verdict is inconclusive; a NaN gap
+    raises ValueError.  The gauge is not required to be admissible;
+    separation is only guaranteed for admissible gauges, but the search
+    itself runs for any gauge.
     """
     if np.any(a.array <= 0) or np.any(b.array <= 0):
         raise ValueError("separate requires strictly positive entries")
@@ -204,7 +205,9 @@ def separate(
         return SeparationResult("not_separated", None, 0.0, t_grid.size)
     gaps = np.abs(moment_curve(g, weights, a, t_grid) - moment_curve(g, weights, b, t_grid))
     k = int(np.argmax(gaps))
-    gap = float(gaps[k])
+    gap = float(gaps[k])  # argmax finds the first NaN gap
+    if np.isnan(gap):
+        raise ValueError(f"the gauge's moment curves give a NaN gap at t = {t_grid[k]:g}")
     if gap > 1e-12:
         return SeparationResult("separated", float(t_grid[k]), gap, t_grid.size)
     return SeparationResult("inconclusive", None, gap, t_grid.size)

@@ -370,3 +370,63 @@ def test_13_certificates_keep_the_check_order():
     assert list(recover_weight_and_map(lambda f: f, exh, grid).certificate) == [
         *cont, "reconstruction_gap", "reconstruction_budget",
     ]
+
+
+def _nan_injections():
+    """check -> (patch as (target, value) or None, engine call, the verdict's field, its
+    value, the field that holds the NaN): each case feeds that one check a NaN value."""
+    circles = DiscExhaustion.default(3)
+    rotation = RotationOperator(np.exp(0.4j), np.exp(-1.1j))
+    overflowing = np.eye(9)  # column 1 = (0, 1.7e308 x4, 0, ...): NaN circle samples
+    overflowing[:, 1] = 0.0
+    overflowing[1:5, 1] = 1.7e308
+    exh = Exhaustion1D.default(3)
+    grid = IntervalGrid.build(exh, 2048)
+
+    def identity(f):
+        return f
+
+    def probes():
+        rng = np.random.default_rng(3)
+        return [random_probe(grid, rng) for _ in range(3)]
+
+    return {
+        "mean-flatness": (
+            ("isolab.holodisc._circle_values", lambda c, r, q: np.full((r.size, q), np.nan + 0j)),
+            lambda: characterize_isometry(rotation, circles, SupFamily()),
+            "failed_check", "mean-flatness", "certificate.mean_flatness_gap",
+        ),
+        "circle-preservation": (
+            None,
+            lambda: characterize_isometry(MatrixOperator(overflowing), circles, SupFamily()),
+            "failed_check", "circle-preservation", "certificate.circle_preservation_gap",
+        ),
+        "containment": (
+            ("isolab.contspace._image_gaps", lambda *args: (np.nan, np.nan, None)),
+            lambda: recover_weight_and_map(identity, exh, grid),
+            "failed_check", "containment", "certificate.containment_breach",
+        ),
+        "reconstruction": (
+            ("isolab.contspace.GridFunction.lipschitz_estimate", lambda self: np.nan),
+            lambda: recover_weight_and_map(identity, exh, grid),
+            "failed_check", "reconstruction", "certificate.reconstruction_budget",
+        ),
+        "decomposition-bound": (
+            ("isolab.contspace.interpolation_budget", lambda probes, cell: np.nan),
+            lambda: decomposition_bound_check(identity, exh, probes()),
+            "passed", False, "worst_slack",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_nan_injections()))
+def test_14_a_nan_value_never_passes_a_check(case, monkeypatch):
+    # a check passes only when its value is within its bound, so a NaN refuses or fails
+    patch, run, field, value, nan_field = _nan_injections()[case]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    try:
+        rec = run().as_record()
+    except (NotCharacterizable, NotWeightedComposition) as exc:
+        rec = exc.as_record()
+    assert rec.get(field) == value and np.isnan(rec[nan_field])

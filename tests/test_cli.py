@@ -11,6 +11,7 @@ from isolab.cli import (
     _HANDLERS, _PARAMS, _READS_TOL, _SELFTESTS, PASS, FINDING, INVALID,
     _checked, build_parser, main,
 )
+from isolab import metric
 from isolab.io_formats import read_columns, write_columns
 
 
@@ -312,6 +313,20 @@ def test_zero_tol_is_invalid_for_frullani(tmp_path, capsys):
 def test_uniform_weights_need_a_positive_count(count, capsys):
     want = (INVALID, "", "error=weights/tail: weights must be a nonempty 1-D sequence\n")
     assert run_cli(capsys, "separate", "--weights", f"uniform:{count}") == want
+
+
+def test_uniform_weights_past_the_vectors_length_are_refused_unbuilt(monkeypatch, capsys):
+    build = metric.WeightSequence.uniform
+
+    def bounded(n, declared_tail=0.0):
+        assert n <= 2, f"{n} weights built for vectors of length 2"
+        return build(n, declared_tail)
+
+    monkeypatch.setattr(metric.WeightSequence, "uniform", bounded)
+    want = (INVALID, "", "error=vec_a/vec_b: length must match the weight count\n")
+    for count in ("3", "99999999999"):
+        assert run_cli(capsys, "separate", "--weights", f"uniform:{count}") == want
+    assert run_cli(capsys, "separate", "--weights", "uniform:2")[0] == PASS
 
 
 @pytest.mark.parametrize("name", _NO_TOL)
@@ -656,3 +671,17 @@ def test_hol_characterize_refuses_circle_samples_past_the_float_range_without_a_
     assert (code, err) == (FINDING, "")
     assert "failed_check=circle-preservation\n" in out
     assert "certificate.circle_preservation_gap=inf\n" in out
+
+
+def test_hol_characterize_refuses_a_nan_circle_gap_without_a_warning(tmp_path):
+    # the identity with column 1 = (0, 1.7e308 x4, 0, ...): phi's circle samples
+    # overflow to NaN, which refuses circle preservation before linearity squares them
+    m = np.eye(9)
+    m[:, 1] = 0.0
+    m[1:5, 1] = 1.7e308
+    op_file = tmp_path / "m.txt"
+    write_columns(op_file, *np.kron(m, [1.0, 0.0]).T)
+    code, out, err = _child("hol-characterize", "--op", "matrix", "--op-file", str(op_file))
+    assert (code, err) == (FINDING, "")
+    assert "failed_check=circle-preservation\n" in out
+    assert "certificate.circle_preservation_gap=nan\n" in out

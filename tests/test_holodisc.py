@@ -431,6 +431,12 @@ def test_rotation_operator_validates_unimodularity():
         RotationOperator(2.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha, beta, name", [(np.nan, 1.0, "alpha"), (1.0, np.nan, "beta")])
+def test_rotation_operator_refuses_a_nan_factor(alpha, beta, name):
+    with pytest.raises(ValueError, match=f"{name} must be unimodular"):
+        RotationOperator(alpha, beta)
+
+
 def test_weighted_composition_rejects_expanding_warp():
     with pytest.raises(ValueError):
         WeightedCompositionOperator(

@@ -145,6 +145,16 @@ def test_separate_rejects_zero_entries():
         separate(CLIP, w, SeminormVector((0.0, 1.0)), SeminormVector((1.0, 2.0)))
 
 
+def test_separate_raises_on_a_nan_gap():
+    # a NaN gap is no finding: neither separated nor inconclusive
+    def nan_gauge(x):
+        return np.full_like(x, np.nan)
+
+    w = WeightSequence.uniform(2)
+    with pytest.raises(ValueError, match="NaN gap"):
+        separate(nan_gauge, w, SeminormVector((1.0, 2.0)), SeminormVector((1.0, 3.0)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_separate_random_distinct_pairs(data):

@@ -1,8 +1,9 @@
 """Every public name the package lists is importable and has a caller, as
 has every public method and property of the classes it lists; every module
 uses what it imports, every validated model class stores read-only copies of
-its arrays through one shared base, and importing the package loads no scipy:
-the two scipy names are shims that import on their first call."""
+its arrays through one shared base, every refusal is raised by the one shared
+pass rule, and importing the package loads no scipy: the two scipy names are
+shims that import on their first call."""
 
 import ast
 import dataclasses
@@ -21,7 +22,7 @@ import pytest
 
 import isolab
 from isolab import contspace, holodisc, make_builtin_gauge, metric, recovery
-from isolab._frozen import Frozen, store
+from isolab._frozen import Frozen, Refusal, store
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ("gauges", "metric", "recovery", "holodisc", "contspace")
@@ -331,6 +332,60 @@ def test_value_classes_store_arrays_through_the_shared_base():
     for module, names in VALUE_CLASSES.items():
         for name in names:
             assert issubclass(getattr(importlib.import_module(f"isolab.{module}"), name), Frozen)
+
+
+def _refusal_names() -> set:
+    """Refusal and every subclass of it, at any depth."""
+    names, todo = set(), [Refusal]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
+def _refusal_breaches(sources: dict, refusals) -> list:
+    """Modules other than the shared base that raise one of the refusals
+    themselves or define a refuse_if, instead of calling Refusal.unless_within."""
+    found = []
+    for module, source in sorted(sources.items()):
+        if module == "_frozen":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name == "refuse_if":
+                found.append(f"{module}: def refuse_if")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc).rsplit(".", 1)[-1]
+                if name in refusals:
+                    found.append(f"{module}: raise {name}")
+    return found
+
+
+def test_refusal_guard_sees_a_planted_spelling():
+    planted = {
+        "_frozen": "def rule(cert):\n    raise Refused('check', '', cert)\n",
+        "m": (
+            "def engine(cert):\n"
+            "    def refuse_if(bad, check, details):\n"
+            "        if bad:\n"
+            "            raise Refused(check, details, cert)\n\n"
+            "    Refused.unless_within(cert, 'gap', 0.0, 1.0, 'check', '')\n"
+            "    raise ValueError('not a refusal')\n\n\n"
+            "def other():\n"
+            "    raise pkg.Declined('check', '', {}) from None\n"
+        ),
+    }
+    assert sorted(_refusal_breaches(planted, {"Refused", "Declined"})) == [
+        "m: def refuse_if", "m: raise Declined", "m: raise Refused",
+    ]
+
+
+def test_every_refusal_goes_through_the_shared_rule():
+    refusals = _refusal_names()
+    assert {"NotCharacterizable", "NotWeightedComposition"} <= refusals
+    sources = {p.stem: p.read_text() for p in Path(isolab.__path__[0]).glob("*.py")}
+    assert _refusal_breaches(sources, refusals) == []
 
 
 def _scipy_after(*argvs) -> tuple:
