@@ -17,25 +17,31 @@ The package has five working parts:
 
 `isolab.__all__` concatenates the `__all__` of those five modules, and the
 package exports nothing else; each module's `__all__` is the one export
-list.
+list.  `import isolab` loads none of them: the first access to an exported
+name or to `__all__` imports all five, and a submodule attribute such as
+`isolab.contspace` imports just that module.
 
 A CLI (`isolab`, or `python -m isolab`) exposes every capability with
-deterministic flat-text reports.
+deterministic flat-text reports; each subcommand imports only the modules
+it runs.
 """
 
-from . import contspace, gauges, holodisc, metric, recovery
-from .contspace import *
-from .gauges import *
-from .holodisc import *
-from .metric import *
-from .recovery import *
+import importlib
 
-__all__ = [
-    *gauges.__all__,
-    *metric.__all__,
-    *recovery.__all__,
-    *holodisc.__all__,
-    *contspace.__all__,
-]
+_LIBRARY = ("gauges", "metric", "recovery", "holodisc", "contspace")
+_SUBMODULES = (*_LIBRARY, "cli", "io_formats")
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__all__" or not name.startswith("_"):
+        modules = [importlib.import_module(f".{m}", __name__) for m in _LIBRARY]
+        exports = globals()
+        exports.update((n, getattr(m, n)) for m in modules for n in m.__all__)
+        exports["__all__"] = [n for m in modules for n in m.__all__]
+        if name in exports:
+            return exports[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

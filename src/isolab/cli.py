@@ -10,6 +10,8 @@ input was invalid.
 One parameter table, _PARAMS, with the keys each subcommand takes, drives
 the flags, the checking of config files and the defaults handlers read.
 --selftest runs the cases of _SELFTESTS through those same handlers.
+Each handler imports the library module it runs on first use, so a run
+loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contspace, holodisc, io_formats, metric, recovery
+from . import io_formats
 from .gauges import (
     QuadratureError,
     check_admissibility,
@@ -127,9 +129,10 @@ def _run_frullani(cfg: ExperimentConfig, params):
 _LENGTHS = "vec_a/vec_b: length must match the weight count"
 
 
-def _weights_from(params, count: int) -> metric.WeightSequence:
+def _weights_from(params, count: int):
     """The weight sequence params name; a uniform count other than count, the
     vectors' length, is refused before any weight is built."""
+    from . import metric
     spec = params["weights"]
     tail = params["tail"]
     if spec.startswith("uniform:"):
@@ -148,7 +151,8 @@ def _weights_from(params, count: int) -> metric.WeightSequence:
         raise CliError(f"weights/tail: {exc}") from exc
 
 
-def _vector_from(params, key) -> metric.SeminormVector:
+def _vector_from(params, key):
+    from . import metric
     values = _parse_floats(params[key], key)
     try:
         return metric.SeminormVector(values)
@@ -157,6 +161,7 @@ def _vector_from(params, key) -> metric.SeminormVector:
 
 
 def _run_separate(cfg: ExperimentConfig, params):
+    from . import metric
     g = _gauge_from(params)
     a, b = (_vector_from(params, key) for key in ("vec_a", "vec_b"))
     r = _weights_from(params, len(a))
@@ -172,6 +177,7 @@ def _run_separate(cfg: ExperimentConfig, params):
 
 
 def _run_recover_measure(cfg: ExperimentConfig, params):
+    from . import recovery
     g = _gauge_from(params)
     positions = _parse_floats(params["positions"], "positions")
     masses = _parse_floats(params["masses"], "masses")
@@ -191,7 +197,8 @@ def _run_recover_measure(cfg: ExperimentConfig, params):
     return (PASS if rep.passed else FINDING), rec
 
 
-def _taylor_from(params, rng) -> holodisc.TaylorFunction:
+def _taylor_from(params, rng):
+    from . import holodisc
     path = params["taylor_file"]
     if path is not None:
         try:
@@ -212,6 +219,7 @@ def _taylor_from(params, rng) -> holodisc.TaylorFunction:
 
 
 def _family_from(params):
+    from . import holodisc
     fam = params["family"]
     if fam == "sup":
         return holodisc.SupFamily()
@@ -222,6 +230,7 @@ def _family_from(params):
 
 def _disc_operator_from(params, degree):
     """The operator named by params; a matrix must act on probes of the degree."""
+    from . import holodisc
     kind = params["op"]
     if kind == "rotation":
         alpha = np.exp(1j * params["alpha_angle"])
@@ -264,6 +273,7 @@ def _matrix_field(params) -> str:
 
 
 def _run_hol_iso_test(cfg: ExperimentConfig, params):
+    from . import holodisc
     rng = np.random.default_rng(cfg.seed)
     op = _disc_operator_from(params, params["degree"])
     family = _family_from(params)
@@ -277,6 +287,7 @@ def _run_hol_iso_test(cfg: ExperimentConfig, params):
 
 
 def _run_hol_characterize(cfg: ExperimentConfig, params):
+    from . import holodisc
     rng = np.random.default_rng(cfg.seed)
     op = _disc_operator_from(params, holodisc.CHARACTERIZE_DEGREE)
     family = _family_from(params)
@@ -292,6 +303,7 @@ def _run_hol_characterize(cfg: ExperimentConfig, params):
 
 
 def _run_three_circle(cfg: ExperimentConfig, params):
+    from . import holodisc
     rng = np.random.default_rng(cfg.seed)
     f = _taylor_from(params, rng)
     radii = _parse_floats(params["radii"], "radii")
@@ -309,6 +321,7 @@ def _run_three_circle(cfg: ExperimentConfig, params):
 
 def _grid_setup(params):
     """Exhaustion and grid; a grid too coarse to certify is invalid input."""
+    from . import contspace
     domain = params["domain"]
     if domain == "interval":
         exh = contspace.Exhaustion1D.default(params["levels"])
@@ -329,6 +342,7 @@ def _grid_setup(params):
 
 
 def _grid_operator(params, domain, exh, grid, rng):
+    from . import contspace
     kind = params["map"]
     weight = params["weight"]
     if weight == "random":
@@ -365,6 +379,7 @@ def _grid_operator(params, domain, exh, grid, rng):
 
 def _grid_probes(grid, rng):
     """The constant 1, the coordinate and four random probes."""
+    from . import contspace
     probes = [
         contspace.GridFunction.constant(grid, 1.0),
         contspace.GridFunction.coordinate(grid),
@@ -390,12 +405,14 @@ def _grid_handler(check):
 
 @_grid_handler
 def _run_cu_iso_test(cfg, params, exh, grid, T, h, rng):
+    from . import contspace
     rep = contspace.isometry_test_grid(T, exh, _grid_probes(grid, rng), tol=cfg.tol)
     return (PASS if rep.passed else FINDING), rep.as_record()
 
 
 @_grid_handler
 def _run_cu_recover(cfg, params, exh, grid, T, h, rng):
+    from . import contspace
     try:
         rec_sym = contspace.recover_weight_and_map(T, exh, grid, tol=cfg.tol, rng=rng)
     except contspace.NotWeightedComposition as exc:
@@ -411,12 +428,13 @@ def _run_cu_recover(cfg, params, exh, grid, T, h, rng):
 
 @_grid_handler
 def _run_cu_decomp_bound(cfg, params, exh, grid, T, h, rng):
+    from . import contspace
     probes = [contspace.random_probe(grid, rng) for _ in range(params["probes"])]
     rep = contspace.decomposition_bound_check(T, exh, probes, tol=cfg.tol)
     return (PASS if rep.passed else FINDING), rep.as_record()
 
 
-def _write_grid_function(path: Path, gf: contspace.GridFunction):
+def _write_grid_function(path: Path, gf):
     """One row per distinct node: its position (x, or x and y on the disc), then Re and Im."""
     nodes, v = gf.grid.nodes, gf.values
     position = (nodes,) if gf.domain == "interval" else (nodes.real, nodes.imag)
@@ -424,6 +442,7 @@ def _write_grid_function(path: Path, gf: contspace.GridFunction):
 
 
 def _run_emit_figure(cfg: ExperimentConfig, params):
+    from . import contspace
     which = params["which"]
     out = _out_dir(cfg)
     if out is None:

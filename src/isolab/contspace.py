@@ -159,6 +159,38 @@ class ExhaustionDisc(Frozen):
 
 
 _EDGE = 1e-12
+_PAIR_CHUNK = 1 << 16  # candidate or found pairs per block of an image search: small temporaries
+
+
+def cKDTree(data):
+    """scipy.spatial.cKDTree, imported on first call: only a disc grid's image search
+    builds one, so no interval run loads scipy.spatial.
+
+    Unbalanced, uncompacted nodes: on grid images that halves the build, barely moving a query.
+    """
+    from scipy import spatial
+
+    return spatial.cKDTree(data, balanced_tree=False, compact_nodes=False)
+
+
+def _planar(pts):
+    pts = np.asarray(pts)
+    return np.column_stack([pts.real, pts.imag])
+
+
+def _windows(lo, hi):
+    """Blocks (rows, starts, cand) of consecutive rows k, about _PAIR_CHUNK candidates a
+    block: cand runs over lo[k]..hi[k]-1 for each row, rows repeats k once per candidate
+    and starts gives the offset of each row's first candidate in the block."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1], _PAIR_CHUNK))
+    edges = np.unique(np.concatenate([[0], cuts, [lo.size]]))
+    for a, b in zip(edges[:-1], edges[1:]):
+        n = counts[a:b]
+        rows = np.repeat(np.arange(a, b), n)
+        starts = np.cumsum(n) - n
+        yield rows, starts, np.arange(rows.size) + np.repeat(lo[a:b] - starts, n)
 
 
 class _Grid(Frozen):
@@ -224,6 +256,38 @@ class IntervalGrid(_Grid):
         if np.any(x < nodes[0] - _EDGE) or np.any(x > nodes[-1] + _EDGE):
             raise ValueError("interpolation point leaves the grid domain")
         return partial(np.interp, np.clip(x, nodes[0], nodes[-1]), nodes)
+
+    def search(self, images):
+        """(nearest, pairs) over images sorted by real part: nearest(points) gives each
+        point's distance to its nearest image, pairs(r) yields blocks (i, j) of the image
+        index pairs at most r apart.  The two real-axis neighbours bound a point's nearest
+        distance by D, and every image with real part within D of it is scanned.
+        Distances are sqrt(dx*dx + dy*dy) as cKDTree computes them, so both answers equal
+        the tree's, whatever the imaginary parts."""
+        order = np.argsort(images.real)
+        xs, ys = images.real[order], images.imag[order]
+
+        def nearest(points):
+            qx, qy = np.real(points), np.imag(points)
+            j = np.searchsorted(xs, qx)
+            k = np.stack([np.maximum(j - 1, 0), np.minimum(j, xs.size - 1)])
+            bound = np.sqrt(np.min(np.square(qx - xs[k]) + np.square(qy - ys[k]), axis=0))
+            bound += 1e-12 * (bound + np.abs(qx))  # covers the rounding of qx -/+ bound
+            lo, hi = np.searchsorted(xs, qx - bound), np.searchsorted(xs, qx + bound, "right")
+            dist = np.empty(qx.size)
+            for rows, starts, cand in _windows(lo, hi):
+                d2 = np.square(qx[rows] - xs[cand]) + np.square(qy[rows] - ys[cand])
+                dist[rows[starts]] = np.sqrt(np.minimum.reduceat(d2, starts))
+            return dist
+
+        def pairs(r):
+            reach = r + 1e-12 * (r + np.abs(xs))
+            for rows, _, cand in _windows(np.arange(1, xs.size + 1),
+                                          np.searchsorted(xs, xs + reach, "right")):
+                close = np.square(xs[rows] - xs[cand]) + np.square(ys[rows] - ys[cand]) <= r * r
+                yield order[rows[close]], order[cand[close]]
+
+        return nearest, pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +378,28 @@ class DiscGrid(_Grid):
             corners += [(j, w0), (after, t)]
             i += 1
         return lambda v: sum(v[k] * w for k, w in corners)
+
+    def search(self, images):
+        """(nearest, pairs) as IntervalGrid.search gives them, from one KD-tree of images.
+        A query looks one cell out, as far as grid-surjectivity asks; a point it leaves
+        unanswered is queried again unbounded, so every distance is exact."""
+        tree = cKDTree(_planar(images))
+        bound = self.cell * (1 + 1e-9)
+
+        def nearest(points):
+            q = _planar(points)
+            dist, _ = tree.query(q, k=1, distance_upper_bound=bound)
+            far = np.isinf(dist)
+            if far.any():
+                dist[far], _ = tree.query(q[far], k=1)
+            return dist
+
+        def pairs(r):
+            found = tree.query_pairs(r, output_type="ndarray")
+            for lo in range(0, len(found), _PAIR_CHUNK):
+                yield found[lo : lo + _PAIR_CHUNK].T
+
+        return nearest, pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,47 +773,24 @@ class RecoveredSymbol(Report):
     certificate: dict
 
 
-def cKDTree(data):
-    """scipy.spatial.cKDTree, imported on first call so `import isolab` loads no scipy.
-
-    Unbalanced, uncompacted nodes: on grid images that halves the build, barely moving a query.
-    """
-    from scipy import spatial
-
-    return spatial.cKDTree(data, balanced_tree=False, compact_nodes=False)
-
-
-_PAIR_CHUNK = 1 << 16  # pairs per block of the collapsed-pair count: small temporaries
-
-
-def _planar(pts):
-    pts = np.asarray(pts)
-    return np.column_stack([pts.real, pts.imag])
-
-
 def _image_gaps(exh, grid, images):
-    """(containment breach, surjectivity gap, the outer level's tree when that level holds
-    every node, else None); each level's copies and distances are freed on return."""
+    """(containment breach, surjectivity gap, the outer level's pairs search when that
+    level holds every node, else None); each level's copies and distances are freed
+    on return."""
     pts, level_of = grid.nodes, grid.level_of(exh)
     contain = surj = 0.0
     for n in range(exh.levels):
         mask = level_of <= n
         img = images[mask]
         contain = max(contain, float(np.max(exh.excess(img, n))))
-        tree = cKDTree(_planar(img))
-        dists, _ = tree.query(_planar(pts[mask]), k=1)
-        surj = max(surj, float(np.max(dists)))
-    return contain, surj, tree if np.all(mask) else None
+        nearest, pairs = grid.search(img)
+        surj = max(surj, float(np.max(nearest(pts[mask]))))
+    return contain, surj, pairs if np.all(mask) else None
 
 
-def _collapsed_pairs(tree, pts, cell):
-    """Node pairs more than two cells apart whose images the tree finds within half a cell."""
-    pairs = tree.query_pairs(0.5 * cell, output_type="ndarray")
-    collapsed = 0
-    for lo in range(0, len(pairs), _PAIR_CHUNK):
-        a, b = pairs[lo : lo + _PAIR_CHUNK].T
-        collapsed += int(np.sum(np.abs(pts[a] - pts[b]) > 2.0 * cell))
-    return collapsed
+def _collapsed_pairs(blocks, pts, cell):
+    """Image pairs, in blocks (i, j), whose nodes lie more than two cells apart."""
+    return sum(int(np.sum(np.abs(pts[i] - pts[j]) > 2.0 * cell)) for i, j in blocks)
 
 
 def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> RecoveredSymbol:
@@ -739,7 +802,9 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
     the mapped nodes, grid-surjectivity (every level node within one cell
     of the image), grid-injectivity (no two nodes farther apart than two
     cells land within half a cell), and reconstruction of T on random
-    probes within the interpolation budget.  The first failing check
+    probes within the interpolation budget.  Nearest images and close
+    pairs come from grid.search: a sorted search on the interval, a
+    KD-tree on the disc, with equal distances.  The first failing check
     raises NotWeightedComposition carrying the partial certificate; a
     check passes only when its value is within its bound, so a NaN value
     refuses.  A grid that fails check_resolution raises ValueError before
@@ -757,7 +822,7 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
     phi_gf = GridFunction(grid, np.conj(h.array) * T(GridFunction.coordinate(grid)).array)
 
     # (a) containment and grid-surjectivity, level by level: both recorded, then checked
-    worst_contain, worst_surj, tree = _image_gaps(exh, grid, phi_gf.values)
+    worst_contain, worst_surj, pairs = _image_gaps(exh, grid, phi_gf.values)
     cert.update(containment_breach=worst_contain, surjectivity_gap=worst_surj)
     within("containment_breach", worst_contain, 0.5 * cell,
            "containment", f"mapped nodes leave their level by {worst_contain:g}")
@@ -765,10 +830,10 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
            "surjectivity", f"image misses level nodes by {worst_surj:g}")
 
     # (b) grid-injectivity over every node; when the outermost level holds
-    # them all, its surjectivity tree is already the tree of every image
-    tree = cKDTree(_planar(phi_gf.values)) if tree is None else tree
-    collapsed = _collapsed_pairs(tree, grid.nodes, cell)
-    del tree
+    # them all, its surjectivity search is already the search of every image
+    pairs = grid.search(phi_gf.values)[1] if pairs is None else pairs
+    collapsed = _collapsed_pairs(pairs(0.5 * cell), grid.nodes, cell)
+    del pairs
     within("collapsed_pairs", collapsed, 0,
            "injectivity", f"{collapsed} distant node pairs land within half a cell")
 

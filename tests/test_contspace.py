@@ -836,3 +836,93 @@ def test_collapsed_pairs_counted_across_chunks():
     assert pair_count > 2 * contspace._PAIR_CHUNK
     assert want["collapsed_pairs"] > 0
     assert exc_info.value.certificate["collapsed_pairs"] == want["collapsed_pairs"]
+
+
+# ---------------------------------------------------------------------------
+# the grids' image searches against scipy's KD-tree
+# ---------------------------------------------------------------------------
+
+
+def _tree_answers(images, points, r):
+    """cKDTree's nearest distances from points and its pairs of images at most r apart."""
+    planar = lambda z: np.column_stack([z.real, z.imag])  # noqa: E731
+    tree = cKDTree(planar(images))
+    dists, _ = tree.query(planar(points), k=1)
+    pairs = np.sort(tree.query_pairs(r, output_type="ndarray"), axis=1)
+    return dists, set(map(tuple, pairs.tolist()))
+
+
+def _searched(grid, images, points, r):
+    nearest, pairs = grid.search(images)
+    found = set()
+    for i, j in pairs(r):
+        found.update(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    return nearest(points), found
+
+
+@pytest.mark.parametrize("imag", [0.0, 1e-16, 1e-3, 0.3])
+def test_interval_search_equals_the_kd_tree(imag):
+    # real parts on a 1/256 lattice, so images repeat and pairs lie exactly r apart;
+    # a third of the points sit on image positions
+    rng = np.random.default_rng(69)
+    r = 2 / 256
+    for n in (1, 2, 7, 300, 4096):
+        images = rng.integers(0, 257, n) / 256 + 1j * imag * rng.normal(size=n)
+        points = rng.uniform(-0.1, 1.1, 600) + 1j * imag * rng.normal(size=600)
+        points[::3] = images[rng.integers(0, n, 200)]
+        points[1::3] = points[1::3].real
+        want_dists, want_pairs = _tree_answers(images, points, r)
+        dists, pairs = _searched(GRID, images, points, r)
+        assert np.array_equal(dists, want_dists), n
+        assert pairs == want_pairs, n
+        if imag == 0.0 and n >= 300:
+            assert np.any(dists == 0.0) and any(
+                abs(images[i] - images[j]) == r for i, j in pairs
+            )
+
+
+def test_interval_search_blocks_many_candidates():
+    # wide imaginary scatter puts thousands of images inside each real-axis window
+    rng = np.random.default_rng(70)
+    images = rng.uniform(0, 1, 4096) + 0.3j * rng.normal(size=4096)
+    points = np.linspace(0, 1, 4096)
+    want_dists, want_pairs = _tree_answers(images, points, 0.1)
+    dists, pairs = _searched(GRID, images, points, 0.1)
+    assert np.array_equal(dists, want_dists)
+    assert pairs == want_pairs and len(pairs) > contspace._PAIR_CHUNK
+
+
+def test_interval_recovery_builds_no_tree(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, contspace, "cKDTree", counts)
+    rng = np.random.default_rng(71)
+    T = make_composition_operator(unimodular_field(GRID, rng), random_interval_homeo(EXH, rng))
+    recover_weight_and_map(T, EXH, GRID, rng=rng)
+    assert counts == {}
+
+
+def test_zigzag_collapsed_pairs_match_the_tree():
+    rng = np.random.default_rng(68)
+    T = make_composition_operator(unimodular_field(GRID, rng), build_zigzag_fold(EXH, GRID))
+    with pytest.raises(NotWeightedComposition) as exc_info:
+        recover_weight_and_map(T, EXH, GRID, rng=rng)
+    h = T(GridFunction.constant(GRID, 1.0)).array
+    images = np.conj(h) * T(GridFunction.coordinate(GRID)).array
+    want, _ = _reference_tree_certificate(EXH, GRID.nodes, images, GRID.cell)
+    cert = exc_info.value.certificate
+    assert exc_info.value.check == "injectivity"
+    assert {k: cert[k] for k in want} == want
+    assert cert["collapsed_pairs"] == 34  # the count of the KD-tree search it replaced
+
+
+def test_disc_surjectivity_gap_past_the_query_bound_is_exact():
+    # halving every radius keeps each level inside itself but leaves the outer
+    # rings farther than one cell from any image, past the bounded query
+    T = make_composition_operator(GridFunction.constant(DGRID, 1.0), lambda z: 0.5 * z)
+    with pytest.raises(NotWeightedComposition) as exc_info:
+        recover_weight_and_map(T, DEXH, DGRID)
+    cert = exc_info.value.certificate
+    assert exc_info.value.check == "surjectivity"
+    images = T(GridFunction.coordinate(DGRID)).array
+    want, _ = _reference_tree_certificate(DEXH, DGRID.nodes, images, DGRID.cell)
+    assert cert["surjectivity_gap"] == want["surjectivity_gap"] > 10 * DGRID.cell

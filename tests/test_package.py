@@ -2,7 +2,8 @@
 has every public method and property of the classes it lists; every module
 uses what it imports, every validated model class stores read-only copies of
 its arrays through one shared base, every refusal is raised by the one shared
-pass rule, and importing the package loads no scipy: the two scipy names are
+pass rule, importing the package loads none of its modules, and a subcommand
+loads only the modules and scipy subpackages it runs: the two scipy names are
 shims that import on their first call."""
 
 import ast
@@ -388,39 +389,72 @@ def test_every_refusal_goes_through_the_shared_rule():
     assert _refusal_breaches(sources, refusals) == []
 
 
-def _scipy_after(*argvs) -> tuple:
-    """(exit codes, loaded scipy modules) of a fresh interpreter that imports
-    isolab and then runs cli.main on each argv."""
+def _fresh(code: str):
+    """What a fresh interpreter with isolab on its path prints as JSON after running code."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _loaded_after(package, *argvs) -> tuple:
+    """(exit codes, loaded modules of package) of a fresh interpreter that
+    imports isolab and then runs cli.main on each argv."""
     code = (
         "import contextlib, io, json, sys\n"
         "import isolab\n"
         "from isolab import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(list(argv)) for argv in {argvs!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        f"print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == {package!r})]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout)
-    return codes, loaded
+    return tuple(_fresh(code))
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_after() == ([], [])
+    assert _loaded_after("scipy") == ([], [])
 
 
 def test_scipy_free_subcommands_load_no_scipy():
-    names = ("theta-check", "hol-characterize", "hol-iso-test", "three-circle", "cu-iso-test")
+    names = (
+        "theta-check", "hol-characterize", "hol-iso-test", "three-circle", "cu-iso-test",
+        "cu-recover",
+    )
     argvs = [[name] for name in names] + [[name, "--selftest"] for name in names]
-    assert _scipy_after(*argvs, ["recover-measure"]) == ([0] * 11, [])
+    assert _loaded_after("scipy", *argvs, ["recover-measure"], ["cu-decomp-bound"]) == (
+        [0] * 14, []
+    )
+
+
+def test_light_subcommands_load_only_gauges_and_metric():
+    argvs = [[name, *flag] for name in ("theta-check", "frullani", "separate")
+             for flag in ([], ["--selftest"])]
+    codes, loaded = _loaded_after("isolab", *argvs)
+    assert codes == [0] * 6
+    light = {f"isolab{m}" for m in ("", ".cli", ".io_formats", "._frozen", ".gauges", ".metric")}
+    assert set(loaded) <= light, loaded
+
+
+def test_fresh_import_loads_the_library_on_first_use():
+    code = (
+        "import json, sys\n"
+        "import isolab\n"
+        "before = sorted(m for m in sys.modules if m.startswith('isolab.'))\n"
+        "names = isolab.__all__\n"
+        "missing = [n for n in names if not hasattr(isolab, n)]\n"
+        "star = {}\n"
+        "exec('from isolab import *', star)\n"
+        "print(json.dumps([before, len(names), len(set(names)), missing,\n"
+        "                  sorted(set(names) - set(star))]))\n"
+    )
+    assert _fresh(code) == [[], 82, 82, [], []]
 
 
 def test_recover_measure_selftest_loads_scipy_only_through_the_gamma_shim():
     # its one case recovers under the exp gauge, whose Mellin transform is scipy's gamma
-    codes, loaded = _scipy_after(["recover-measure", "--selftest"])
+    codes, loaded = _loaded_after("scipy", ["recover-measure", "--selftest"])
     assert codes == [0]
     assert "scipy.special" in loaded
     assert "scipy.optimize" not in loaded
