@@ -397,7 +397,9 @@ def _integrate_refined(rule, breaks, budget):
 def log_gauge(g: Gauge, w):
     """The gauge read in log coordinates: F(w) = theta(e^w)."""
     w = np.asarray(w, dtype=float)
-    return g(np.exp(w))
+    with np.errstate(over="ignore"):  # e^w = inf past the float range, where theta is 1
+        t = np.exp(w)
+    return g(t)
 
 
 def shift_kernel(g: Gauge, shift: float, y):

@@ -174,7 +174,9 @@ def moment_curve(g: Gauge, weights: WeightSequence, a: SeminormVector, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    return g(t[..., None] * a.array) @ weights.array
+    with np.errstate(over="ignore"):  # t a_n = inf past the float range, where theta is 1
+        ta = t[..., None] * a.array
+    return g(ta) @ weights.array
 
 
 def default_t_grid():

@@ -1,6 +1,11 @@
+import ast
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isolab.cli import (
-    _HANDLERS, _PARAMS, _READS_TOL, _SELFTESTS, PASS, FINDING, INVALID,
+    _CHOICES, _HANDLERS, _PARAMS, _READS_TOL, _SELFTESTS, PASS, FINDING, INVALID,
     _checked, build_parser, main,
 )
-from isolab import metric
+from isolab import cli, metric
 from isolab.io_formats import read_columns, write_columns
 
 
@@ -190,7 +195,7 @@ def test_hol_iso_test_refuses_an_hp_exponent_out_of_float_range(op, p, capsys):
     # |z^2|^p at r = 1/2), so the means cannot be compared
     code, out, err = run_cli(capsys, "hol-iso-test", "--op", op, "--family", "hp", "--p", p)
     assert (code, out) == (INVALID, "")
-    assert err.startswith(f"error=p = {float(p):g} ")
+    assert err.startswith(f"error=p: p = {float(p):g} ")
 
 
 def test_hol_iso_test_hp_verdicts_at_a_representable_exponent(capsys):
@@ -458,6 +463,38 @@ def _argvs(draw):
     return name, pairs
 
 
+# the fields outside the parameter table that a refusal may name
+_TOP_FIELDS = ("config", "params", "seed", "tol", "out", "selftest", "subcommand")
+
+
+def _contract_run(argv):
+    """(exit code, stdout, stderr) of main(argv), checked against the exit-2
+    contract: nothing on stdout, and one stderr line naming a field the
+    subcommand takes (or a /-joined pair of them) or a top-level field.
+    argparse refuses a flag's type before the table sees it, in its own
+    spelling, which names the flag."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (PASS, FINDING, INVALID), argv
+    if code != INVALID:
+        return code, out, err
+    assert out == "", argv
+    takes = _HANDLERS[argv[0]][1]
+    if err.startswith("usage: "):
+        flags = "|".join("--" + k.replace("_", "-") for k in (*takes, *_TOP_FIELDS))
+        last = err.splitlines()[-1]
+        assert re.fullmatch(rf"isolab {argv[0]}: error: argument ({flags}): .*", last), err
+        return code, out, err
+    assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    field = re.match(r"error=([a-z_/]+): ", err)
+    assert field is not None, (argv, err)
+    keys = field.group(1).split("/")
+    assert field.group(1) in _TOP_FIELDS or (len(keys) <= 2 and set(keys) <= set(takes)), err
+    return code, out, err
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_argvs())
 def test_exit_code_contract_fuzz(tmp_path_factory, case):
@@ -467,10 +504,100 @@ def test_exit_code_contract_fuzz(tmp_path_factory, case):
         argv += ["--out", str(tmp_path_factory.mktemp("fig"))]
     for key, value in pairs:
         argv += ["--" + key.replace("_", "-"), value]
-    code = main(argv)
-    assert code in (PASS, FINDING, INVALID), argv
+    code, _, _ = _contract_run(argv)
     if any(_nonfinite(v) for _, v in pairs):
         assert code == INVALID, argv
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["theta-check", "--gauge", "rational", "--alpha", "0"], "alpha"),
+        (["recover-measure", "--gauge", "rational", "--alpha", "0"], "alpha"),
+        (["cu-iso-test", "--map", "identity", "--orientation", "bogus"], "orientation"),
+        (["cu-recover", "--domain", "disc", "--orientation", "bogus"], "orientation"),
+        (["hol-characterize", "--family", "hp", "--p", "0.5"], "p"),
+        (["hol-iso-test", "--family", "sup", "--p", "0.5"], "p"),
+        (["hol-iso-test", "--family", "hp", "--p", "1e4"], "p"),
+        (["hol-characterize", "--op", "scale", "--family", "hp", "--p", "1e4"], "p"),
+        (["frullani", "--gauge", "rational", "--alpha", "0.01"], "alpha"),
+        (["frullani", "--gauge", "rational", "--alpha", "1e-300"], "alpha"),
+        (["frullani", "--gauge", "clip", "--tol", "1e-300"], "tol"),
+        (["frullani", "--rho", "1"], "rho"),
+    ],
+)
+def test_a_refusal_names_the_field_at_fault(argv, field):
+    code, _, err = _contract_run(argv)
+    assert code == INVALID and err.startswith(f"error={field}: "), err
+
+
+def _words_taken():
+    return [(name, key) for name, (_, takes) in _HANDLERS.items() for key in takes
+            if key in _CHOICES]
+
+
+@pytest.mark.parametrize("name, key", _words_taken())
+def test_a_word_outside_the_table_is_refused_from_flag_and_config(name, key, tmp_path):
+    want = f"error={key}: must be one of {', '.join(_CHOICES[key])}, got 'bogus'\n"
+    assert _contract_run([name, "--" + key.replace("_", "-"), "bogus"]) == (INVALID, "", want)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {key: "bogus"}}))
+    assert _contract_run([name, "--config", str(cfg)]) == (INVALID, "", want)
+
+
+def test_help_lists_the_allowed_words_from_the_table(capsys):
+    for name, key in _words_taken():
+        assert main([name, "--help"]) == PASS
+        text = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(_CHOICES[key]) in text, (name, key)
+
+
+def _field_breaches(source: str) -> list:
+    """Lines where an except handler raises CliError itself, outside the
+    _field helper that names the field of every library error."""
+    tree = ast.parse(source)
+    helper = {
+        id(node) for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_field" for node in ast.walk(fn)
+    }
+    found = []
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler) or id(handler) in helper:
+            continue
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc).rsplit(".", 1)[-1] == "CliError":
+                    found.append(node.lineno)
+    return sorted(found)
+
+
+def test_field_guard_sees_a_planted_spelling():
+    planted = (
+        "def _field(name):\n"
+        "    try:\n        yield\n"
+        "    except ValueError as exc:\n        raise CliError(name) from exc\n\n\n"
+        "def parse(text):\n"
+        "    try:\n        return float(text)\n"
+        "    except ValueError:\n        raise cli.CliError('x: bad')\n"
+        "    except OSError:\n        raise ValueError('not a refusal')\n\n\n"
+        "try:\n    parse('1')\nexcept KeyError:\n    raise CliError\n"
+    )
+    assert _field_breaches(planted) == [12, 20]
+
+
+def test_every_refusal_of_a_library_error_goes_through_the_field_helper():
+    assert _field_breaches(Path(cli.__file__).read_text()) == []
+
+
+def test_cu_reports_state_the_levels_they_ran():
+    # the disc exhaustion has two levels whatever --levels says
+    for argv, levels in (
+        (["cu-iso-test", "--levels", "4", "--grid-count", "1024"], "4"),
+        (["cu-iso-test", "--domain", "disc", "--levels", "7"], "2"),
+    ):
+        code, out, _ = _contract_run(argv)
+        assert code == PASS and f"levels={levels}" in out.splitlines(), argv
 
 
 def test_broken_config_invalid(tmp_path, capsys):
@@ -658,6 +785,21 @@ def test_hol_iso_test_names_the_matrix_whose_images_overflow(tmp_path):
         assert err.startswith("error=op_file: "), sub
     code, out, err = _child("hol-iso-test", "--op", "scale", "--factor", "1e200")
     assert code == FINDING and "passed=false" in out and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frullani", "--rho", "1e300"],
+        ["frullani", "--gauge", "exp", "--tol", "1e-300"],
+        ["frullani", "--gauge", "rational", "--alpha", "0.03"],
+        ["separate", "--vec-a", "1e308,1e308", "--vec-b", "1,2"],
+    ],
+)
+def test_arguments_past_the_float_range_run_without_a_warning(argv):
+    # e^w and t a_n overflow to inf, where every builtin gauge is exactly 1
+    code, out, err = _child(*argv)
+    assert (code, err) == (PASS, "") and "exit_code=0\n" in out
 
 
 def test_hol_characterize_refuses_circle_samples_past_the_float_range_without_a_warning(tmp_path):
