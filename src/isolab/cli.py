@@ -609,8 +609,22 @@ def _defaults(subcommand: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose refusals are CliErrors naming the field at fault."""
+
+    def error(self, message):
+        kind, _, detail = message.partition(": ")
+        if kind.startswith("argument "):  # argument --levels: invalid int value: 'nan'
+            flag, message = kind.removeprefix("argument "), detail
+        elif kind == "ambiguous option":  # ambiguous option: --s could match --seed, --selftest
+            flag = detail.split()[0].partition("=")[0]
+        else:  # the following arguments are required: subcommand
+            flag, message = detail, "required"
+        raise CliError(f"{flag.lstrip('-').replace('-', '_')}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isolab",
         description="Numerical laboratory for seminorm metrics and isometries.",
     )
@@ -652,7 +666,10 @@ def _checked(name: str, typ, value):
     return value
 
 
-def _resolve_config(args) -> ExperimentConfig:
+def _resolve_config(args, extra) -> ExperimentConfig:
+    if extra:  # what argparse left over starts with a flag the subcommand does not take
+        key = extra[0].lstrip("-").partition("=")[0].replace("-", "_")
+        raise CliError(f"{key}: not a parameter of {args.subcommand}")
     loaded = {}
     if args.config is not None:
         with _field("config", (OSError, ValueError)):
@@ -684,13 +701,9 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --help
-        return exc.code
-    try:
-        cfg = _resolve_config(args)
+        args, extra = build_parser().parse_known_args(argv)
+        cfg = _resolve_config(args, extra)
         run, _ = _HANDLERS[cfg.subcommand]
         defaults = _defaults(cfg.subcommand)
         if not args.selftest:
@@ -705,6 +718,8 @@ def main(argv=None) -> int:
                 record.update({f"{case}.{k}": v for k, v in got.items()})
                 if any(got.get(k) != v for k, v in expect.items()):
                     code = FINDING
+    except SystemExit as exc:  # --help has printed its text
+        return exc.code
     except (QuadratureError, ValueError) as exc:
         sys.stderr.write(f"error={exc}\n")
         return INVALID

@@ -3,8 +3,9 @@ has every public method and property of the classes it lists; every module
 uses what it imports, every validated model class stores read-only copies of
 its arrays through one shared base, every refusal is raised by the one shared
 pass rule, importing the package loads none of its modules, and a subcommand
-loads only the modules and scipy subpackages it runs: the two scipy names are
-shims that import on their first call."""
+loads only the modules it runs.  The one scipy name the library uses is the
+disc grid's KD-tree, a shim that imports scipy.spatial on its first call, so
+no recovery and no argv but a disc grid's loads scipy."""
 
 import ast
 import dataclasses
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 import isolab
-from isolab import contspace, holodisc, make_builtin_gauge, metric, recovery
+from isolab import contspace, holodisc, metric, recovery
 from isolab._frozen import Frozen, Refusal, store
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -420,12 +421,32 @@ def test_import_loads_no_scipy():
 def test_scipy_free_subcommands_load_no_scipy():
     names = (
         "theta-check", "hol-characterize", "hol-iso-test", "three-circle", "cu-iso-test",
-        "cu-recover",
+        "cu-recover", "recover-measure",
     )
     argvs = [[name] for name in names] + [[name, "--selftest"] for name in names]
-    assert _loaded_after("scipy", *argvs, ["recover-measure"], ["cu-decomp-bound"]) == (
-        [0] * 14, []
+    argvs += [["recover-measure", "--gauge", "exp"], ["cu-decomp-bound"]]
+    assert _loaded_after("scipy", *argvs) == ([0] * 16, [])
+
+
+def test_roundtrip_checks_load_no_scipy():
+    code = (
+        "import json, sys\n"
+        "from isolab import recovery\n"
+        "from isolab.gauges import make_builtin_gauge\n"
+        "nu = recovery.LogMeasure((-1.2, 0.3), (0.35, 0.4))\n"
+        "passed = [recovery.roundtrip_check(make_builtin_gauge(*g), nu, recovery.RecoverySpec(), 2).passed\n"
+        "          for g in (('rational', 2.0), ('clip',), ('exp',))]\n"
+        "print(json.dumps([passed, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
+    assert _fresh(code) == [[True] * 3, []]
+
+
+def test_recover_measure_selftest_loads_scipy_only_through_the_gamma_shim():
+    # its one case recovers under the exp gauge, whose Mellin transform is now
+    # the numpy log-gamma in gauges, so the shim loads no scipy at all
+    codes, loaded = _loaded_after("scipy", ["recover-measure", "--selftest"])
+    assert codes == [0]
+    assert loaded == []
 
 
 def test_light_subcommands_load_only_gauges_and_metric():
@@ -452,22 +473,6 @@ def test_fresh_import_loads_the_library_on_first_use():
     assert _fresh(code) == [[], 82, 82, [], []]
 
 
-def test_recover_measure_selftest_loads_scipy_only_through_the_gamma_shim():
-    # its one case recovers under the exp gauge, whose Mellin transform is scipy's gamma
-    codes, loaded = _loaded_after("scipy", ["recover-measure", "--selftest"])
-    assert codes == [0]
-    assert "scipy.special" in loaded
-    assert "scipy.optimize" not in loaded
-
-
-def test_exp_mellin_shim_matches_scipy_gamma():
-    from scipy.special import gamma
-
-    rng = np.random.default_rng(11)
-    z = rng.uniform(-20, 20, 256) + 1j * rng.uniform(-0.9, 0.9, 256)
-    assert np.array_equal(make_builtin_gauge("exp").mellin(z), gamma(1 - 1j * z))
-
-
 def test_kdtree_shim_matches_scipy():
     from scipy.spatial import cKDTree
 
@@ -481,3 +486,52 @@ def test_kdtree_shim_matches_scipy():
     pairs = ours.query_pairs(0.02, output_type="ndarray")
     assert pairs.shape[0] > 0
     assert np.array_equal(pairs, theirs.query_pairs(0.02, output_type="ndarray"))
+
+
+def _scipy_imports(sources: dict) -> list:
+    """'module: scope' for every import of scipy, scope being the dotted path
+    of the functions and classes around it ('module' at top level)."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, child.name if scope == "module" else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{module}: {scope}")
+            visit(child, module, scope)
+
+    for module, source in sorted(sources.items()):
+        visit(ast.parse(source), module, "module")
+    return found
+
+
+def test_scipy_guard_sees_a_planted_import():
+    planted = {
+        "contspace": "def cKDTree(points):\n    from scipy import spatial\n    return spatial\n",
+        "m": (
+            "import numpy, scipy.special\n"
+            "from . import scipy\n\n\n"
+            "def gamma(z):\n"
+            "    if z:\n"
+            "        from scipy.special import gamma\n\n\n"
+            "class Grid:\n"
+            "    def cKDTree(self):\n"
+            "        import scipy as sp\n"
+        ),
+    }
+    assert _scipy_imports(planted) == [
+        "contspace: cKDTree", "m: module", "m: gamma", "m: Grid.cKDTree",
+    ]
+
+
+def test_only_the_disc_kdtree_imports_scipy():
+    sources = {p.stem: p.read_text() for p in Path(isolab.__path__[0]).glob("*.py")}
+    assert _scipy_imports(sources) == ["contspace: cKDTree"]
