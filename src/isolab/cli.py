@@ -419,31 +419,17 @@ def _run_emit_figure(cfg: ExperimentConfig, params):
         raise CliError("out: emit-figure requires an output directory")
     if which == "fig1":
         t = np.arange(501) / 100.0
-        cols = [
-            t,
-            make_builtin_gauge("clip")(t),
-            make_builtin_gauge("exp")(t),
-            make_builtin_gauge("rational")(t),
-        ]
-        io_formats.write_csv(
-            out / "fig1-gauges.csv",
-            ["t", "theta_clip", "theta_exp", "theta_rational1"],
-            cols,
-        )
+        cols = [t, *(make_builtin_gauge(name)(t) for name in ("clip", "exp", "rational"))]
+        header = ["t", "theta_clip", "theta_exp", "theta_rational1"]
+        io_formats.write_csv(out / "fig1-gauges.csv", header, cols)
         rec = {"which": which, "rows": int(t.size), "clip_at_one": float(cols[1][100])}
         return (PASS if rec["clip_at_one"] == 1.0 else FINDING), rec
     if which == "fig2":
         exh = contspace.Exhaustion1D(((0.5, 0.5), (0.2, 0.8)))
-        inc = contspace.build_interval_homeo(
-            exh, "increasing", [(0.35, 0.28), (0.65, 0.72)]
-        )
+        inc = contspace.build_interval_homeo(exh, "increasing", [(0.35, 0.28), (0.65, 0.72)])
         dec = contspace.build_interval_homeo(exh, "decreasing")
         for name, homeo in (("increasing", inc), ("decreasing", dec)):
-            io_formats.write_csv(
-                out / f"fig2-{name}.csv",
-                ["x", "y"],
-                [homeo.xs, homeo.ys],
-            )
+            io_formats.write_csv(out / f"fig2-{name}.csv", ["x", "y"], [homeo.xs, homeo.ys])
         fixed = [0.2, 0.5, 0.8]
         gaps = [abs(float(inc(x)) - x) for x in fixed]
         gaps.append(abs(float(dec(0.5)) - 0.5))
@@ -459,16 +445,10 @@ def _run_emit_figure(cfg: ExperimentConfig, params):
         w = tw(z)
         rows.append((np.full(theta.size, r), theta, z.real, z.imag, w.real, w.imag))
     cols = [np.concatenate([row[j] for row in rows]) for j in range(6)]
-    io_formats.write_csv(
-        out / "fig3-field.csv",
-        ["circle_r", "theta", "x_before", "y_before", "x_after", "y_after"],
-        cols,
-    )
-    io_formats.write_csv(
-        out / "fig3-profile.csv",
-        ["r", "twist"],
-        [tw.twist_breaks, tw.twist_values],
-    )
+    header = ["circle_r", "theta", "x_before", "y_before", "x_after", "y_after"]
+    io_formats.write_csv(out / "fig3-field.csv", header, cols)
+    profile = [tw.twist_breaks, tw.twist_values]
+    io_formats.write_csv(out / "fig3-profile.csv", ["r", "twist"], profile)
     gap = 0.0
     for r in exh.radii:
         z = r * np.exp(1j * theta)

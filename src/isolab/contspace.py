@@ -159,42 +159,41 @@ class ExhaustionDisc(Frozen):
 
 
 _EDGE = 1e-12
-_PAIR_CHUNK = 1 << 16  # candidate or found pairs per block of an image search: small temporaries
+_PAIR_CHUNK = 1 << 14  # candidates per block of an image search: temporaries that stay in cache
+_QUERY_CHUNK = 1 << 13  # points or images an image search buckets at a time
 
 
 def cKDTree(data):
-    """scipy.spatial.cKDTree, imported on first call: only a disc grid's image search
-    builds one, so no interval run loads scipy.spatial.
-
-    Unbalanced, uncompacted nodes: on grid images that halves the build, barely moving a query.
-    """
+    """scipy.spatial.cKDTree, imported on first call, unbalanced and uncompacted; no library
+    code builds one, for the grids search their images without it (_Grid.search)."""
     from scipy import spatial
 
     return spatial.cKDTree(data, balanced_tree=False, compact_nodes=False)
 
 
-def _planar(pts):
-    pts = np.asarray(pts)
-    return np.column_stack([pts.real, pts.imag])
-
-
-def _windows(lo, hi):
-    """Blocks (rows, starts, cand) of consecutive rows k, about _PAIR_CHUNK candidates a
-    block: cand runs over lo[k]..hi[k]-1 for each row, rows repeats k once per candidate
-    and starts gives the offset of each row's first candidate in the block."""
-    counts = hi - lo
+def _windows(parts, images, values):
+    """Blocks (i, j, d2) over the ranges of parts, array triples (lo, hi, owner), about
+    _PAIR_CHUNK candidates a block: image j runs over lo..hi-1 of each range, i is its
+    owner and d2 is dx*dx + dy*dy of values[i] - images[j] (inf for an image far out)."""
+    lo, hi, owner = map(np.concatenate, zip(*parts))
+    keep = hi > lo
+    lo, counts, owner = lo[keep], (hi - lo)[keep], owner[keep]
     ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1], _PAIR_CHUNK))
-    edges = np.unique(np.concatenate([[0], cuts, [lo.size]]))
+    cuts = np.arange(0, ends[-1:].sum() + _PAIR_CHUNK, _PAIR_CHUNK)
+    edges = np.unique(np.searchsorted(ends, cuts, "right"))
     for a, b in zip(edges[:-1], edges[1:]):
-        n = counts[a:b]
-        rows = np.repeat(np.arange(a, b), n)
-        starts = np.cumsum(n) - n
-        yield rows, starts, np.arange(rows.size) + np.repeat(lo[a:b] - starts, n)
+        count = counts[a:b]
+        j = np.repeat(lo[a:b] - np.cumsum(count) + count, count)
+        j += np.arange(j.size)
+        i = np.repeat(owner[a:b], count)
+        dxy = (values[i] - images[j]).view(float).reshape(-1, 2)
+        with np.errstate(over="ignore"):
+            np.square(dxy, out=dxy)
+        yield i, j, np.add(dxy[:, 0], dxy[:, 1])
 
 
 class _Grid(Frozen):
-    """The level index, shared by both grids.
+    """The level index and the image search, shared by both grids.
 
     A grid built apart from the same inputs equals the original: the arrays
     derived from them are not compared.  Each grid derives its edges
@@ -216,6 +215,78 @@ class _Grid(Frozen):
             store(self, copy=None, _level_index=levels)
             object.__setattr__(self, "_level_exh", exh)
         return self._level_index
+
+    def search(self, images):
+        """(nearest, pairs) of finite images: nearest(points) gives each point's distance to
+        its nearest image, pairs(r) yields blocks (i, j) of the image pairs at most r apart.
+
+        A cell list (Bentley, Weide & Yao 1980): the images are sorted by square buckets a
+        hair over one cell wide, laid on the nodes' bounding box with a border bucket round
+        it that takes every image outside.  An image k + 1 buckets off a point's lies more
+        than k cells from it, so a nearest image within k cells in the point's (2k + 1)^2
+        block is exact: k = 1 answers every point within the surjectivity bound, and k
+        doubles for the rest.  An image's pairs lie forward of it, in its own row and the
+        rows above, ceil(r / cell) buckets out.  Distances are sqrt(dx*dx + dy*dy), as
+        scipy's cKDTree computes them, so both answers equal the tree's bit for bit.
+        """
+        images = np.asarray(images, complex)
+        if not np.all(np.isfinite(images)):
+            raise ValueError("images must be finite")
+        cell, nodes, count = self.cell, self.nodes, images.size
+        side = cell * (1 + 1e-9)
+        low = (nodes.real.min() - side, np.imag(nodes).min() - side)
+        high = (nodes.real.max() + side, np.imag(nodes).max() + side)
+
+        def buckets(z):  # column and row of each point's bucket, clipped into the border
+            return [np.floor((np.clip(v, a, b) - a) / side).astype(np.intp)
+                    for v, a, b in zip((z.real, z.imag), low, high)]
+
+        width, height = (int(c) + 1 for c in buckets(np.array(complex(*high))))
+        widest = max(width, height)  # a block this wide holds every bucket
+        keys = np.empty(count, np.min_scalar_type((height + 2) * width))
+        for a in range(0, count, _QUERY_CHUNK):
+            col, row = buckets(images[a : a + _QUERY_CHUNK])
+            keys[a : a + _QUERY_CHUNK] = (row + 1) * width + col  # an empty row pads each end
+        order = np.argsort(keys).astype(np.min_scalar_type(count))
+        start = np.zeros((height + 2) * width + 1, np.intp)  # each bucket's first sorted image
+        np.cumsum(np.bincount(keys, minlength=(height + 2) * width), out=start[1:])
+        sorted_images = images[order]
+
+        def span(row, c0, c1):  # sorted images lo..hi-1 fill buckets c0..c1 of row
+            base = (np.clip(row, -1, height) + 1) * width  # rows off the table are empty
+            return start[base + np.maximum(c0, 0)], start[base + np.minimum(c1, width - 1) + 1]
+
+        def nearest(points):
+            points = np.asarray(points, complex)
+            best = np.full(points.shape, np.inf)  # squared distances
+            for a in range(0, points.size, _QUERY_CHUNK):
+                q, out = points[a : a + _QUERY_CHUNK], best[a : a + _QUERY_CHUNK]
+                col, row = buckets(q)
+                todo, k = np.arange(q.size), 1
+                while todo.size:  # doubling k until the best distance is within k cells
+                    cols, rows = col[todo], row[todo]
+                    reach = min(k, height - 1)  # rows any farther off are empty
+                    parts = [(*span(rows + dy, cols - k, cols + k), todo)
+                             for dy in range(-reach, reach + 1)]
+                    for i, _, d2 in _windows(parts, sorted_images, q):
+                        np.minimum.at(out, i, d2)
+                    todo = todo[out[todo] > np.square(k * cell)] if k < widest else todo[:0]
+                    k = min(2 * k, widest)
+            return np.sqrt(best)
+
+        def pairs(r):
+            k = min(int(np.ceil(r / cell)), widest)
+            for a in range(0, count, _QUERY_CHUNK):
+                p = np.arange(a, min(a + _QUERY_CHUNK, count))
+                col, row = buckets(sorted_images[a : a + _QUERY_CHUNK])
+                parts = [(p + 1, span(row, col, col + k)[1], p)]
+                rows_up = range(1, min(k, height - 1) + 1)
+                parts += [(*span(row + dy, col - k, col + k), p) for dy in rows_up]
+                for i, j, d2 in _windows(parts, sorted_images, sorted_images):
+                    close = d2 <= r * r
+                    yield order[i[close]], order[j[close]]
+
+        return nearest, pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,38 +327,6 @@ class IntervalGrid(_Grid):
         if np.any(x < nodes[0] - _EDGE) or np.any(x > nodes[-1] + _EDGE):
             raise ValueError("interpolation point leaves the grid domain")
         return partial(np.interp, np.clip(x, nodes[0], nodes[-1]), nodes)
-
-    def search(self, images):
-        """(nearest, pairs) over images sorted by real part: nearest(points) gives each
-        point's distance to its nearest image, pairs(r) yields blocks (i, j) of the image
-        index pairs at most r apart.  The two real-axis neighbours bound a point's nearest
-        distance by D, and every image with real part within D of it is scanned.
-        Distances are sqrt(dx*dx + dy*dy) as cKDTree computes them, so both answers equal
-        the tree's, whatever the imaginary parts."""
-        order = np.argsort(images.real)
-        xs, ys = images.real[order], images.imag[order]
-
-        def nearest(points):
-            qx, qy = np.real(points), np.imag(points)
-            j = np.searchsorted(xs, qx)
-            k = np.stack([np.maximum(j - 1, 0), np.minimum(j, xs.size - 1)])
-            bound = np.sqrt(np.min(np.square(qx - xs[k]) + np.square(qy - ys[k]), axis=0))
-            bound += 1e-12 * (bound + np.abs(qx))  # covers the rounding of qx -/+ bound
-            lo, hi = np.searchsorted(xs, qx - bound), np.searchsorted(xs, qx + bound, "right")
-            dist = np.empty(qx.size)
-            for rows, starts, cand in _windows(lo, hi):
-                d2 = np.square(qx[rows] - xs[cand]) + np.square(qy[rows] - ys[cand])
-                dist[rows[starts]] = np.sqrt(np.minimum.reduceat(d2, starts))
-            return dist
-
-        def pairs(r):
-            reach = r + 1e-12 * (r + np.abs(xs))
-            for rows, _, cand in _windows(np.arange(1, xs.size + 1),
-                                          np.searchsorted(xs, xs + reach, "right")):
-                close = np.square(xs[rows] - xs[cand]) + np.square(ys[rows] - ys[cand]) <= r * r
-                yield order[rows[close]], order[cand[close]]
-
-        return nearest, pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,28 +417,6 @@ class DiscGrid(_Grid):
             corners += [(j, w0), (after, t)]
             i += 1
         return lambda v: sum(v[k] * w for k, w in corners)
-
-    def search(self, images):
-        """(nearest, pairs) as IntervalGrid.search gives them, from one KD-tree of images.
-        A query looks one cell out, as far as grid-surjectivity asks; a point it leaves
-        unanswered is queried again unbounded, so every distance is exact."""
-        tree = cKDTree(_planar(images))
-        bound = self.cell * (1 + 1e-9)
-
-        def nearest(points):
-            q = _planar(points)
-            dist, _ = tree.query(q, k=1, distance_upper_bound=bound)
-            far = np.isinf(dist)
-            if far.any():
-                dist[far], _ = tree.query(q[far], k=1)
-            return dist
-
-        def pairs(r):
-            found = tree.query_pairs(r, output_type="ndarray")
-            for lo in range(0, len(found), _PAIR_CHUNK):
-                yield found[lo : lo + _PAIR_CHUNK].T
-
-        return nearest, pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -803,8 +820,7 @@ def recover_weight_and_map(T, exh, grid, tol: float = 1e-9, rng=None) -> Recover
     of the image), grid-injectivity (no two nodes farther apart than two
     cells land within half a cell), and reconstruction of T on random
     probes within the interpolation budget.  Nearest images and close
-    pairs come from grid.search: a sorted search on the interval, a
-    KD-tree on the disc, with equal distances.  The first failing check
+    pairs come from grid.search, in numpy.  The first failing check
     raises NotWeightedComposition carrying the partial certificate; a
     check passes only when its value is within its bound, so a NaN value
     refuses.  A grid that fails check_resolution raises ValueError before

@@ -743,15 +743,15 @@ def _count_calls(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_default_disc_recovery_builds_two_trees_and_two_stencils(monkeypatch):
+def test_default_disc_recovery_runs_two_searches_and_two_stencils(monkeypatch):
     counts = {}
-    _count_calls(monkeypatch, contspace, "cKDTree", counts)
+    _count_calls(monkeypatch, contspace._Grid, "search", counts)
     _count_calls(monkeypatch, DiscGrid, "stencil", counts)
     grid = DiscGrid.build(DEXH)
     rng = np.random.default_rng(64)
     T = make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
     recover_weight_and_map(T, DEXH, grid, rng=rng)
-    assert counts == {"cKDTree": 2, "stencil": 2}
+    assert counts == {"search": 2, "stencil": 2}
 
 
 def test_default_disc_recovery_peaks_below_sixteen_node_vectors():
@@ -808,14 +808,14 @@ def _reference_tree_certificate(exh, pts, images, cell):
     }, len(pairs)
 
 
-def test_grid_beyond_the_outer_level_builds_a_separate_injectivity_tree(monkeypatch):
+def test_grid_beyond_the_outer_level_runs_a_separate_injectivity_search(monkeypatch):
     grid = _beyond_outer_grid()
     rng = np.random.default_rng(66)
     T = make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
     counts = {}
-    _count_calls(monkeypatch, contspace, "cKDTree", counts)
+    _count_calls(monkeypatch, contspace._Grid, "search", counts)
     sym = recover_weight_and_map(T, DEXH, grid, rng=rng)
-    assert counts == {"cKDTree": DEXH.levels + 1}
+    assert counts == {"search": DEXH.levels + 1}
     want, _ = _reference_tree_certificate(DEXH, grid.nodes, sym.point_map.array, grid.cell)
     assert {k: sym.certificate[k] for k in want} == want
 
@@ -860,8 +860,15 @@ def _searched(grid, images, points, r):
     return nearest(points), found
 
 
-@pytest.mark.parametrize("imag", [0.0, 1e-16, 1e-3, 0.3])
-def test_interval_search_equals_the_kd_tree(imag):
+_GRIDS = {"interval": GRID, "disc": DGRID, "beyond": _beyond_outer_grid()}
+_IMAGS = [0.0, 1e-16, 1e-3, 0.3]
+
+
+# the interval cases keep the ids they had when this search was the interval grid's alone
+@pytest.mark.parametrize("name, imag", [(g, i) for g in _GRIDS for i in _IMAGS], ids=[
+    str(i) if g == "interval" else f"{g}-{i}" for g in _GRIDS for i in _IMAGS
+])
+def test_interval_search_equals_the_kd_tree(name, imag):
     # real parts on a 1/256 lattice, so images repeat and pairs lie exactly r apart;
     # a third of the points sit on image positions
     rng = np.random.default_rng(69)
@@ -872,7 +879,7 @@ def test_interval_search_equals_the_kd_tree(imag):
         points[::3] = images[rng.integers(0, n, 200)]
         points[1::3] = points[1::3].real
         want_dists, want_pairs = _tree_answers(images, points, r)
-        dists, pairs = _searched(GRID, images, points, r)
+        dists, pairs = _searched(_GRIDS[name], images, points, r)
         assert np.array_equal(dists, want_dists), n
         assert pairs == want_pairs, n
         if imag == 0.0 and n >= 300:
@@ -881,23 +888,59 @@ def test_interval_search_equals_the_kd_tree(imag):
             )
 
 
-def test_interval_search_blocks_many_candidates():
+@pytest.mark.parametrize("name", _GRIDS)
+def test_search_blocks_many_candidates(name):
     # wide imaginary scatter puts thousands of images inside each real-axis window
     rng = np.random.default_rng(70)
     images = rng.uniform(0, 1, 4096) + 0.3j * rng.normal(size=4096)
     points = np.linspace(0, 1, 4096)
     want_dists, want_pairs = _tree_answers(images, points, 0.1)
-    dists, pairs = _searched(GRID, images, points, 0.1)
+    dists, pairs = _searched(_GRIDS[name], images, points, 0.1)
     assert np.array_equal(dists, want_dists)
     assert pairs == want_pairs and len(pairs) > contspace._PAIR_CHUNK
 
 
+@pytest.mark.parametrize("name", _GRIDS)
+def test_search_on_bucket_edges_far_out_and_alone_equals_the_kd_tree(name):
+    # images and points on the search's bucket edges (multiples of its side from the
+    # border's corner), images far outside the domain up to the largest float, and a
+    # lone image
+    grid, rng = _GRIDS[name], np.random.default_rng(72)
+    side = grid.cell * (1 + 1e-9)
+    corner = complex(grid.nodes.real.min() - side, np.imag(grid.nodes).min() - side)
+    edges = corner + side * (rng.integers(0, 40, (2, 3000)) * [[1], [1j]]).sum(axis=0)
+    top = np.finfo(float).max
+    far = np.array([1e300, -1e300, 1e300j, -1e300j, top, -top * 1j, 5.0, -7 + 3j, 2e3j])
+    points = np.concatenate([edges[:1000] + side * rng.integers(-1, 2, 1000), grid.nodes[::7]])
+    planar = lambda z: np.column_stack([z.real, z.imag])  # noqa: E731
+    for images in (edges, np.concatenate([edges, far]), far, np.array([0.3 + 0.1j])):
+        for r in (0.5 * grid.cell, grid.cell):
+            want_dists, _ = cKDTree(planar(images)).query(planar(points), k=1)
+            moderate = np.flatnonzero(np.abs(images) < 1e100)  # the tree's pairs overflow
+            want_pairs = {tuple(moderate[list(p)])
+                          for p in _tree_answers(images[moderate], points, r)[1]}
+            dists, pairs = _searched(grid, images, points, r)
+            assert np.array_equal(dists, want_dists) and pairs == want_pairs
+    assert np.all(np.isinf(_searched(grid, far[:6], points, grid.cell)[0]))
+
+
+@pytest.mark.parametrize("name", ["interval", "disc"])
+def test_search_refuses_non_finite_images(name):
+    for bad in (np.nan, np.inf, complex(0.2, np.nan)):
+        with pytest.raises(ValueError, match="images must be finite"):
+            _GRIDS[name].search(np.array([0.1, bad, 0.3]))
+
+
 def test_interval_recovery_builds_no_tree(monkeypatch):
+    # nor does a default disc recovery: both grids search their images in numpy
     counts = {}
     _count_calls(monkeypatch, contspace, "cKDTree", counts)
     rng = np.random.default_rng(71)
     T = make_composition_operator(unimodular_field(GRID, rng), random_interval_homeo(EXH, rng))
     recover_weight_and_map(T, EXH, GRID, rng=rng)
+    grid = DiscGrid.build(DEXH)
+    T = make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
+    recover_weight_and_map(T, DEXH, grid, rng=rng)
     assert counts == {}
 
 

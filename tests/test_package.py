@@ -3,9 +3,9 @@ has every public method and property of the classes it lists; every module
 uses what it imports, every validated model class stores read-only copies of
 its arrays through one shared base, every refusal is raised by the one shared
 pass rule, importing the package loads none of its modules, and a subcommand
-loads only the modules it runs.  The one scipy name the library uses is the
-disc grid's KD-tree, a shim that imports scipy.spatial on its first call, so
-no recovery and no argv but a disc grid's loads scipy."""
+loads only the modules it runs.  No library code calls scipy: the one scipy
+name left is contspace.cKDTree, a shim no library code calls that imports
+scipy.spatial on its first call, so no recovery and no argv loads scipy."""
 
 import ast
 import dataclasses
@@ -418,14 +418,17 @@ def test_import_loads_no_scipy():
     assert _loaded_after("scipy") == ([], [])
 
 
-def test_scipy_free_subcommands_load_no_scipy():
-    names = (
-        "theta-check", "hol-characterize", "hol-iso-test", "three-circle", "cu-iso-test",
-        "cu-recover", "recover-measure",
-    )
-    argvs = [[name] for name in names] + [[name, "--selftest"] for name in names]
-    argvs += [["recover-measure", "--gauge", "exp"], ["cu-decomp-bound"]]
-    assert _loaded_after("scipy", *argvs) == ([0] * 16, [])
+def test_scipy_free_subcommands_load_no_scipy(tmp_path):
+    # the cli benchmark's 23 argvs: every subcommand with its defaults, the disc
+    # recovery, then every selftest
+    from isolab import cli
+
+    fig = ["--out", str(tmp_path)]
+    argvs = [[name, *(fig if name == "emit-figure" else [])] for name in cli._HANDLERS]
+    argvs += [["cu-recover", "--domain", "disc"]]
+    argvs += [[name, "--selftest", *(fig if name == "emit-figure" else [])] for name in cli._HANDLERS]
+    assert len(argvs) == 23
+    assert _loaded_after("scipy", *argvs) == ([0] * 23, [])
 
 
 def test_roundtrip_checks_load_no_scipy():
