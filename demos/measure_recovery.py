@@ -1,8 +1,9 @@
 """Recovering an atomic measure from its gauge-smoothed observation.
 
 The forward model smears each atom through the gauge's shifted profile;
-recovery divides out the profile in frequency space and reads the atoms
-off the resulting exponential sum.  The demo walks one clean roundtrip,
+recovery divides out the profile in frequency space, reads first atoms
+off the resulting exponential sum, and refines them against the samples
+through the same forward model.  The demo walks one clean roundtrip,
 then two honest failure modes: atoms closer than the window resolves,
 and an observation that is not actually a smeared atomic measure.
 """
@@ -40,7 +41,8 @@ print(f"transform at 0: {z0.real:.8f}  vs  mass*shift = {nu.total_mass * spec.sh
 print("\n== atoms below the window resolution ==")
 close = LogMeasure((0.0, 2e-4), (0.3, 0.3))
 rep = roundtrip_check(g, close, spec, 2)
-print(f"passed: {rep.passed} (recovered {len(rep.recovered.positions)} atom(s) where 2 were planted)")
+print(f"passed: {rep.passed}, failed_check {rep.failed_check} "
+      f"(recovered {len(rep.recovered.positions)} atom(s) where 2 were planted)")
 
 print("\n== observation that is not a smeared atomic measure ==")
 bad = h + 1e-3 * np.sin(5.0 * s)
@@ -48,4 +50,5 @@ try:
     recover_measure(g, s, bad, spec, atom_budget=4)
 except RecoveryFailed as err:
     print(f"refused: {err}")
-    print(f"best candidate kept {len(err.candidate.positions)} atoms at residual {err.residual:.2e}")
+    print(f"check {err.check!r}: best candidate kept {len(err.candidate.positions)} atoms "
+          f"at residual {err.certificate['residual']:.2e}")

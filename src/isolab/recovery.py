@@ -8,22 +8,25 @@ a matrix pencil estimates the atom positions.  Its Hankel matrix has rank
 at most the atom budget, so the pencil pays only for that rank: a sketch
 of budget + 6 fixed probe columns, one power step and a small SVD give the
 column space and the singular values the rank rule reads (a full SVD
-would cost as much as the rest of a recovery).  The estimate initializes
-a bounded Levenberg-Marquardt fit (More 1978) of (position, mass) pairs
-with a closed-form Jacobian, carried out in the undivided domain, where
-the noise floor is flat, to one tolerance _FIT_TOL = 1e-15 on step, cost
-and gradient, within _MAX_NFEV = 400 residual evaluations.
+would cost as much as the rest of a recovery).  The Fourier side only
+initializes: a bounded Levenberg-Marquardt fit (More 1978) of (position,
+mass) pairs then reads every _FIT_STRIDE-th sample through the forward
+model that made them, with a closed-form Jacobian, to one tolerance
+_FIT_TOL = 1e-15 on step, cost and gradient, within _MAX_NFEV = 400
+residual evaluations, and the verdict reads the misfit over every sample.
+Each check refuses through RecoveryFailed.unless_within, so a NaN refuses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
-from ._frozen import Frozen, Report, store
+from ._frozen import Frozen, Refusal, Report, store
 from .gauges import Gauge, shift_kernel, shift_kernel_fourier_grid
 
 __all__ = [
@@ -39,17 +42,15 @@ __all__ = [
 ]
 
 
-class RecoveryFailed(RuntimeError):
-    """Raised when no fit meets the residual tolerance or the fit is ambiguous.
+class RecoveryFailed(Refusal):
+    """A measure refused at the named .check; .candidate holds the best
+    LogMeasure found by then, or None."""
 
-    Carries the best candidate found (a LogMeasure or None) and its
-    relative residual.
-    """
+    claim = "measure not recovered"
 
-    def __init__(self, message, candidate=None, residual=np.inf):
-        super().__init__(message)
+    def __init__(self, check, details, certificate, candidate=None):
+        super().__init__(check, details, certificate)
         self.candidate = candidate
-        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +120,11 @@ def smoothed_curve(g: Gauge, measure: LogMeasure, shift: float, s):
 
     H(s) = sum_j mass_j * G(position_j + s) with G the shift kernel.
     """
-    s = np.asarray(s, dtype=float)
-    pos, mass = measure.positions, measure.masses
+    return _model(g, shift, measure.positions, measure.masses, np.asarray(s, dtype=float))
+
+
+def _model(g, shift, pos, mass, s):
+    """sum_j mass_j G(pos_j + s): the one forward model of the samples, the fit and the verdict."""
     return shift_kernel(g, shift, pos[:, None] + s[None, :]).T @ mass
 
 
@@ -205,11 +209,11 @@ def _chirp(beta, p):
 def _pencil_estimate(quotient, dz, budget):
     """Matrix-pencil node estimate on a uniform quotient run.
 
-    Returns the raw positions, sorted, and the pencil rank; masses are
-    refit later.  The pencil length is a third of the run.  The Hankel
-    matrix y0 has rank at most the atom budget, so its column space comes
-    from a sketch instead of a full SVD: y0 times a fixed Gaussian test
-    matrix of budget + 6 columns, orthonormalized, then one power step
+    Returns the raw positions of the stable nodes, sorted, and the pencil
+    rank; masses are refit later.  The pencil length is a third of the run.
+    The Hankel matrix y0 has rank at most the atom budget, so its column
+    space comes from a sketch instead of a full SVD: y0 times a fixed
+    Gaussian test matrix of budget + 6 columns, orthonormalized, then one power step
     y0 (y0^H Q) and a second QR.  The SVD of the small Q^H y0 gives the
     singular values and the top left singular vectors u1 = Q ub.  The
     rank rule reads those singular values: the ones below 1e-10 of the
@@ -219,8 +223,6 @@ def _pencil_estimate(quotient, dz, budget):
     """
     n = quotient.size
     L = max(budget + 1, n // 3)
-    if n - L < budget:
-        raise RecoveryFailed("usable frequency run too short for the atom budget")
     idx = np.arange(n - L)[:, None] + np.arange(L)[None, :]
     Y = quotient[idx]
     y0, y1 = Y[:, :-1], Y[:, 1:]
@@ -232,8 +234,6 @@ def _pencil_estimate(quotient, dz, budget):
     g = y0.conj().T @ (q @ ub[:, :rank])
     nodes = np.linalg.eigvals(np.linalg.lstsq(y0 @ g, y1 @ g, rcond=None)[0])
     nodes = nodes[np.abs(np.log(np.abs(nodes) + 1e-300)) < 0.7]
-    if nodes.size == 0:
-        raise RecoveryFailed("pencil produced no stable nodes")
     return np.sort(np.angle(nodes) / dz), rank
 
 
@@ -278,25 +278,27 @@ def least_squares(x0, lo, hi, data):
     return SimpleNamespace(x=x, nfev=nfev)
 
 
-def _fit_residual(params, k, zs, g_hat, h_hat, scale):
-    """Stacked re/im residuals of the undivided model."""
-    pos, mass = params[:k], params[k:]
-    model = g_hat * (np.exp(1j * zs[:, None] * pos[None, :]) @ mass)
-    diff = (model - h_hat) / scale
-    return np.concatenate([diff.real, diff.imag])
+def _fit_residual(params, g, shift, s, h, scale):
+    """The forward model's misfit at the offsets s, relative to scale."""
+    k = params.size // 2
+    return (_model(g, shift, params[:k], params[k:], s) - h) / scale
 
 
-def _fit_jacobian(params, k, zs, g_hat, h_hat, scale):
-    """Closed-form Jacobian of _fit_residual, stacked re/im the same way.
+def _fit_jacobian(params, g, shift, s, h, scale):
+    """Closed-form Jacobian of _fit_residual: d/dx_j = m_j G'(x_j + s) / scale and
+    d/dm_j = G(x_j + s) / scale, with G'(y) = F'(y + shift) - F'(y) and
+    F'(w) = theta'(e^w) e^w, 0 where e^w overflows (theta is 1 there)."""
+    k = params.size // 2
+    y = params[:k, None] + s[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.exp(np.stack([y + shift, y]))
+        slope = np.where(np.isinf(t), 0.0, g.derivative(t) * t)
+    f = g(t)
+    return np.vstack([(slope[0] - slope[1]) * params[k:, None], f[0] - f[1]]).T / scale
 
-    d/dx_j = g_hat i z e^(i z x_j) m_j / scale and d/dm_j = g_hat e^(i z x_j) / scale.
-    """
-    basis = (g_hat / scale)[:, None] * np.exp(1j * zs[:, None] * params[None, :k])
-    jac = np.hstack([1j * zs[:, None] * basis * params[k:], basis])
-    return np.vstack([jac.real, jac.imag])
 
-
-_RESIDUAL_TOL = 1e-5  # largest relative fit residual a recovery accepts and a roundtrip passes
+_FIT_STRIDE = 8  # the fit reads every eighth sample, 513 of the 4097
+_RESIDUAL_TOL = 1e-5  # largest relative sample misfit a recovery accepts and a roundtrip passes
 
 
 def recover_measure(
@@ -311,50 +313,54 @@ def recover_measure(
     spec : frequency grid; the samples follow the spec's observation model.
     atom_budget : maximum number of atoms to fit.
 
-    Raises RecoveryFailed with the best candidate attached when the fit's
-    relative residual exceeds 1e-5, when mass sanity fails, or when the frequency
-    grid admits an in-window alias of a recovered atom (two measures the
-    grid cannot tell apart).
+    Raises ValueError naming h_samples when a sample is not finite or
+    reaches 1 in modulus: |G| < 1 and the total mass is at most 1, so no
+    observation does.  Raises RecoveryFailed naming the check that refused,
+    with the certificate measured so far and the best candidate attached:
+    frequency-floor, pencil, alias-range, mass, residual (the relative
+    sample misfit exceeds 1e-5), alias (the frequency grid admits an
+    in-window alias of a recovered atom, two measures the grid cannot tell
+    apart) and invalid-measure.
     """
-    measure, _ = _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, {})
-    return measure
+    return _recover(g, s_samples, h_samples, spec, atom_budget, {})
 
 
-def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, counts):
-    """recover_measure, returning the relative residual too.
+def _recover(g, s_samples, h_samples, spec, atom_budget, cert):
+    """recover_measure, recording in cert the value of each check as it runs.
 
-    Once the fit has run, counts gets pencil_rank, fit_nfev and
-    frequencies_used (those left above the regularization floor), also
-    when a later check refuses.
+    Besides each check's value, cert gets frequencies_used (those left above
+    the regularization floor), pencil_rank and fit_nfev once measured, so a
+    caller reads them after a refusal too.
     """
     if atom_budget < 1:
         raise ValueError("atom_budget must be at least 1")
+    s, h = np.asarray(s_samples, dtype=float), np.asarray(h_samples, dtype=float)
+    if not np.all(np.abs(h) < 1.0):
+        raise ValueError("h_samples: every sample must be finite and below 1 in modulus")
+    within = partial(RecoveryFailed.unless_within, cert)
     zs = spec.freq_array
     dz = _uniform_step(zs, "frequency_grid")
 
     g_hat = shift_kernel_fourier_grid(g, spec.shift, zs, spec.quadrature)
-    h_hat = fourier_from_samples(s_samples, h_samples, zs)
-    scale = float(np.max(np.abs(h_hat)))
-    if scale == 0.0:
-        raise RecoveryFailed("observation transform is identically zero")
-
-    floor = spec.regularization_floor * float(np.max(np.abs(g_hat)))
+    h_hat = fourier_from_samples(s, h, zs)
+    peak = float(np.max(np.abs(g_hat)))
+    floor = spec.regularization_floor * peak
     usable = np.abs(g_hat) >= floor
-    if not np.any(usable):
-        raise RecoveryFailed("kernel transform below the floor everywhere")
-
-    data = (zs[usable], g_hat[usable], h_hat[usable], scale)
+    cert["frequencies_used"] = int(np.sum(usable))
+    within("kernel_peak", peak, np.finfo(float).max, "frequency-floor",
+           "a kernel transform that is not finite sets no floor")
 
     # initialization: pencil on the longest contiguous well-conditioned run
-    strong = np.abs(g_hat) >= max(floor, 1e-4 * float(np.max(np.abs(g_hat))))
-    run_lo, run_hi = _longest_run(strong)
+    run_lo, run_hi = _longest_run(np.abs(g_hat) >= max(floor, 1e-4 * peak))
+    within("atom_budget", atom_budget, (run_hi - run_lo - 1) // 2, "pencil",
+           f"a run of {run_hi - run_lo} frequencies is too short for the atom budget")
     quotient = h_hat[run_lo:run_hi] / g_hat[run_lo:run_hi]
-    try:
-        pos0, rank = _pencil_estimate(quotient, dz, atom_budget)
-    except np.linalg.LinAlgError:
-        raise RecoveryFailed("pencil initialization failed")
-    if np.any(np.abs(pos0) > np.pi / dz):
-        raise RecoveryFailed("pencil positions outside the alias-free range")
+    pos0, rank = _pencil_estimate(quotient, dz, atom_budget)
+    cert["pencil_rank"] = rank
+    within("unstable_nodes", rank - pos0.size, rank - 1, "pencil",
+           "pencil produced no stable nodes")
+    within("pencil_reach", float(np.max(np.abs(pos0))), np.pi / dz, "alias-range",
+           "pencil positions outside the alias-free range")
 
     # linear mass estimate on the usable frequencies, then trim tiny atoms
     basis = np.exp(1j * zs[usable][:, None] * pos0[None, :]) * g_hat[usable][:, None]
@@ -369,21 +375,20 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, counts):
     pos0 = pos0[keep]
     mass0 = np.clip(mass0[keep], 1e-12, 1.0)
 
+    # the fit reads the samples themselves, through the model that made them
     k = pos0.size
-    x0 = np.concatenate([pos0, mass0])
     bound_lo = np.concatenate([np.full(k, -spec.window), np.zeros(k)])
     bound_hi = np.concatenate([np.full(k, spec.window), np.ones(k) * 1.5])
-    fit = least_squares(
-        np.clip(x0, bound_lo + 1e-12, bound_hi - 1e-12), bound_lo, bound_hi, (k, *data)
-    )
-    counts.update(pencil_rank=rank, fit_nfev=int(fit.nfev), frequencies_used=int(np.sum(usable)))
+    x0 = np.clip(np.concatenate([pos0, mass0]), bound_lo + 1e-12, bound_hi - 1e-12)
+    fit_data = (g, spec.shift, s[::_FIT_STRIDE], h[::_FIT_STRIDE], float(np.max(np.abs(h))))
+    fit = least_squares(x0, bound_lo, bound_hi, fit_data)
+    cert["fit_nfev"] = int(fit.nfev)
     pos, mass = fit.x[:k], fit.x[k:]
     order = np.argsort(pos)
     pos, mass = pos[order], mass[order]
 
-    live = mass > 1e-9
-    if not np.any(live):
-        raise RecoveryFailed("fit drove every mass to zero")
+    live = mass > 1e-9 * np.max(mass)
+    within("dropped_atoms", int(np.sum(~live)), k - 1, "mass", "fit drove every mass to zero")
     pos, mass = pos[live], mass[live]
     # merge near-coincident atoms the optimizer may have split
     merged_p, merged_m = [pos[0]], [mass[0]]
@@ -396,29 +401,16 @@ def _recover_with_residual(g, s_samples, h_samples, spec, atom_budget, counts):
             merged_m.append(m)
     pos, mass = np.array(merged_p), np.array(merged_m)
 
-    data_norm = np.sqrt(float(np.sum(np.abs(h_hat[usable] / scale) ** 2)))
-    residual = float(
-        np.linalg.norm(_fit_residual(np.concatenate([pos, mass]), pos.size, *data))
-        / max(1e-300, data_norm)
-    )
+    residual = float(np.linalg.norm(_model(g, spec.shift, pos, mass, s) - h) / np.linalg.norm(h))
     candidate = _as_log_measure(pos, mass)
-
-    if residual > _RESIDUAL_TOL:
-        raise RecoveryFailed(
-            f"relative residual {residual:g} exceeds tolerance {_RESIDUAL_TOL:g}",
-            candidate=candidate,
-            residual=residual,
-        )
-    alias = 2.0 * np.pi / dz
-    if np.any(np.abs(pos) + alias <= spec.window):
-        raise RecoveryFailed(
-            "frequency grid admits an in-window alias; the fit is ambiguous",
-            candidate=candidate,
-            residual=residual,
-        )
-    if candidate is None:
-        raise RecoveryFailed("fit produced no valid measure", residual=residual)
-    return candidate, residual
+    within("residual", residual, _RESIDUAL_TOL, "residual",
+           f"relative residual {residual:g} exceeds tolerance {_RESIDUAL_TOL:g}", candidate)
+    within("alias_room", spec.window - float(np.min(np.abs(pos))), 2.0 * np.pi / dz, "alias",
+           "frequency grid admits an in-window alias; the fit is ambiguous", candidate)
+    # LogMeasure's own rules decide: no bound admits a measure they refuse
+    within("total_mass", float(np.sum(mass)), np.inf if candidate is not None else -np.inf,
+           "invalid-measure", "fit produced no valid measure")
+    return candidate
 
 
 def _as_log_measure(pos, mass):
@@ -447,11 +439,13 @@ class RoundtripReport(Report):
     fit_nfev: int = 0
     frequencies_used: int = 0
     kernel_transform: str = "closed_form"  # the gauge's mellin, or quadrature
+    failed_check: str | None = None  # the check recovery refused at, or atom-count
+    certificate: dict = field(default_factory=dict)  # what recovery measured, when it refused
 
     @property
     def passed(self) -> bool:
         matched = self.max_position_error < 1e-3 and self.max_mass_error < 1e-3
-        return matched and self.residual <= _RESIDUAL_TOL
+        return self.failed_check is None and matched and self.residual <= _RESIDUAL_TOL
 
 
 def roundtrip_check(
@@ -459,28 +453,26 @@ def roundtrip_check(
 ) -> RoundtripReport:
     """Sample the forward model and recover; report matched-atom errors.
 
-    Atom counts must agree for the errors to be finite; a count mismatch
-    reports infinite error rather than raising, so expected-failure cases
-    stay inspectable.  RecoveryFailed propagates its candidate the same way.
-    The pencil rank, the fit's evaluations and the frequencies used read 0
-    when recovery refused before the fit; kernel_transform names the kernel
-    transform on every report.
+    A refusal reports its check and certificate rather than raising, and a
+    recovered atom count that differs reports failed_check atom-count; both
+    keep the candidate, if any, with infinite error unless the counts agree,
+    so expected-failure cases stay inspectable.  The pencil rank, the fit's
+    evaluations and the frequencies used read what recovery measured before
+    it stopped, 0 for what it never reached; kernel_transform names the
+    kernel transform on every report.
     """
     s, h = smoothed_curve_samples(g, measure, spec)
-    keys = {"kernel_transform": "closed_form" if g.mellin is not None else "quadrature"}
+    cert, refusal = {}, {}
     try:
-        rec, residual = _recover_with_residual(g, s, h, spec, atom_budget, keys)
+        rec = _recover(g, s, h, spec, atom_budget, cert)
     except RecoveryFailed as err:
-        rec = err.candidate
-        residual = err.residual
-        if rec is None:
-            return RoundtripReport(np.inf, np.inf, residual, None, **keys)
-    if rec.positions.size != measure.positions.size:
-        return RoundtripReport(np.inf, np.inf, residual, rec, **keys)
-    return RoundtripReport(
-        float(np.max(np.abs(rec.positions - measure.positions))),
-        float(np.max(np.abs(rec.masses - measure.masses))),
-        residual,
-        rec,
-        **keys,
-    )
+        rec, refusal = err.candidate, {"failed_check": err.check, "certificate": err.certificate}
+    keys = {k: cert[k] for k in ("pencil_rank", "fit_nfev", "frequencies_used") if k in cert}
+    keys["kernel_transform"] = "closed_form" if g.mellin is not None else "quadrature"
+    if rec is None or rec.positions.size != measure.positions.size:
+        refusal.setdefault("failed_check", "atom-count")
+        errors = (np.inf, np.inf)
+    else:
+        errors = (float(np.max(np.abs(rec.positions - measure.positions))),
+                  float(np.max(np.abs(rec.masses - measure.masses))))
+    return RoundtripReport(*errors, cert.get("residual", np.inf), rec, **keys, **refusal)

@@ -8,6 +8,7 @@ their own wall time.
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -410,6 +411,13 @@ def _nan_injections():
             ("isolab.contspace.GridFunction.lipschitz_estimate", lambda self: np.nan),
             lambda: recover_weight_and_map(identity, exh, grid),
             "failed_check", "reconstruction", "certificate.reconstruction_budget",
+        ),
+        "residual": (
+            ("isolab.recovery.least_squares", lambda x0, lo, hi, data: SimpleNamespace(
+                x=np.where(np.arange(x0.size) == 0, np.nan, x0), nfev=1)),  # a NaN position
+            lambda: roundtrip_check(make_builtin_gauge("exp"), LogMeasure((0.4,), (0.6,)),
+                                    RecoverySpec(), 1),
+            "failed_check", "residual", "certificate.residual",
         ),
         "decomposition-bound": (
             ("isolab.contspace.interpolation_budget", lambda probes, cell: np.nan),

@@ -87,14 +87,32 @@ def test_recover_measure_roundtrip(capsys):
     assert "passed=true" in out
 
 
-def test_recover_measure_fails_past_the_residual_tolerance(capsys):
-    # the clip gauge's defaults match the atoms within 1e-3 but leave a residual above 1e-5
-    code, out, _ = run_cli(capsys, "recover-measure", "--gauge", "clip")
+@pytest.mark.parametrize("argv", [
+    ["--gauge", "clip"],
+    # the atom budget exceeds the count: the pencil keeps a noise node, which the fit drops
+    ["--gauge", "clip", "--positions=-0.6,1.9", "--masses", "0.2,0.25", "--atom-budget", "3"],
+    ["--masses", "1e-10"],
+    ["--masses", "1e-14"],
+    ["--positions", "0,1.5", "--masses", "1e-10,1e-10"],
+], ids=["clip", "clip_split_atom", "mass_1e-10", "mass_1e-14", "two_masses_1e-10"])
+def test_recover_measure_passes_within_the_residual_tolerance(capsys, argv):
+    # the fit and the verdict read the samples through the model that made them,
+    # so a kinked kernel and a tiny measure both meet the 1e-5 residual
+    code, out, _ = run_cli(capsys, "recover-measure", *argv)
     rec = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert code == PASS
+    assert rec["passed"] == "true" and "failed_check" not in rec
+    assert float(rec["residual"]) <= 1e-5
+    assert int(rec["fit_nfev"]) <= 10
+
+
+def test_recover_measure_names_the_atom_count_mismatch(capsys):
+    code, out, _ = run_cli(
+        capsys, "recover-measure", "--gauge", "exp", "--positions", "0,2e-4", "--masses", "0.3,0.4"
+    )
     assert code == FINDING
-    assert rec["passed"] == "false"
-    assert float(rec["residual"]) > 1e-5
-    assert float(rec["max_position_error"]) < 1e-3 and float(rec["max_mass_error"]) < 1e-3
+    assert "failed_check=atom-count\n" in out and "max_position_error=inf\n" in out
+    assert "certificate." not in out
 
 
 def test_recover_measure_reports_what_it_used(capsys):
@@ -106,13 +124,17 @@ def test_recover_measure_reports_what_it_used(capsys):
     assert "frequencies_used=257\n" in out
     assert "fit_nfev=" in out and "fit_nfev=0\n" not in out
     assert "kernel_transform=closed_form\n" in out
-    # refused before the fit: the counts read 0, the kernel transform is still named
+    assert "failed_check" not in out and "certificate." not in out
+    # refused at the pencil: the frequencies were counted, the pencil and the fit never
+    # ran; the refusal names its check and certificate, and the kernel transform is named
     code, out, _ = run_cli(
         capsys, "recover-measure", "--positions", "0.0", "--masses", "0.3", "--atom-budget", "200"
     )
     assert code == FINDING
-    for key in ("pencil_rank", "fit_nfev", "frequencies_used"):
-        assert f"{key}=0\n" in out
+    for key, value in (("pencil_rank", 0), ("fit_nfev", 0), ("frequencies_used", 257)):
+        assert f"{key}={value}\n" in out
+    assert "failed_check=pencil\n" in out
+    assert "certificate.atom_budget=200\n" in out and "certificate.frequencies_used=257\n" in out
     assert "kernel_transform=closed_form\n" in out
 
 

@@ -385,7 +385,7 @@ def test_refusal_guard_sees_a_planted_spelling():
 
 def test_every_refusal_goes_through_the_shared_rule():
     refusals = _refusal_names()
-    assert {"NotCharacterizable", "NotWeightedComposition"} <= refusals
+    assert {"NotCharacterizable", "NotWeightedComposition", "RecoveryFailed"} <= refusals
     sources = {p.stem: p.read_text() for p in Path(isolab.__path__[0]).glob("*.py")}
     assert _refusal_breaches(sources, refusals) == []
 

@@ -1,5 +1,5 @@
 """The flat record of every verdict: one instance of each report class and
-both refusals, with the exact keys and values of its record and the exact
+every refusal, with the exact keys and values of its record and the exact
 text of each refusal message."""
 
 import numpy as np
@@ -21,7 +21,7 @@ from isolab.holodisc import (
     ThreeCircleReport,
 )
 from isolab.metric import SeparationResult
-from isolab.recovery import LogMeasure, RoundtripReport
+from isolab.recovery import LogMeasure, RecoveryFailed, RoundtripReport
 
 GRID = IntervalGrid(np.linspace(0.2, 0.8, 7))
 CERT = {"surjectivity_gap": 0.25, "collapsed_pairs": 0}  # not in key order
@@ -99,6 +99,16 @@ def test_report_record_keys_and_values(report, want):
     assert cert == sorted(cert)
 
 
+def test_refused_roundtrip_record_adds_its_check_and_certificate():
+    rep = RoundtripReport(np.inf, np.inf, np.inf, None, 0, 0, 257, "closed_form", "pencil", CERT)
+    assert rep.as_record() == {
+        "max_position_error": np.inf, "max_mass_error": np.inf, "residual": np.inf,
+        "passed": False, "pencil_rank": 0, "fit_nfev": 0, "frequencies_used": 257,
+        "kernel_transform": "closed_form", "failed_check": "pencil",
+        "certificate.collapsed_pairs": 0, "certificate.surjectivity_gap": 0.25,
+    }
+
+
 @pytest.mark.parametrize(
     "refusal, message",
     [
@@ -115,8 +125,9 @@ def test_report_record_keys_and_values(report, want):
             "not characterizable: unimodularity (|alpha| = 2)",
         ),
         (NotCharacterizable("flatness", "", {}, 64), "not characterizable: flatness"),
+        (RecoveryFailed("alias", "ambiguous", CERT), "measure not recovered: alias (ambiguous)"),
     ],
-    ids=["weighted_details", "weighted_bare", "char_details", "char_bare"],
+    ids=["weighted_details", "weighted_bare", "char_details", "char_bare", "measure_details"],
 )
 def test_refusal_message_and_attributes(refusal, message):
     assert isinstance(refusal, RuntimeError)
@@ -126,6 +137,8 @@ def test_refusal_message_and_attributes(refusal, message):
     assert refusal.certificate is not CERT  # the refusal holds its own copy
     if isinstance(refusal, NotCharacterizable):
         assert refusal.circle_samples in (512, 64)
+    if isinstance(refusal, RecoveryFailed):
+        assert refusal.candidate is None
 
 
 @pytest.mark.parametrize(

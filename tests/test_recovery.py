@@ -22,6 +22,7 @@ from isolab.recovery import (
 
 RAT2 = make_builtin_gauge("rational", alpha=2.0)
 EXP = make_builtin_gauge("exp")
+CLIP = make_builtin_gauge("clip")
 
 
 def test_log_measure_validation():
@@ -177,7 +178,7 @@ def test_fourier_plan_keeps_the_input_checks_and_inputs():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("g", [RAT2, EXP], ids=["rational2", "exp"])
+@pytest.mark.parametrize("g", [RAT2, EXP, CLIP], ids=["rational2", "exp", "clip"])
 def test_roundtrip_single_atom(g):
     rep = roundtrip_check(g, LogMeasure((0.4,), (0.6,)), RecoverySpec(), 1)
     assert rep.max_position_error < 1e-6
@@ -185,7 +186,7 @@ def test_roundtrip_single_atom(g):
     assert rep.passed
 
 
-@pytest.mark.parametrize("g", [RAT2, EXP], ids=["rational2", "exp"])
+@pytest.mark.parametrize("g", [RAT2, EXP, CLIP], ids=["rational2", "exp", "clip"])
 def test_roundtrip_two_atoms(g):
     nu = LogMeasure((-1.2, 0.3), (0.35, 0.4))
     rep = roundtrip_check(g, nu, RecoverySpec(), 2)
@@ -225,6 +226,8 @@ def test_roundtrip_close_atoms_fails_honestly():
     rep = roundtrip_check(EXP, nu, RecoverySpec(), 2)
     assert not rep.passed
     assert np.isinf(rep.max_position_error)
+    assert rep.as_record()["failed_check"] == "atom-count"
+    assert rep.certificate == {}  # recovery itself did not refuse
 
 
 def test_roundtrip_report_counts_what_it_used():
@@ -232,15 +235,19 @@ def test_roundtrip_report_counts_what_it_used():
     rec = rep.as_record()
     assert (rec["pencil_rank"], rec["frequencies_used"]) == (2, 257)
     assert 1 <= rec["fit_nfev"] <= 400
-    # refused before the fit: every count reads 0
+    assert "failed_check" not in rec and not any(k.startswith("certificate.") for k in rec)
+    # refused at the pencil: the frequencies were counted, the pencil and fit never ran
     rep = roundtrip_check(EXP, LogMeasure((0.0,), (0.5,)), RecoverySpec(), 200)
     assert rep.recovered is None
-    assert (rep.pencil_rank, rep.fit_nfev, rep.frequencies_used) == (0, 0, 0)
+    assert (rep.pencil_rank, rep.fit_nfev, rep.frequencies_used) == (0, 0, 257)
+    assert (rep.failed_check, rep.certificate["atom_budget"]) == ("pencil", 200)
     # refused after the fit: the counts stay
     spec = RecoverySpec(frequency_grid=tuple(np.linspace(-8.0, 8.0, 17)))
     rep = roundtrip_check(EXP, LogMeasure((0.5,), (0.5,)), spec, 1)
     assert (rep.pencil_rank, rep.frequencies_used) == (1, 17)
     assert rep.fit_nfev >= 1
+    assert rep.failed_check == "alias" and not rep.passed
+    assert rep.certificate["residual"] == rep.residual <= recovery._RESIDUAL_TOL
 
 
 def test_roundtrip_passes_only_within_the_residual_tolerance():
@@ -267,8 +274,10 @@ def test_recover_measure_alias_ambiguity():
     spec = RecoverySpec(frequency_grid=tuple(np.linspace(-8.0, 8.0, 17)))
     nu = LogMeasure((0.5,), (0.5,))
     s, h = smoothed_curve_samples(EXP, nu, spec)
-    with pytest.raises(RecoveryFailed, match="alias"):
+    with pytest.raises(RecoveryFailed, match="alias") as exc_info:
         recover_measure(EXP, s, h, spec, 1)
+    assert exc_info.value.check == "alias"
+    assert exc_info.value.candidate is not None
 
 
 def test_recover_measure_residual_rejection_keeps_candidate():
@@ -279,8 +288,55 @@ def test_recover_measure_residual_rejection_keeps_candidate():
     with pytest.raises(RecoveryFailed) as exc_info:
         recover_measure(EXP, s, h, spec, 1)
     err = exc_info.value
-    assert err.residual > 1e-5
+    assert err.check == "residual"
+    assert err.certificate["residual"] > 1e-5
     assert err.candidate is not None
+
+
+def _refusal_cases():
+    """case -> (the refusing check, the key of its value, gauge, measure sampled,
+    map applied to the samples, spec, atom budget)."""
+    alias_spec = RecoverySpec(frequency_grid=tuple(np.linspace(-8.0, 8.0, 17)))
+    nan_kernel = dataclasses.replace(EXP, mellin=lambda z: np.full(np.shape(z), np.nan))
+    nu, spec = LogMeasure((0.0,), (0.5,)), RecoverySpec()
+    return {
+        "frequency-floor": ("frequency-floor", "kernel_peak", nan_kernel, nu, None, spec, 1),
+        "pencil-budget": ("pencil", "atom_budget", EXP, nu, None, spec, 200),
+        "pencil-nodes": ("pencil", "unstable_nodes", EXP, nu, lambda s, h: 0.0 * h, spec, 1),
+        "mass": ("mass", "dropped_atoms", EXP, nu, lambda s, h: -h, spec, 1),
+        "residual": (
+            "residual", "residual", EXP, nu, lambda s, h: h + 1e-3 * np.sin(5.0 * s), spec, 1,
+        ),
+        "alias": ("alias", "alias_room", EXP, nu, None, alias_spec, 1),
+        # twice a valid measure: each mass stays below 1, their total does not
+        "invalid-measure": (
+            "invalid-measure", "total_mass", RAT2, LogMeasure((-1.0, 1.0), (0.3, 0.35)),
+            lambda s, h: 2.0 * h, spec, 2,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refusal_cases()))
+def test_each_recovery_refusal_names_its_check_and_value(case):
+    check, key, g, nu, corrupt, spec, budget = _refusal_cases()[case]
+    s, h = smoothed_curve_samples(g, nu, spec)
+    with pytest.raises(RecoveryFailed) as exc_info:
+        recover_measure(g, s, h if corrupt is None else corrupt(s, h), spec, budget)
+    err = exc_info.value
+    assert err.check == check and str(err).startswith(f"measure not recovered: {check} (")
+    assert list(err.certificate)[-1] == key  # the refusing check's value is recorded last
+
+
+@pytest.mark.parametrize(
+    "corrupt", [lambda h: np.where(np.arange(h.size) == 2000, np.inf, h), lambda h: h * 1e200],
+    ids=["inf_sample", "huge_samples"],
+)
+def test_recover_measure_refuses_impossible_samples_up_front(corrupt):
+    # no observation is non-finite or reaches 1 in modulus: |G| < 1 and the mass is at most 1
+    spec = RecoverySpec()
+    s, h = smoothed_curve_samples(EXP, LogMeasure((0.0,), (0.5,)), spec)
+    with pytest.raises(ValueError, match="h_samples"):
+        recover_measure(EXP, s, corrupt(h), spec, 1)
 
 
 def test_recovery_spec_stores_its_frequency_array_once():
@@ -377,13 +433,8 @@ def test_sketch_pencil_matches_full_svd(name, monkeypatch):
 
 @pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
 def test_fit_jacobian_matches_central_differences(name):
-    g = make_builtin_gauge(name, alpha=2.0)
-    spec = RecoverySpec()
-    zs = spec.freq_array
-    g_hat = recovery.shift_kernel_fourier_grid(g, spec.shift, zs, spec.quadrature)
-    s, h = smoothed_curve_samples(g, LogMeasure((-1.0, 0.6), (0.3, 0.4)), spec)
-    h_hat = fourier_from_samples(s, h, zs)
-    data = (2, zs, g_hat, h_hat, float(np.max(np.abs(h_hat))))
+    # no fit row sits within the difference step of a clip kink at the offsets used
+    data = _fit_problem(name, (-1.0, 0.6), (0.3, 0.4))
     params = np.array([-0.93, 0.71, 0.27, 0.45])  # off the optimum
     jac = recovery._fit_jacobian(params, *data)
     step = 1e-6
@@ -394,7 +445,7 @@ def test_fit_jacobian_matches_central_differences(name):
         plus = recovery._fit_residual(params + e, *data)
         minus = recovery._fit_residual(params - e, *data)
         fd[:, j] = (plus - minus) / (2 * step)
-    assert jac.shape == (2 * zs.size, params.size)
+    assert jac.shape == (513, params.size)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
 
@@ -403,23 +454,23 @@ def test_fit_jacobian_matches_central_differences(name):
 # ---------------------------------------------------------------------------
 
 def _fit_problem(name, pos, mass, sampled=True):
-    """_fit_residual data for a measure: from forward samples, or straight from
-    the model (which allows a mass or position outside the fit's box)."""
+    """_fit_residual data for a measure, on the rows recover_measure fits: from
+    forward samples, or straight from the model (which allows a mass or position
+    outside the fit's box)."""
     g, spec = make_builtin_gauge(name, alpha=2.0), RecoverySpec()
-    zs = spec.freq_array
-    g_hat = recovery.shift_kernel_fourier_grid(g, spec.shift, zs, spec.quadrature)
     if sampled:
         s, h = smoothed_curve_samples(g, LogMeasure(pos, mass), spec)
-        h_hat = fourier_from_samples(s, h, zs)
     else:
-        h_hat = g_hat * (np.exp(1j * zs[:, None] * np.array(pos)[None, :]) @ np.array(mass))
-    return (len(pos), zs, g_hat, h_hat, float(np.max(np.abs(h_hat))))
+        s = np.linspace(-spec.window, spec.window, spec.sample_count)
+        h = recovery._model(g, spec.shift, np.array(pos), np.array(mass), s)
+    rows = slice(None, None, recovery._FIT_STRIDE)
+    return (g, spec.shift, s[rows], h[rows], float(np.max(np.abs(h))))
 
 
 def _both_fits(data, x0):
     """(ours, scipy's) from one start, with recover_measure's box and the fit's
     tolerance and evaluation cap."""
-    k = data[0]
+    k = len(x0) // 2
     lo = np.concatenate([np.full(k, -32.0), np.zeros(k)])
     hi = np.concatenate([np.full(k, 32.0), np.full(k, 1.5)])
     x0 = np.clip(x0, lo + 1e-12, hi - 1e-12)
@@ -431,7 +482,7 @@ def _both_fits(data, x0):
 
 def _assert_fit_matches_scipy(data, ours, ref, x_tol):
     # no worse than scipy beyond roundoff: 1e-9 relative, or 1e-14 on a residual
-    # vector of about 514 unit-scale entries
+    # vector of 513 entries of at most unit scale
     ours_norm = np.linalg.norm(recovery._fit_residual(ours.x, *data))
     ref_norm = np.linalg.norm(recovery._fit_residual(ref.x, *data))
     assert ours_norm <= ref_norm * (1 + 1e-9) + 1e-14
@@ -455,8 +506,9 @@ def test_fit_matches_scipy_from_perturbed_starts(name):
 
 @pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
 def test_fit_matches_scipy_on_an_active_bound(name):
-    # an atom beyond the window pins its position at +32; a mass of 2 pins it at 1.5
-    cases = (((0.4, 33.0), (0.3, 0.4), (1, 32.0)), ((-0.5, 1.0), (0.3, 2.0), (3, 1.5)))
+    # an atom beyond the window pins its position at -32 (the clip kernel vanishes on
+    # y >= 0, so an atom at +32 or beyond leaves no sample to fit); a mass of 2 pins it at 1.5
+    cases = (((-33.0, 0.4), (0.4, 0.3), (0, -32.0)), ((-0.5, 1.0), (0.3, 2.0), (3, 1.5)))
     for pos, mass, pinned in cases:
         data = _fit_problem(name, pos, mass, sampled=False)
         x0 = np.concatenate([np.add(pos, 0.02), np.minimum(mass, 1.4)])
