@@ -186,8 +186,8 @@ def _windows(parts, images, values):
         j = np.repeat(lo[a:b] - np.cumsum(count) + count, count)
         j += np.arange(j.size)
         i = np.repeat(owner[a:b], count)
-        dxy = (values[i] - images[j]).view(float).reshape(-1, 2)
         with np.errstate(over="ignore"):
+            dxy = (values[i] - images[j]).view(float).reshape(-1, 2)
             np.square(dxy, out=dxy)
         yield i, j, np.add(dxy[:, 0], dxy[:, 1])
 
@@ -221,19 +221,21 @@ class _Grid(Frozen):
         its nearest image, pairs(r) yields blocks (i, j) of the image pairs at most r apart.
 
         A cell list (Bentley, Weide & Yao 1980): the images are sorted by square buckets a
-        hair over one cell wide, laid on the nodes' bounding box with a border bucket round
-        it that takes every image outside.  An image k + 1 buckets off a point's lies more
-        than k cells from it, so a nearest image within k cells in the point's (2k + 1)^2
-        block is exact: k = 1 answers every point within the surjectivity bound, and k
-        doubles for the rest.  An image's pairs lie forward of it, in its own row and the
-        rows above, ceil(r / cell) buckets out.  Distances are sqrt(dx*dx + dy*dy), as
-        scipy's cKDTree computes them, so both answers equal the tree's bit for bit.
+        hair over half a cell wide, laid on the nodes' bounding box with a border bucket
+        round it that takes every image outside.  An image k + 1 buckets off a point's lies
+        more than k half-cells from it, so a nearest image within k half-cells in the
+        point's (2k + 1)^2 block is exact: k = 1 answers every point whose nearest image
+        lies within half a cell, and k doubles for the rest.  An image's pairs lie forward
+        of it, in its own row and the rows above, ceil(r / half-cell) buckets out.
+        Distances are sqrt(dx*dx + dy*dy), as scipy's cKDTree computes them, so both
+        answers equal the tree's bit for bit.
         """
         images = np.asarray(images, complex)
         if not np.all(np.isfinite(images)):
             raise ValueError("images must be finite")
-        cell, nodes, count = self.cell, self.nodes, images.size
-        side = cell * (1 + 1e-9)
+        nodes, count = self.nodes, images.size
+        unit = 0.5 * self.cell  # half a cell: most nearest images lie this close
+        side = unit * (1 + 1e-9)
         low = (nodes.real.min() - side, np.imag(nodes).min() - side)
         high = (nodes.real.max() + side, np.imag(nodes).max() + side)
 
@@ -263,19 +265,19 @@ class _Grid(Frozen):
                 q, out = points[a : a + _QUERY_CHUNK], best[a : a + _QUERY_CHUNK]
                 col, row = buckets(q)
                 todo, k = np.arange(q.size), 1
-                while todo.size:  # doubling k until the best distance is within k cells
+                while todo.size:  # doubling k until the best distance is within k half-cells
                     cols, rows = col[todo], row[todo]
                     reach = min(k, height - 1)  # rows any farther off are empty
                     parts = [(*span(rows + dy, cols - k, cols + k), todo)
                              for dy in range(-reach, reach + 1)]
                     for i, _, d2 in _windows(parts, sorted_images, q):
                         np.minimum.at(out, i, d2)
-                    todo = todo[out[todo] > np.square(k * cell)] if k < widest else todo[:0]
+                    todo = todo[out[todo] > np.square(k * unit)] if k < widest else todo[:0]
                     k = min(2 * k, widest)
             return np.sqrt(best)
 
         def pairs(r):
-            k = min(int(np.ceil(r / cell)), widest)
+            k = min(int(np.ceil(r / unit)), widest)
             for a in range(0, count, _QUERY_CHUNK):
                 p = np.arange(a, min(a + _QUERY_CHUNK, count))
                 col, row = buckets(sorted_images[a : a + _QUERY_CHUNK])

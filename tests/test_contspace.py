@@ -906,7 +906,7 @@ def test_search_on_bucket_edges_far_out_and_alone_equals_the_kd_tree(name):
     # border's corner), images far outside the domain up to the largest float, and a
     # lone image
     grid, rng = _GRIDS[name], np.random.default_rng(72)
-    side = grid.cell * (1 + 1e-9)
+    side = 0.5 * grid.cell * (1 + 1e-9)
     corner = complex(grid.nodes.real.min() - side, np.imag(grid.nodes).min() - side)
     edges = corner + side * (rng.integers(0, 40, (2, 3000)) * [[1], [1j]]).sum(axis=0)
     top = np.finfo(float).max
@@ -922,6 +922,44 @@ def test_search_on_bucket_edges_far_out_and_alone_equals_the_kd_tree(name):
             dists, pairs = _searched(grid, images, points, r)
             assert np.array_equal(dists, want_dists) and pairs == want_pairs
     assert np.all(np.isinf(_searched(grid, far[:6], points, grid.cell)[0]))
+
+
+@pytest.mark.parametrize("name", _GRIDS)
+def test_search_of_shifted_images_equals_the_kd_tree(name):
+    # each image delta cells from its node, on both sides of every half-cell doubling
+    # threshold: in a random direction per node, in one random direction for all, and
+    # straight up, where every interval node's nearest image lies exactly delta cells off
+    grid, rng = _GRIDS[name], np.random.default_rng(73)
+    nodes, cell = grid.nodes, grid.cell
+    farthest = 0.0
+    for delta in (0.49, 0.5, 0.51, 0.99, 1.0, 1.01, 1.99, 2.01):
+        for turn in (np.exp(2j * np.pi * rng.uniform(size=nodes.size)),
+                     np.exp(2j * np.pi * rng.uniform()), 1j):
+            images = nodes + delta * cell * turn
+            want_dists, want_pairs = _tree_answers(images, nodes, 0.5 * cell)
+            dists, pairs = _searched(grid, images, nodes, 0.5 * cell)
+            assert np.array_equal(dists, want_dists) and pairs == want_pairs, (delta, turn)
+            farthest = max(farthest, float(np.max(dists)))
+    assert farthest > 2.0 * cell  # some point doubled its block twice
+
+
+def test_default_disc_recovery_scans_few_candidates_per_node(monkeypatch):
+    # both searches of a default recovery scan about 10.4 images per node; buckets a
+    # cell wide scanned 44.4
+    scanned = []
+    windows = contspace._windows
+
+    def counted(parts, images, values):
+        for block in windows(parts, images, values):
+            scanned.append(block[2].size)
+            yield block
+
+    monkeypatch.setattr(contspace, "_windows", counted)
+    grid = DiscGrid.build(DEXH)
+    rng = np.random.default_rng(64)
+    T = make_composition_operator(unimodular_field(grid, rng), random_annulus_homeo(DEXH, rng))
+    recover_weight_and_map(T, DEXH, grid, rng=rng)
+    assert 0 < sum(scanned) <= 12 * grid.nodes.size
 
 
 @pytest.mark.parametrize("name", ["interval", "disc"])

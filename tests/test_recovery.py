@@ -431,6 +431,33 @@ def test_sketch_pencil_matches_full_svd(name, monkeypatch):
                 assert np.max(np.abs(got - want)) <= 1e-9, (name, k, budget)
 
 
+def test_pencil_positions_lie_in_the_alias_free_range(monkeypatch):
+    # a node is kept only when |log|node|| < 0.7, which drops NaN and inf nodes, and its
+    # angle lies in [-pi, pi], so no position lies past pi/dz: the range needs no check
+    rng = np.random.default_rng(74)
+    eigvals = np.linalg.eigvals
+    extra = np.array([np.nan, np.inf, complex(np.inf, np.nan), complex(np.nan, 1.0), -1.0,
+                      complex(-1.0, -0.0), np.exp(3.1j), 1.9, 0.5])
+
+    def padded(a):  # the pencil's own nodes plus NaN, inf and unit-circle ones
+        return np.concatenate([eigvals(a), extra])
+
+    for trial in range(300):
+        n, dz, budget = rng.integers(8, 258), rng.uniform(1e-3, 4.0), rng.integers(1, 6)
+        quotient = 10.0 ** rng.uniform(-4, 4, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        if trial % 3 == 1:
+            quotient[rng.integers(0, n, rng.integers(1, 4))] = rng.choice(
+                [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+        monkeypatch.setattr(np.linalg, "eigvals", padded if trial % 3 == 2 else eigvals)
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                pos, _ = recovery._pencil_estimate(quotient, dz, budget)
+        except np.linalg.LinAlgError:  # the sketch's SVD refuses a non-finite quotient
+            assert not np.all(np.isfinite(quotient))
+            continue
+        assert np.all(np.abs(pos) <= np.pi / dz), trial
+
+
 @pytest.mark.parametrize("name", BUILTIN_GAUGE_NAMES)
 def test_fit_jacobian_matches_central_differences(name):
     # no fit row sits within the difference step of a clip kink at the offsets used
